@@ -22,10 +22,8 @@ from .linalg import (
     is_pd,
     is_psd,
     pinv,
-    range_contained,
     range_residual,
     schur_block_psd,
-    sym_eig,
     symmetrize,
 )
 from .model import (
@@ -38,7 +36,6 @@ from .model import (
     build_tree,
     cond_expect,
     ensure_valid,
-    forward_simulate,
     load_problem,
     open_loop_from_values,
     problem_from_dict,
@@ -54,17 +51,14 @@ from .riccati import (
     NOT_CONVEX,
     SOLVABLE_ALL_PAIRS,
     UNIQUELY_SOLVABLE,
-    DelayFreeSolution,
     RiccatiSolution,
     SolvabilityReport,
     classify,
     feedback_policy,
-    gains,
     optimal_value,
     recompute_wh,
     solution_from_dict,
     solution_to_dict,
-    solve_delay_free,
     solve_riccati,
     solve_riccati_bar,
 )
@@ -117,7 +111,7 @@ from .worked_example import benchmark_problem, benchmark_report
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptedProcess", "CONVEX_CANDIDATE", "ConsistencyError", "DelayFreeSolution",
+    "AdaptedProcess", "CONVEX_CANDIDATE", "ConsistencyError",
     "DelqError", "EvaluationResult", "FEAS_TOL", "FeedbackPolicy", "LmeiCandidate",
     "LmeiReport", "NOT_CONVEX", "OpenLoopPolicy", "OracleOutcome", "PINV_RTOL",
     "PSD_TOL", "ProblemData", "QuadraticForm", "ResourceLimitError",
@@ -131,14 +125,14 @@ __all__ = [
     "completion_of_squares_residual", "cond_expect", "construct_from_candidate",
     "control_response", "cost_decomposition_check", "cost_difference_residual",
     "decoupling_residual", "ensure_valid", "exact_cost", "feedback_policy",
-    "first_variation_inner", "fixed_pair_check", "forward_simulate",
-    "gains", "is_pd", "is_psd", "load_problem", "make_candidate",
+    "first_variation_inner", "fixed_pair_check",
+    "is_pd", "is_psd", "load_problem", "make_candidate",
     "monte_carlo_cost", "open_loop_from_values", "optimal_value", "oracle_cost",
     "oracle_minimize", "pinv", "predictor", "problem_from_dict",
-    "problem_to_dict", "process_inner", "range_contained", "range_residual",
+    "problem_to_dict", "process_inner", "range_residual",
     "recompute_wh", "rollout", "save_problem", "schur_block_psd",
     "shifted_policy", "solution_from_dict", "solution_to_dict", "solve_bsde",
-    "solve_delay_free", "solve_riccati", "solve_riccati_bar", "state_response",
-    "stationary_residual", "sym_eig", "symmetrize", "terminal_inner",
+    "solve_riccati", "solve_riccati_bar", "state_response",
+    "stationary_residual", "symmetrize", "terminal_inner",
     "trajectory_cost", "validate", "zero_candidate", "zero_policy",
 ]

@@ -35,6 +35,7 @@ from .model import (
     measurable_level,
     rollout,
     trajectory_cost,
+    tree_step,
     zero_policy,
 )
 
@@ -498,13 +499,7 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol,
             scale = max(1.0, float(np.max(np.abs(hx))))
             worst = max(worst, float(np.max(np.abs(out_of_range))) / scale)
             u = ex @ sol.K[k - t].T + extra[k - t]
-            u_full = expand(u, k - s)
-            drift = X @ problem.A[k].T + u_full @ problem.B[k].T
-            diff = X @ problem.C[k].T + u_full @ problem.D[k].T
-            nxt = np.empty((2 * X.shape[0], problem.n))
-            nxt[0::2] = drift + diff
-            nxt[1::2] = drift - diff
-            X = nxt
+            X = tree_step(problem, k, X, expand(u, k - s))
     return FixedPairCheck(sufficient=sufficient, falsified=worst > tol,
                           worst_violation=worst, samples=samples)
 

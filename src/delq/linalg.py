@@ -2,15 +2,13 @@
 
 Thin, contract-bearing wrappers around numpy: SVD pseudo-inverse with a
 relative truncation threshold, tolerance-aware (semi)definiteness tests,
-range inclusion, the extended Schur block test (computed two independent
-ways), and symmetric eigendecomposition with a fixed ordering convention.
+the range-inclusion residual, and the extended Schur block test (computed
+two independent ways).
 
 All tolerance arguments are relative: a matrix S passes ``is_psd`` when its
 minimum eigenvalue is ≥ -tol * max(1, ||S||_2).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,11 +91,6 @@ def range_residual(N, L, rel_tol: float = PINV_RTOL) -> float:
     return float(np.max(np.abs(resid))) / scale
 
 
-def range_contained(N, L, tol: float = PSD_TOL) -> bool:
-    """True iff Ran(N) ⊂ Ran(L), i.e. ||L·L†·N − N|| ≤ tol * max(1, ||N||)."""
-    return range_residual(N, L) <= tol
-
-
 def schur_block_psd(S, H, W, tol: float = PSD_TOL) -> bool:
     """Positive semidefiniteness of the block matrix [[S, H^T], [H, W]].
 
@@ -142,25 +135,3 @@ def schur_block_psd(S, H, W, tol: float = PSD_TOL) -> bool:
             )
     return direct
 
-
-@dataclass(frozen=True)
-class SymEigDecomposition:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted in descending order; basis columns are the
-    matching orthonormal eigenvectors, so S = basis @ diag(eigenvalues) @ basis.T.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis @ np.diag(self.eigenvalues) @ self.basis.T
-
-
-def sym_eig(S) -> SymEigDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    S = _require_symmetric(S, "S")
-    vals, vecs = np.linalg.eigh(S)
-    order = np.argsort(vals)[::-1]
-    return SymEigDecomposition(eigenvalues=vals[order], basis=vecs[:, order])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsolvableError, ValidationError
+from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import (
     FEAS_TOL,
     PINV_RTOL,
@@ -35,6 +35,10 @@ from .riccati import (
     SOLVABLE_ALL_PAIRS,
     RiccatiSolution,
     SolvabilityReport,
+    _backward,
+    _blocks_from_dict,
+    _blocks_to_dict,
+    _wh_from_next,
     classify,
 )
 
@@ -112,17 +116,14 @@ def candidate_to_dict(cand: LmeiCandidate) -> dict:
         "t": cand.t,
         "d": cand.d,
         "N": cand.N,
-        "P": {f"{i},{k}": M.tolist() for (i, k), M in sorted(cand.P.items())},
+        "P": _blocks_to_dict(cand.P),
     }
 
 
 def candidate_from_dict(problem: ProblemData, data: dict) -> LmeiCandidate:
     try:
         t = int(data["t"])
-        entries = {}
-        for key, M in data["P"].items():
-            i_s, k_s = key.split(",")
-            entries[(int(i_s), int(k_s))] = M
+        entries = _blocks_from_dict(data["P"])
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed candidate JSON: {exc}") from exc
     return make_candidate(problem, t, entries)
@@ -130,22 +131,6 @@ def candidate_from_dict(problem: ProblemData, data: dict) -> LmeiCandidate:
 
 # ---------------------------------------------------------------------------
 # Region table
-
-def candidate_wh(cand: LmeiCandidate, problem: ProblemData, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """W~_k and H~_k built from the candidate with the region-switched
-    summation limit min(k+1-t, d)."""
-    t, d = cand.t, cand.d
-    A, B = problem.A[k], problem.B[k]
-    C, D = problem.C[k], problem.D[k]
-    limit = min(k + 1 - t, d)
-    Psum = np.zeros((cand.n, cand.n))
-    for i in range(limit + 1):
-        Psum = Psum + cand.P_at(i, k + 1)
-    P0 = cand.P_at(0, k + 1)
-    W = symmetrize(problem.R[k] + B.T @ Psum @ B + D.T @ P0 @ D)
-    H = B.T @ Psum @ A + D.T @ P0 @ C
-    return W, H
-
 
 def state_gap(cand: LmeiCandidate, problem: ProblemData, k: int) -> np.ndarray:
     """Q_k + A^T (P~^(0)+P~^(1))_{k+1} A + C^T P~^(0)_{k+1} C - P~^(0)_k:
@@ -238,7 +223,7 @@ def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
             _equality_margin(cand.P_at(j, N), np.zeros((cand.n, cand.n))))
 
     for k in range(t, N):
-        W, H = candidate_wh(cand, problem, k)
+        W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
         if k == t:
             upper = state_gap(cand, problem, k)
         else:
@@ -265,7 +250,7 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
                              report: SolvabilityReport | None = None) -> LmeiCandidate:
     """The identity embedding of a solvable recursion solution as a feasible
     candidate (the block constraints hold with Schur complement exactly 0)."""
-    if not sol.delayed:
+    if sol.d < 1:
         raise ValidationError("certificates require delay d >= 1")
     if report is None:
         report = classify(sol, tol)
@@ -283,15 +268,15 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
     """Turn a feasible candidate into an exact constrained-recursion solution.
 
     The candidate's slack defines an auxiliary problem (state weight =
-    relaxed-recursion slack, cross weight from H~, control weight W~,
-    terminal weight G - P~^(0)_N) whose own backward recursion U^(0)..U^(d)
-    is always solvable with PSD step matrices; P = P~ + U then satisfies the
-    original constrained recursion. The returned W/H are recomputed from P
-    and verified against the auxiliary-recursion quantities; disagreement or
-    a failed constrained check raises ConsistencyError (numerical breakdown).
+    relaxed-recursion slack, cross weight H~, control weight W~, terminal
+    weight G - P~^(0)_N, top-index correction Delta_k = the block
+    constraint's upper-left entry). Its recursion U^(0)..U^(d) runs through
+    the same backward kernel as solve_riccati and is always solvable with
+    PSD step matrices; P = P~ + U then satisfies the original constrained
+    recursion. The returned W/H are recomputed from P and verified against
+    the auxiliary-recursion quantities; disagreement or a failed constrained
+    check raises ConsistencyError (numerical breakdown).
     """
-    from .errors import ConsistencyError
-
     report = check_membership(cand, problem, t, tol)
     if not report.feasible:
         worst = report.worst()
@@ -303,54 +288,23 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
     n, N, d = cand.n, cand.N, cand.d
     # Auxiliary weights from the candidate's slack.
     Q_aux = {k: state_gap(cand, problem, k) for k in range(t, N)}
-    WH = {k: candidate_wh(cand, problem, k) for k in range(t, N)}
+    W_cand, H_cand = {}, {}
+    for k in range(t, N):
+        W_cand[k], H_cand[k] = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d),
+                                             problem.R[k])
+    delta = {k: correction_matrix(cand, problem, k) for k in range(t + 1, N)}
     G_aux = symmetrize(problem.G - cand.P_at(0, N))
+    aux = _backward(problem, t, Q_aux, W_cand, G_aux, pinv_rtol, S=H_cand, delta=delta)
 
-    U: dict[tuple[int, int], np.ndarray] = {(0, N): G_aux}
-    for j in range(1, min(N - t, d) + 1):
-        U[(j, N)] = np.zeros((n, n))
-
-    W_aux: list[np.ndarray] = [np.empty(0)] * (N - t)
-    H_aux: list[np.ndarray] = [np.empty(0)] * (N - t)
-    for k in range(N - 1, t - 1, -1):
-        A, B = problem.A[k], problem.B[k]
-        C, D = problem.C[k], problem.D[k]
-        limit = min(k + 1 - t, d)
-        Usum = np.zeros((n, n))
-        for i in range(limit + 1):
-            Usum = Usum + U[(i, k + 1)]
-        Wt, Ht = WH[k]
-        Wk = symmetrize(Wt + B.T @ Usum @ B + D.T @ U[(0, k + 1)] @ D)
-        Hk = B.T @ Usum @ A + D.T @ U[(0, k + 1)] @ C + Ht
-        fold = symmetrize(Hk.T @ pinv(Wk, pinv_rtol) @ Hk)
-        W_aux[k - t], H_aux[k - t] = Wk, Hk
-
-        state_part = Q_aux[k] + A.T @ (U[(0, k + 1)] + U[(1, k + 1)]) @ A \
-            + C.T @ U[(0, k + 1)] @ C
-        r = min(k - t, d)
-        if r == 0:
-            U[(0, k)] = symmetrize(state_part - fold)
-        else:
-            U[(0, k)] = symmetrize(state_part)
-            for i in range(1, r):
-                U[(i, k)] = symmetrize(A.T @ U[(i + 1, k + 1)] @ A)
-            delta = correction_matrix(cand, problem, k)
-            if r == d:
-                U[(d, k)] = symmetrize(delta - fold)
-            else:
-                U[(r, k)] = symmetrize(delta + A.T @ U[(r + 1, k + 1)] @ A - fold)
-
-    P = {key: symmetrize(cand.P[key] + U[key]) for key in cand.P}
+    P = {key: symmetrize(cand.P[key] + aux.P[key]) for key in cand.P}
 
     # Assemble the solution with W/H recomputed from P (the defining sums)
     # and cross-check against the auxiliary quantities, which must coincide.
-    from .riccati import _wh_from_next  # same defining sums as the direct solver
-
     W_fin, H_fin, K_fin = [], [], []
     for k in range(t, N):
-        Wk, Hk = _wh_from_next(problem, t, P, k, min(k + 1 - t, d))
-        dW = float(np.max(np.abs(Wk - W_aux[k - t]))) / max(1.0, float(np.max(np.abs(Wk))))
-        dH = float(np.max(np.abs(Hk - H_aux[k - t]))) / max(1.0, float(np.max(np.abs(Hk))))
+        Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), problem.R[k])
+        dW = float(np.max(np.abs(Wk - aux.W[k - t]))) / max(1.0, float(np.max(np.abs(Wk))))
+        dH = float(np.max(np.abs(Hk - aux.H[k - t]))) / max(1.0, float(np.max(np.abs(Hk))))
         if max(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL:
             raise ConsistencyError(
                 f"constructed solution disagrees with auxiliary recursion at k={k}: "
@@ -391,7 +345,8 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
     for ell in range(k, cand.N):
         X = traj.states.at(ell)
         u_coarse = traj.control_at(ell)
-        Wt, Ht = candidate_wh(cand, problem, ell)
+        Wt, Ht = _wh_from_next(problem, cand.P, ell, min(ell + 1 - cand.t, cand.d),
+                               problem.R[ell])
         Qt = state_gap(cand, problem, ell)
         total += float(np.mean(np.einsum("ij,jl,il->i", X, Qt, X)))
         hx = X @ Ht.T

@@ -410,6 +410,17 @@ def policy_control(policy: Policy, problem: ProblemData, tree: ScenarioTree,
     return u
 
 
+def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States at time k+1 from node states X and full-resolution controls u
+    at time k: node i has children 2i (w_k = +1) and 2i+1 (w_k = -1)."""
+    drift = X @ problem.A[k].T + u @ problem.B[k].T
+    diff = X @ problem.C[k].T + u @ problem.D[k].T
+    nxt = np.empty((2 * X.shape[0], problem.n))
+    nxt[0::2] = drift + diff
+    nxt[1::2] = drift - diff
+    return nxt
+
+
 def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
             start: int | None = None) -> Trajectory:
     """Run the dynamics on the tree from `start` (default: the root).
@@ -436,26 +447,12 @@ def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
     for k in range(start, problem.N):
         u = policy_control(policy, problem, tree, k, X)
         controls.append(u)
-        u_full = expand(u, k - measurable_level(t, problem.d, k))
-        drift = X @ problem.A[k].T + u_full @ problem.B[k].T
-        diff = X @ problem.C[k].T + u_full @ problem.D[k].T
-        nxt = np.empty((2 * X.shape[0], problem.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
-        X = nxt
+        X = tree_step(problem, k, X, expand(u, k - measurable_level(t, problem.d, k)))
         states.append(X)
     return Trajectory(
         states=AdaptedProcess(tree=tree, first=start, values=tuple(states)),
         controls=tuple(controls),
     )
-
-
-def forward_simulate(problem: ProblemData, t: int, x, policy: Policy,
-                     tree: ScenarioTree) -> Trajectory:
-    """Simulate from the root; thin wrapper kept for its explicit signature."""
-    if tree.start != t:
-        raise ValidationError(f"tree is rooted at {tree.start}, not {t}")
-    return rollout(problem, tree, x, policy, start=t)
 
 
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:

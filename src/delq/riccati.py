@@ -12,9 +12,13 @@ defined, and the recursion changes shape at the region boundary k = t+d:
 Both boundary pieces, the W_k/H_k summation-limit switch at k = t+d
 (limit min(k+1-t, d)), and short horizons N - t <= d are handled by one
 loop over the top index r_k = min(k-t, d); empty regions skip naturally.
-The same module provides the single-region variant (all indices defined at
-every time, used as a cross-check), the delay-free specialization, gain
-extraction, value evaluation, solvability classification, and JSON
+The delay-free problem d = 0 is the same loop: r_k = 0 at every step, so
+only P^(0) exists and it absorbs the fold-in, which is the classical
+recursion. The loop also serves the auxiliary problem of the feasibility
+construction (lmei), which adds a cross weight to H_k and a correction to
+the top index. The module further provides the single-region variant (all
+indices defined at every time, an independent cross-check with its own
+loop), value evaluation, solvability classification, and JSON
 round-tripping of solutions.
 
 Solutions store only the defined (i, k) pairs; reading an undefined pair is
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsolvableError, ValidationError
+from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import (
     PINV_RTOL,
     PSD_TOL,
@@ -59,11 +63,11 @@ def classification_rank(classification: str) -> int:
 class RiccatiSolution:
     """Output of the backward pass.
 
-    P maps (i, k) to a symmetric n x n matrix for the defined pairs only;
-    W/H/K are indexed by k - t for k = t..N-1. `delayed` is False when the
-    solution came from the delay-free route (d = 0), where only P^(0) exists.
-    `single_region` marks the variant that carries every index 0..d at every
-    time (solve_riccati_bar); the piecewise form tops out at min(k - t, d).
+    P maps (i, k) to a symmetric n x n matrix for the defined pairs only
+    (at d = 0 that is P^(0) alone); W/H/K are indexed by k - t for
+    k = t..N-1. `single_region` marks the variant that carries every index
+    0..d at every time (solve_riccati_bar); the piecewise form tops out at
+    min(k - t, d).
     """
 
     t: int
@@ -75,7 +79,6 @@ class RiccatiSolution:
     W: tuple[np.ndarray, ...]
     H: tuple[np.ndarray, ...]
     K: tuple[np.ndarray, ...]
-    delayed: bool = True
     single_region: bool = False
 
     def top_index(self, k: int) -> int:
@@ -117,26 +120,25 @@ class RiccatiSolution:
             raise ValidationError(f"time {k} outside solution range [{self.t}, {last}]")
 
 
-def _wh_from_next(problem: ProblemData, t: int, P: dict, k: int,
-                  limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """W_k and H_k from the stored next-time matrices, with the given
-    summation limit (min(k+1-t, d) in the piecewise system, d in the
-    single-region one)."""
+def _wh_from_next(problem: ProblemData, P: dict, k: int, limit: int,
+                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_k and H_k from the next-time matrices P^(0..limit)_{k+1} with control
+    weight R (the summation limit is min(k+1-t, d) in the piecewise system,
+    d in the single-region one)."""
     A, B = problem.A[k], problem.B[k]
     C, D = problem.C[k], problem.D[k]
     Psum = np.zeros((problem.n, problem.n))
     for i in range(limit + 1):
         Psum = Psum + P[(i, k + 1)]
     P0 = P[(0, k + 1)]
-    W = symmetrize(problem.R[k] + B.T @ Psum @ B + D.T @ P0 @ D)
+    W = symmetrize(R + B.T @ Psum @ B + D.T @ P0 @ D)
     H = B.T @ Psum @ A + D.T @ P0 @ C
     return W, H
 
 
 def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive W_k, H_k from the stored P matrices (consistency check)."""
-    limit = min(k + 1 - sol.t, sol.d) if sol.delayed else 0
-    return _wh_from_next(problem, sol.t, sol.P, k, limit)
+    return _wh_from_next(problem, sol.P, k, min(k + 1 - sol.t, sol.d), problem.R[k])
 
 
 def _check_solve_args(problem: ProblemData, t: int) -> None:
@@ -145,54 +147,73 @@ def _check_solve_args(problem: ProblemData, t: int) -> None:
         raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
 
 
-def solve_riccati(problem: ProblemData, t: int,
-                  pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
-    """Backward pass of the piecewise-coupled recursion (see module docstring)."""
-    _check_solve_args(problem, t)
-    if problem.d == 0:
-        return _wrap_delay_free(problem, t, pinv_rtol)
+def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
+              pinv_rtol: float, S=None, delta=None) -> RiccatiSolution:
+    """The piecewise backward pass (see module docstring) with per-step state
+    weight Q[k], control weight R[k] and terminal weight G.
 
+    Optional per-step terms: a cross weight S[k] added last to H_k, and a
+    correction delta[k] added to the top index for k > t. Non-finite W/H
+    (or a non-finite P^(0)_t) raise ConsistencyError naming the step.
+    """
     n, N, d = problem.n, problem.N, problem.d
-    P: dict[tuple[int, int], np.ndarray] = {(0, N): symmetrize(problem.G)}
+    P: dict[tuple[int, int], np.ndarray] = {(0, N): G}
     for j in range(1, min(N - t, d) + 1):
         P[(j, N)] = np.zeros((n, n))
 
     W: list[np.ndarray] = [np.empty(0)] * (N - t)
     H: list[np.ndarray] = [np.empty(0)] * (N - t)
     K: list[np.ndarray] = [np.empty(0)] * (N - t)
-    for k in range(N - 1, t - 1, -1):
-        A, C, Q = problem.A[k], problem.C[k], problem.Q[k]
-        Wk, Hk = _wh_from_next(problem, t, P, k, min(k + 1 - t, d))
-        Wdag = pinv(Wk, pinv_rtol)
-        fold = symmetrize(Hk.T @ Wdag @ Hk)
-        W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
+    with np.errstate(all="ignore"):
+        for k in range(N - 1, t - 1, -1):
+            A, C = problem.A[k], problem.C[k]
+            Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), R[k])
+            if S is not None:
+                Hk = Hk + S[k]
+            if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
+                raise ConsistencyError(f"numerical breakdown: non-finite W/H at k={k}")
+            Wdag = pinv(Wk, pinv_rtol)
+            fold = symmetrize(Hk.T @ Wdag @ Hk)
+            W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
 
-        P01 = P[(0, k + 1)] + P[(1, k + 1)]
-        state_part = Q + A.T @ P01 @ A + C.T @ P[(0, k + 1)] @ C
-        r = min(k - t, d)
-        if r == 0:
-            P[(0, k)] = symmetrize(state_part - fold)
-        else:
+            nxt = P[(0, k + 1)] + P[(1, k + 1)] if d else P[(0, k + 1)]
+            state_part = Q[k] + A.T @ nxt @ A + C.T @ P[(0, k + 1)] @ C
+            r = min(k - t, d)
+            if r == 0:
+                P[(0, k)] = symmetrize(state_part - fold)
+                continue
             P[(0, k)] = symmetrize(state_part)
             for i in range(1, r):
                 P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
             if r == d:
-                P[(d, k)] = symmetrize(-fold)
+                top = -fold if delta is None else delta[k] - fold
             else:
-                P[(r, k)] = symmetrize(A.T @ P[(r + 1, k + 1)] @ A - fold)
+                top = A.T @ P[(r + 1, k + 1)] @ A
+                top = (top if delta is None else delta[k] + top) - fold
+            P[(r, k)] = symmetrize(top)
+    if not np.isfinite(P[(0, t)]).all():
+        raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
 
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
                            W=tuple(W), H=tuple(H), K=tuple(K))
+
+
+def solve_riccati(problem: ProblemData, t: int,
+                  pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
+    """Backward pass of the piecewise-coupled recursion (see module docstring)."""
+    _check_solve_args(problem, t)
+    return _backward(problem, t, problem.Q, problem.R, symmetrize(problem.G), pinv_rtol)
 
 
 def solve_riccati_bar(problem: ProblemData, t: int,
                       pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
     """Single-region variant: every index 0..d defined at every time, the
     W/H sums always run to d, and the top line is -H^T W^+ H throughout.
-    Used as an independent cross-check of the piecewise pass."""
-    _check_solve_args(problem, t)
+    Used as an independent cross-check of the piecewise pass; at d = 0 the
+    two coincide and the piecewise pass is returned."""
     if problem.d == 0:
-        return _wrap_delay_free(problem, t, pinv_rtol)
+        return solve_riccati(problem, t, pinv_rtol)
+    _check_solve_args(problem, t)
 
     n, N, d = problem.n, problem.N, problem.d
     P: dict[tuple[int, int], np.ndarray] = {(0, N): symmetrize(problem.G)}
@@ -204,7 +225,7 @@ def solve_riccati_bar(problem: ProblemData, t: int,
     K: list[np.ndarray] = [np.empty(0)] * (N - t)
     for k in range(N - 1, t - 1, -1):
         A, C, Q = problem.A[k], problem.C[k], problem.Q[k]
-        Wk, Hk = _wh_from_next(problem, t, P, k, d)
+        Wk, Hk = _wh_from_next(problem, P, k, d, problem.R[k])
         Wdag = pinv(Wk, pinv_rtol)
         W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
 
@@ -221,68 +242,7 @@ def solve_riccati_bar(problem: ProblemData, t: int,
 
 
 # ---------------------------------------------------------------------------
-# Delay-free specialization
-
-@dataclass(frozen=True)
-class DelayFreeSolution:
-    """Classical recursion P_k = Q + A^T P A + C^T P C - H^T W^+ H, with the
-    per-step constrained-equation status (W_k PSD, H_k in range of W_k)."""
-
-    t: int
-    N: int
-    n: int
-    m: int
-    P: tuple[np.ndarray, ...]
-    W: tuple[np.ndarray, ...]
-    H: tuple[np.ndarray, ...]
-    K: tuple[np.ndarray, ...]
-    w_psd: tuple[bool, ...]
-    range_ok: tuple[bool, ...]
-
-    def P_at(self, k: int) -> np.ndarray:
-        if not self.t <= k <= self.N:
-            raise ValidationError(f"time {k} outside [{self.t}, {self.N}]")
-        return self.P[k - self.t]
-
-
-def solve_delay_free(problem: ProblemData, t: int,
-                     pinv_rtol: float = PINV_RTOL,
-                     psd_tol: float = PSD_TOL) -> DelayFreeSolution:
-    _check_solve_args(problem, t)
-    n, N = problem.n, problem.N
-    P: list[np.ndarray] = [np.empty(0)] * (N - t + 1)
-    P[N - t] = symmetrize(problem.G)
-    W, H, K, w_psd, range_ok = [], [], [], [], []
-    for k in range(N - 1, t - 1, -1):
-        A, B = problem.A[k], problem.B[k]
-        C, D = problem.C[k], problem.D[k]
-        Pn = P[k + 1 - t]
-        Wk = symmetrize(problem.R[k] + B.T @ Pn @ B + D.T @ Pn @ D)
-        Hk = B.T @ Pn @ A + D.T @ Pn @ C
-        Wdag = pinv(Wk, pinv_rtol)
-        P[k - t] = symmetrize(
-            problem.Q[k] + A.T @ Pn @ A + C.T @ Pn @ C - Hk.T @ Wdag @ Hk
-        )
-        W.append(Wk)
-        H.append(Hk)
-        K.append(-Wdag @ Hk)
-        w_psd.append(is_psd(Wk, psd_tol))
-        range_ok.append(range_residual(Hk, Wk) <= psd_tol)
-    W.reverse(); H.reverse(); K.reverse(); w_psd.reverse(); range_ok.reverse()
-    return DelayFreeSolution(t=t, N=N, n=n, m=problem.m, P=tuple(P), W=tuple(W),
-                             H=tuple(H), K=tuple(K), w_psd=tuple(w_psd),
-                             range_ok=tuple(range_ok))
-
-
-def _wrap_delay_free(problem: ProblemData, t: int, pinv_rtol: float) -> RiccatiSolution:
-    df = solve_delay_free(problem, t, pinv_rtol)
-    P = {(0, k): df.P[k - t] for k in range(t, problem.N + 1)}
-    return RiccatiSolution(t=t, N=problem.N, d=0, n=problem.n, m=problem.m,
-                           P=P, W=df.W, H=df.H, K=df.K, delayed=False)
-
-
-# ---------------------------------------------------------------------------
-# Classification, value, gains
+# Classification and value
 
 @dataclass(frozen=True)
 class StepEvidence:
@@ -352,11 +312,6 @@ def optimal_value(sol: RiccatiSolution, k: int, xi,
     return float(xi @ sol.P_sum(k) @ xi)
 
 
-def gains(sol: RiccatiSolution) -> tuple[np.ndarray, ...]:
-    """K_k = -W_k^+ H_k for k = t..N-1."""
-    return sol.K
-
-
 def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
     """The gain policy u_k = K_k E_{max(t,k-d)}[X_k] as a simulable object."""
     return FeedbackPolicy(t=sol.t, d=sol.d, gains=sol.K)
@@ -365,6 +320,21 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # Serialization (consumed by the CLI)
 
+def _blocks_to_dict(P: dict[tuple[int, int], np.ndarray]) -> dict:
+    """Matrices keyed (i, k) as JSON: keys "i,k", matrices as nested lists."""
+    return {f"{i},{k}": M.tolist() for (i, k), M in sorted(P.items())}
+
+
+def _blocks_from_dict(raw: dict) -> dict[tuple[int, int], np.ndarray]:
+    """Inverse of _blocks_to_dict; malformed input raises KeyError,
+    ValueError, TypeError or AttributeError for the caller to report."""
+    blocks = {}
+    for key, M in raw.items():
+        i_s, k_s = key.split(",")
+        blocks[(int(i_s), int(k_s))] = np.asarray(M, dtype=float)
+    return blocks
+
+
 def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = None) -> dict:
     if report is None:
         report = classify(sol)
@@ -372,7 +342,7 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
         "t": sol.t,
         "d": sol.d,
         "N": sol.N,
-        "P": {f"{i},{k}": M.tolist() for (i, k), M in sorted(sol.P.items())},
+        "P": _blocks_to_dict(sol.P),
         "W": [M.tolist() for M in sol.W],
         "H": [M.tolist() for M in sol.H],
         "K": [M.tolist() for M in sol.K],
@@ -383,10 +353,7 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
 def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
     try:
         t, d, N = int(data["t"]), int(data["d"]), int(data["N"])
-        P = {}
-        for key, M in data["P"].items():
-            i_s, k_s = key.split(",")
-            P[(int(i_s), int(k_s))] = np.asarray(M, dtype=float)
+        P = _blocks_from_dict(data["P"])
         W = tuple(np.asarray(M, dtype=float) for M in data["W"])
         H = tuple(np.asarray(M, dtype=float) for M in data["H"])
         K = tuple(np.asarray(M, dtype=float) for M in data["K"])
@@ -395,6 +362,5 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
     n = P[(0, N)].shape[0]
     m = W[0].shape[0] if W else 0
-    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
-                          delayed=d > 0)
+    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K)
     return sol, classification

@@ -27,9 +27,11 @@ from .model import (
     block_mean,
     build_tree,
     ensure_valid,
+    expand,
     measurable_level,
     rollout,
     trajectory_cost,
+    tree_step,
 )
 
 EXACT = "Exact"
@@ -302,13 +304,7 @@ def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol,
         ex = block_mean(X, k - s)
         vk = u.controls[k - u.start] + ex @ sol.K[k - t].T
         shifted.append(vk)
-        v_full = np.repeat(vk, X.shape[0] // vk.shape[0], axis=0)
-        drift = X @ problem.A[k].T + v_full @ problem.B[k].T
-        diff = X @ problem.C[k].T + v_full @ problem.D[k].T
-        nxt = np.empty((2 * X.shape[0], problem.n))
-        nxt[0::2] = drift + diff
-        nxt[1::2] = drift - diff
-        X = nxt
+        X = tree_step(problem, k, X, expand(vk, k - s))
     return OpenLoopPolicy(t=t, d=problem.d, controls=shifted)
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import delq
 from delq import (
     candidate_to_dict,
     certificate_from_riccati,
@@ -273,3 +278,24 @@ def test_invalid_problem_data(paths, capsys, tmp_path):
 def test_exit_codes_are_distinct():
     codes = [EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE, EXIT_INCONSISTENT]
     assert codes == [0, 1, 2, 3, 4]
+
+
+def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
+    """Finite data whose recursion overflows (A = 1e200) ends in exit 4 with
+    a message naming the step, without numpy warnings or a traceback. Run
+    in a fresh interpreter so stderr is exactly what a user sees."""
+    one, zero = [[[1.0]]] * 6, [[[0.0]]] * 6
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "n": 1, "m": 1, "N": 6, "d": 2, "A": [[[1e200]]] * 6, "B": one,
+        "C": zero, "D": zero, "Q": one, "R": one, "G": [[1.0]],
+    }))
+    src = os.path.dirname(os.path.dirname(delq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["solve"], ["value", "--x", "1"], ["lmei", "construct", "--zero"]):
+        proc = subprocess.run([sys.executable, "-m", "delq", *argv, "--problem", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INCONSISTENT, (argv, proc.stderr)
+        assert re.search(r"numerical breakdown: non-finite W/H at k=\d+", proc.stderr), argv
+        for bad in ("RuntimeWarning", "Traceback", "invalid input"):
+            assert bad not in proc.stderr, (argv, proc.stderr)

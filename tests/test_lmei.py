@@ -20,7 +20,8 @@ from delq import (
     trajectory_cost,
     zero_candidate,
 )
-from delq.lmei import candidate_wh, correction_matrix, state_gap
+from delq.lmei import correction_matrix, state_gap
+from delq.riccati import _wh_from_next
 from delq.model import random_open_loop
 
 from conftest import (
@@ -100,6 +101,8 @@ def test_candidate_json_round_trip(scalar, scalar_solution):
         candidate_from_dict(scalar, {"t": 0, "P": {"x": [[1.0]]}})
     with pytest.raises(ValidationError, match="malformed"):
         candidate_from_dict(scalar, {"P": {}})
+    with pytest.raises(ValidationError, match="malformed"):  # ragged matrix
+        candidate_from_dict(scalar, {"t": 0, "P": {"0,0": [[1.0], [1.0, 2.0]]}})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def test_auxiliary_cost_validates_start_time(scalar, scalar_solution):
 def test_candidate_wh_and_gap_match_recursion_outputs(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
     for k in range(scalar.N):
-        Wt, Ht = candidate_wh(cand, scalar, k)
+        Wt, Ht = _wh_from_next(scalar, cand.P, k, min(k + 1, cand.d), scalar.R[k])
         assert Wt[0, 0] == pytest.approx(scalar_solution.W[k][0, 0], abs=1e-12)
         assert Ht[0, 0] == pytest.approx(scalar_solution.H[k][0, 0], abs=1e-12)
     # on the certificate the correction at each k >= t+1 exactly cancels the

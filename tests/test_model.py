@@ -15,7 +15,6 @@ from delq import (
     build_tree,
     cond_expect,
     ensure_valid,
-    forward_simulate,
     load_problem,
     open_loop_from_values,
     problem_from_dict,
@@ -232,7 +231,7 @@ def test_forward_simulate_pure_noise_state():
                        C=[[[1.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[0.0]]],
                        G=[[1.0]])
     tree = build_tree(0, 1)
-    traj = forward_simulate(prob, 0, [1.0], zero_policy(prob, 0), tree)
+    traj = rollout(prob, tree, [1.0], zero_policy(prob, 0), start=0)
     assert np.array_equal(traj.states.at(1), [[1.0], [-1.0]])
     assert trajectory_cost(prob, traj) == pytest.approx(1.0)
 
@@ -242,7 +241,7 @@ def test_forward_simulate_deterministic_accumulation():
     prob = scalar_problem()
     tree = build_tree(0, prob.N)
     policy = OpenLoopPolicy(t=0, d=2, controls=[[[1.0]], [[2.0]], [[4.0]]])
-    traj = forward_simulate(prob, 0, [1.0], policy, tree)
+    traj = rollout(prob, tree, [1.0], policy, start=0)
     assert np.all(traj.states.at(1) == 2.0)
     assert np.all(traj.states.at(2) == 4.0)
     assert np.all(traj.states.at(3) == 8.0)

@@ -5,6 +5,8 @@ import pytest
 
 from delq import (
     CONVEX_CANDIDATE,
+    ConsistencyError,
+    PSD_TOL,
     NOT_CONVEX,
     SOLVABLE_ALL_PAIRS,
     UNIQUELY_SOLVABLE,
@@ -14,12 +16,10 @@ from delq import (
     classify,
     exact_cost,
     feedback_policy,
-    gains,
     optimal_value,
     recompute_wh,
     solution_from_dict,
     solution_to_dict,
-    solve_delay_free,
     solve_riccati,
     solve_riccati_bar,
 )
@@ -62,7 +62,7 @@ def test_scalar_values_and_gains(scalar, scalar_solution):
     assert optimal_value(scalar_solution, 1, [1.0], report) == pytest.approx(1 / 3, abs=1e-12)
     assert optimal_value(scalar_solution, 0, [0.0], report) == 0.0
     assert optimal_value(scalar_solution, 0, [-2.0], report) == pytest.approx(1.0, abs=1e-12)
-    assert len(gains(scalar_solution)) == 3
+    assert len(scalar_solution.K) == 3
     with pytest.raises(ValidationError):
         optimal_value(scalar_solution, 3, [1.0], report)  # no value stored at N
 
@@ -137,23 +137,46 @@ def test_stored_matrices_are_exactly_symmetric():
 
 
 # ---------------------------------------------------------------------------
-# Delay-free specialization
+# Delay-free case (d = 0): the same recursion with P^(0) only
 
 def test_delay_free_frozen_example():
     prob = ProblemData(n=1, m=1, N=1, d=0, A=[[[1.0]]], B=[[[1.0]]],
                        C=[[[0.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]],
                        G=[[1.0]])
-    df = solve_delay_free(prob, 0)
-    assert df.P_at(1)[0, 0] == pytest.approx(1.0)
-    assert df.W[0][0, 0] == pytest.approx(2.0)
-    assert df.H[0][0, 0] == pytest.approx(1.0)
-    assert df.P_at(0)[0, 0] == pytest.approx(0.5)
-    assert df.w_psd == (True,) and df.range_ok == (True,)
-
-    sol = solve_riccati(prob, 0)  # d = 0 routes through the same recursion
-    assert not sol.delayed
+    sol = solve_riccati(prob, 0)
+    assert sol.d == 0
+    assert set(sol.P) == {(0, 0), (0, 1)}
+    assert sol.P_at(0, 1)[0, 0] == pytest.approx(1.0)
+    assert sol.W[0][0, 0] == pytest.approx(2.0)
+    assert sol.H[0][0, 0] == pytest.approx(1.0)
     assert sol.P_at(0, 0)[0, 0] == pytest.approx(0.5)
+    steps = classify(sol).steps
+    assert all(step.w_min_eig >= -PSD_TOL for step in steps)  # every W_k PSD
+    assert all(step.range_residual <= PSD_TOL for step in steps)  # H_k in Ran(W_k)
     assert optimal_value(sol, 0, [1.0]) == pytest.approx(0.5)
+
+
+def test_overflow_of_the_final_state_weight_is_a_breakdown():
+    """W_0 and H_0 stay finite (B = 0) but P^(0)_0 = A^2 G overflows."""
+    prob = ProblemData(n=1, m=1, N=1, d=0, A=[[[1e200]]], B=[[[0.0]]],
+                       C=[[[0.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]],
+                       G=[[1.0]])
+    with pytest.raises(ConsistencyError, match=r"non-finite P\^\(0\) at k=0"):
+        solve_riccati(prob, 0)
+
+
+def test_single_region_variant_at_zero_delay_is_the_piecewise_pass():
+    problem, t = draw_mixed(5)
+    problem = ProblemData(n=problem.n, m=problem.m, N=problem.N, d=0,
+                          A=problem.A, B=problem.B, C=problem.C, D=problem.D,
+                          Q=problem.Q, R=problem.R, G=problem.G)
+    bar, sol = solve_riccati_bar(problem, t), solve_riccati(problem, t)
+    assert bar.d == 0 and not bar.single_region
+    assert set(bar.P) == {(0, k) for k in range(t, problem.N + 1)}
+    for key in sol.P:
+        assert np.array_equal(bar.P[key], sol.P[key])
+    for name in "WHK":
+        assert all(np.array_equal(a, b) for a, b in zip(getattr(bar, name), getattr(sol, name)))
 
 
 def test_deterministic_system_value_is_delay_invariant():
