@@ -16,7 +16,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    FEAS_TOL,
     PINV_RTOL,
     PSD_TOL,
     is_pd,
@@ -112,7 +111,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptedProcess", "CONVEX_CANDIDATE", "ConsistencyError",
-    "DelqError", "EvaluationResult", "FEAS_TOL", "FeedbackPolicy", "LmeiCandidate",
+    "DelqError", "EvaluationResult", "FeedbackPolicy", "LmeiCandidate",
     "LmeiReport", "NOT_CONVEX", "OpenLoopPolicy", "OracleOutcome", "PINV_RTOL",
     "PSD_TOL", "ProblemData", "QuadraticForm", "ResourceLimitError",
     "RiccatiSolution", "SOLVABLE_ALL_PAIRS", "ScenarioTree", "SolvabilityReport",

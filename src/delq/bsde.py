@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, pinv, range_residual, symmetrize
+from .linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, rel_deviation, \
+    symmetrize
 from .model import (
     AdaptedProcess,
     FeedbackPolicy,
@@ -377,12 +378,11 @@ def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
     lies in the range of M; otherwise the form runs to minus infinity along
     a negative eigenvector or along kernel directions with linear descent.
     """
-    vals = np.linalg.eigvalsh(symmetrize(q.M))
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    if vals.size and vals[0] < -psd_tol * scale:
+    lam, margin = eig_margin(q.M)
+    if margin < -psd_tol:
         return OracleOutcome(
             bounded=False, value=None, minimizer=None,
-            reason=f"quadratic term has negative eigenvalue {vals[0]:.3e}",
+            reason=f"quadratic term has negative eigenvalue {lam:.3e}",
         )
     if range_residual(q.b[:, None], q.M, pinv_rtol) > psd_tol:
         return OracleOutcome(
@@ -496,8 +496,7 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol,
             ex = block_mean(X, k - s)
             hx = ex @ sol.H[k - t].T
             out_of_range = hx @ projectors[k - t].T
-            scale = max(1.0, float(np.max(np.abs(hx))))
-            worst = max(worst, float(np.max(np.abs(out_of_range))) / scale)
+            worst = max(worst, rel_deviation(out_of_range, hx))
             u = ex @ sol.K[k - t].T + extra[k - t]
             X = tree_step(problem, k, X, expand(u, k - s))
     return FixedPairCheck(sufficient=sufficient, falsified=worst > tol,

@@ -23,7 +23,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .linalg import FEAS_TOL, PINV_RTOL, PSD_TOL
+from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
     certificate_from_riccati,
@@ -71,17 +71,15 @@ def _csv_vector(text: str) -> np.ndarray:
         ) from None
 
 
-def _add_common(sp: argparse.ArgumentParser, with_problem: bool = True) -> None:
-    if with_problem:
-        sp.add_argument("--problem", required=True, help="path to a problem JSON file")
-        sp.add_argument("--t", type=int, default=0, help="initial time (default 0)")
+def _add_common(sp: argparse.ArgumentParser, classifies: bool = True) -> None:
+    sp.add_argument("--problem", required=True, help="path to a problem JSON file")
+    sp.add_argument("--t", type=int, default=0, help="initial time (default 0)")
     sp.add_argument("--format", choices=("human", "json"), default="human")
     sp.add_argument("--pinv-tol", type=float, default=PINV_RTOL,
                     help="relative pseudo-inverse cutoff")
-    sp.add_argument("--psd-tol", type=float, default=PSD_TOL,
-                    help="semidefiniteness tolerance")
-    sp.add_argument("--feas-tol", type=float, default=FEAS_TOL,
-                    help="feasibility margin tolerance")
+    if classifies:
+        sp.add_argument("--psd-tol", type=float, default=PSD_TOL,
+                        help="semidefiniteness and feasibility margin tolerance")
 
 
 def build_parser() -> _Parser:
@@ -112,7 +110,7 @@ def build_parser() -> _Parser:
                     help="relative mismatch tolerance against the recursion value")
 
     sp = sub.add_parser("simulate", help="evaluate the gain policy by simulation")
-    _add_common(sp)
+    _add_common(sp, classifies=False)
     sp.add_argument("--x", type=_csv_vector, required=True)
     sp.add_argument("--noise", choices=("rademacher", "gaussian"), default="rademacher")
     sp.add_argument("--samples", type=int, default=None,
@@ -224,7 +222,7 @@ def cmd_oracle(args) -> int:
         payload.update({"recursion_value": val, "difference": diff})
         lines.append(f"recursion value: {val:.12g}")
         lines.append(f"difference: {diff:.3e}")
-        if diff > args.tol * max(1.0, abs(val)):
+        if diff > args.tol * scale_floor(val):
             lines.append("MISMATCH beyond tolerance")
             code = EXIT_INCONSISTENT
     else:
@@ -235,8 +233,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    problem, sol, _ = _solve_and_classify(args)
-    policy = feedback_policy(sol)
+    problem = load_problem(args.problem)
+    policy = feedback_policy(solve_riccati(problem, args.t, args.pinv_tol))
     if args.samples is None:
         if args.noise != "rademacher":
             raise ValidationError(
@@ -269,7 +267,7 @@ def cmd_lmei(args) -> int:
     problem = load_problem(args.problem)
     cand = _load_candidate(args, problem)
     if args.subcommand == "check":
-        rep = check_membership(cand, problem, args.t, args.feas_tol)
+        rep = check_membership(cand, problem, args.t, args.psd_tol)
         lines = []
         for c in rep.constraints:
             where = f"k={c.k}" + (f" i={c.i}" if c.i is not None else "")
@@ -285,7 +283,7 @@ def cmd_lmei(args) -> int:
             ],
         })
         return EXIT_OK if rep.feasible else EXIT_UNSOLVABLE
-    sol = construct_from_candidate(cand, problem, args.t, args.feas_tol, args.pinv_tol)
+    sol = construct_from_candidate(cand, problem, args.t, args.psd_tol, args.pinv_tol)
     report = classify(sol, args.psd_tol)
     _emit(args, "\n".join(["constructed solution from candidate"]
                           + _classification_table(report)),

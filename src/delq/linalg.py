@@ -1,12 +1,32 @@
-"""Dense symmetric linear algebra used by the solvers.
+"""Dense symmetric linear algebra, and the one module that turns a matrix
+into a numerical verdict.
 
-Thin, contract-bearing wrappers around numpy: SVD pseudo-inverse with a
-relative truncation threshold, tolerance-aware (semi)definiteness tests,
-the range-inclusion residual, and the extended Schur block test (computed
-two independent ways).
+SVD pseudo-inverse with a relative cutoff, (semi)definiteness tests, the
+range-inclusion residual and the extended Schur block test (two independent
+routes). Every verdict is scaled by one floor, ``scale_floor(X) =
+max(1, max|X|)``, through ``eig_margin`` (lambda_min, and lambda_min over
+the floor of the spectrum) and ``rel_deviation`` (max|err| over the floor
+of a reference). Below scale 1 the floor makes a relative tolerance absolute.
 
-All tolerance arguments are relative: a matrix S passes ``is_psd`` when its
-minimum eigenvalue is ≥ -tol * max(1, ||S||_2).
+Tolerances (value: where used; why):
+
+- ``PINV_RTOL`` 1e-12: ``pinv`` cutoff as a fraction of sigma_max, so of
+  every W^+, range residual and oracle minimizer (``--pinv-tol``); it drops
+  only directions that rounding left nonzero.
+- ``PSD_TOL`` 1e-9: margin tolerance of every semidefinite, range and
+  equality verdict: ``classify``, ``is_psd``/``is_pd``, the Schur block
+  test, the ``lmei`` constraints, the oracle's boundedness test and the
+  fixed-pair probe (``--psd-tol``); above rounding, below the margin of a
+  genuinely indefinite step.
+- ``_SYM_CHECK_TOL`` 1e-8: symmetry of matrix arguments here and of
+  ``lmei`` candidates, which are computed or read back from JSON.
+- ``model._ASYM_TOL`` 1e-9: symmetry of the problem weights Q, R, G.
+- ``lmei._CONSTRUCT_CONSISTENCY_TOL`` 1e-8: deviation of a constructed
+  solution's W/H from its auxiliary recursion, two passes apart; 100x it
+  bounds the PSD and range checks of the constructed W_k.
+- CLI ``oracle --tol`` 1e-6: oracle minimum vs recursion value, relative to
+  ``scale_floor(value)``; the oracle solves a dense system of dimension up
+  to a few thousand.
 """
 from __future__ import annotations
 
@@ -14,13 +34,8 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 
-#: Default relative truncation for pseudo-inversion (fraction of sigma_max).
 PINV_RTOL = 1e-12
-#: Default relative tolerance for semidefiniteness tests.
 PSD_TOL = 1e-9
-#: Default feasibility tolerance for constraint margins (shared with lmei).
-FEAS_TOL = 1e-9
-
 _SYM_CHECK_TOL = 1e-8
 
 
@@ -39,12 +54,29 @@ def symmetrize(S) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def scale_floor(X) -> float:
+    """max(1, max|X|), and 1 for an empty X."""
+    X = np.asarray(X, dtype=float)
+    return max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
+
+
+def eig_margin(S) -> tuple[float, float]:
+    """(lambda_min, lambda_min / scale_floor(spectrum)) of symmetrize(S)."""
+    vals = np.linalg.eigvalsh(symmetrize(S))
+    lam = float(vals[0])
+    return lam, lam / scale_floor(vals)
+
+
+def rel_deviation(err, ref) -> float:
+    """max|err| / scale_floor(ref)."""
+    return float(np.max(np.abs(err))) / scale_floor(ref)
+
+
 def _require_symmetric(S, name: str) -> np.ndarray:
     S = _as_matrix(S, name)
     if S.shape[0] != S.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {S.shape}")
-    scale = max(1.0, float(np.max(np.abs(S))) if S.size else 0.0)
-    if float(np.max(np.abs(S - S.T))) > _SYM_CHECK_TOL * scale:
+    if rel_deviation(S - S.T, S) > _SYM_CHECK_TOL:
         raise ValidationError(f"{name} is not symmetric within tolerance")
     return symmetrize(S)
 
@@ -59,36 +91,56 @@ def pinv(M, rel_tol: float = PINV_RTOL) -> np.ndarray:
     return np.linalg.pinv(M, rcond=rel_tol)
 
 
-def _min_eig_rel(S: np.ndarray) -> float:
-    """Minimum eigenvalue divided by max(1, spectral norm)."""
-    vals = np.linalg.eigvalsh(symmetrize(S))
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    return float(vals[0]) / scale
-
-
 def is_psd(S, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue of S is ≥ -tol * max(1, ||S||)."""
-    S = _require_symmetric(S, "S")
-    return _min_eig_rel(S) >= -tol
+    """True iff the relative eig_margin of S is ≥ -tol."""
+    return eig_margin(_require_symmetric(S, "S"))[1] >= -tol
 
 
 def is_pd(S, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue of S is > tol * max(1, ||S||)."""
-    S = _require_symmetric(S, "S")
-    return _min_eig_rel(S) > tol
+    """True iff the relative eig_margin of S is > tol."""
+    return eig_margin(_require_symmetric(S, "S"))[1] > tol
 
 
 def range_residual(N, L, rel_tol: float = PINV_RTOL) -> float:
-    """Max-entry norm of L·L†·N − N, scaled by max(1, max-entry of N)."""
+    """rel_deviation of L·L†·N from N: zero iff Ran(N) ⊂ Ran(L) up to the
+    pseudo-inverse cutoff."""
     N = _as_matrix(N, "N")
     L = _as_matrix(L, "L")
     if L.shape[0] != N.shape[0]:
         raise ValidationError(
             f"row counts differ: L has {L.shape[0]}, N has {N.shape[0]}"
         )
-    resid = L @ pinv(L, rel_tol) @ N - N
-    scale = max(1.0, float(np.max(np.abs(N))) if N.size else 0.0)
-    return float(np.max(np.abs(resid))) / scale
+    return rel_deviation(L @ pinv(L, rel_tol) @ N - N, N)
+
+
+def _schur_block(S, H, W, tol: float) -> tuple[bool, float]:
+    """schur_block_psd's verdict and the relative eig_margin of the
+    assembled block (the direct route's number)."""
+    S = _require_symmetric(S, "S")
+    W = _require_symmetric(W, "W")
+    H = _as_matrix(H, "H")
+    if H.shape != (W.shape[0], S.shape[0]):
+        raise ValidationError(
+            f"H must be {W.shape[0]}x{S.shape[0]}, got {H.shape}"
+        )
+    block = eig_margin(np.block([[S, H.T], [H, W]]))[1]
+    w_min = eig_margin(W)[1]
+    resid = range_residual(H, W)
+    comp = eig_margin(S - H.T @ pinv(W) @ H)[1]
+
+    def _triple(t: float) -> bool:
+        return w_min >= -t and resid <= t and comp >= -t
+
+    direct, triple = block >= -tol, _triple(tol)
+    if direct != triple:
+        # Mathematically equivalent routes can straddle the threshold when a
+        # margin sits at the boundary; only a confident split is an error.
+        if not (block >= -100.0 * tol and _triple(100.0 * tol)):
+            raise ConsistencyError(
+                "schur_block_psd: direct block test and Schur-complement "
+                f"triple disagree (direct={direct}, triple={triple})"
+            )
+    return direct, block
 
 
 def schur_block_psd(S, H, W, tol: float = PSD_TOL) -> bool:
@@ -102,36 +154,4 @@ def schur_block_psd(S, H, W, tol: float = PSD_TOL) -> bool:
     The routes must agree. A disagreement beyond the numerical gray band
     (both routes re-tested at 100x the tolerance) raises ConsistencyError.
     """
-    S = _require_symmetric(S, "S")
-    W = _require_symmetric(W, "W")
-    H = _as_matrix(H, "H")
-    if H.shape != (W.shape[0], S.shape[0]):
-        raise ValidationError(
-            f"H must be {W.shape[0]}x{S.shape[0]}, got {H.shape}"
-        )
-
-    block = np.block([[S, H.T], [H, W]])
-
-    def _direct(t: float) -> bool:
-        return _min_eig_rel(block) >= -t
-
-    comp = symmetrize(S - H.T @ pinv(W) @ H)
-
-    def _triple(t: float) -> bool:
-        return (
-            _min_eig_rel(W) >= -t
-            and range_residual(H, W) <= t
-            and _min_eig_rel(comp) >= -t
-        )
-
-    direct, triple = _direct(tol), _triple(tol)
-    if direct != triple:
-        # Mathematically equivalent routes can straddle the threshold when a
-        # margin sits at the boundary; only a confident split is an error.
-        if not (_direct(100.0 * tol) and _triple(100.0 * tol)):
-            raise ConsistencyError(
-                "schur_block_psd: direct block test and Schur-complement "
-                f"triple disagree (direct={direct}, triple={triple})"
-            )
-    return direct
-
+    return _schur_block(S, H, W, tol)[0]

@@ -20,17 +20,19 @@ import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import (
-    FEAS_TOL,
     PINV_RTOL,
     PSD_TOL,
+    _require_symmetric,
+    _schur_block,
+    eig_margin,
     is_psd,
     pinv,
     range_residual,
-    schur_block_psd,
+    rel_deviation,
     symmetrize,
 )
 from .model import ProblemData, ScenarioTree, block_mean, ensure_valid, expand, \
-    measurable_level, rollout
+    measurable_level, quadratic_rows, rollout
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
     RiccatiSolution,
@@ -83,12 +85,7 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
         M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
             raise ValidationError(f"candidate entry {key} must be {n}x{n}, got {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValidationError(f"candidate entry {key} has non-finite values")
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(M - M.T))) > 1e-8 * scale:
-            raise ValidationError(f"candidate entry {key} is not symmetric")
-        P[key] = symmetrize(M)
+        P[key] = _require_symmetric(M, f"candidate entry {key}")
     want = _expected_keys(t, N, d)
     have = set(P)
     if have != want:
@@ -186,19 +183,8 @@ class LmeiReport:
         return min(self.constraints, key=lambda c: c.margin)
 
 
-def _min_eig_margin(S: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(symmetrize(S))
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    return float(vals[0]) / scale
-
-
-def _equality_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    scale = max(1.0, float(np.max(np.abs(rhs))))
-    return -float(np.max(np.abs(lhs - rhs))) / scale
-
-
 def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
-                     tol: float = FEAS_TOL) -> LmeiReport:
+                     tol: float = PSD_TOL) -> LmeiReport:
     """Evaluate every constraint of the system on the candidate.
 
     Block constraints are decided by the dual-path extended-Schur test; all
@@ -217,26 +203,24 @@ def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
 
     N, d = cand.N, cand.d
     # Terminal conditions.
-    add("terminal_gap", N, 0, _min_eig_margin(problem.G - cand.P_at(0, N)))
+    add("terminal_gap", N, 0, eig_margin(problem.G - cand.P_at(0, N))[1])
     for j in range(1, min(N - t, d) + 1):
-        add("terminal_zero", N, j,
-            _equality_margin(cand.P_at(j, N), np.zeros((cand.n, cand.n))))
+        add("terminal_zero", N, j, -rel_deviation(cand.P_at(j, N), 0.0))
 
     for k in range(t, N):
         W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
         if k == t:
             upper = state_gap(cand, problem, k)
         else:
-            add("inequality", k, 0, _min_eig_margin(state_gap(cand, problem, k)))
+            add("inequality", k, 0, eig_margin(state_gap(cand, problem, k))[1])
             r = min(k - t, d)
             for i in range(1, r):
                 lhs = cand.P_at(i, k)
                 rhs = problem.A[k].T @ cand.P_at(i + 1, k + 1) @ problem.A[k]
-                add("equality", k, i, _equality_margin(lhs, rhs))
+                add("equality", k, i, -rel_deviation(lhs - rhs, rhs))
             upper = correction_matrix(cand, problem, k)
-        block_ok = schur_block_psd(upper, H, W, tol)
-        block = np.block([[upper, H.T], [H, W]])
-        add("block", k, None, _min_eig_margin(block), satisfied=block_ok)
+        block_ok, margin = _schur_block(upper, H, W, tol)
+        add("block", k, None, margin, satisfied=block_ok)
 
     feasible = all(c.satisfied for c in records)
     return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
@@ -263,7 +247,7 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
 
 
 def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
-                             tol: float = FEAS_TOL,
+                             tol: float = PSD_TOL,
                              pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
     """Turn a feasible candidate into an exact constrained-recursion solution.
 
@@ -303,8 +287,8 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
     W_fin, H_fin, K_fin = [], [], []
     for k in range(t, N):
         Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), problem.R[k])
-        dW = float(np.max(np.abs(Wk - aux.W[k - t]))) / max(1.0, float(np.max(np.abs(Wk))))
-        dH = float(np.max(np.abs(Hk - aux.H[k - t]))) / max(1.0, float(np.max(np.abs(Hk))))
+        dW = rel_deviation(Wk - aux.W[k - t], Wk)
+        dH = rel_deviation(Hk - aux.H[k - t], Hk)
         if max(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL:
             raise ConsistencyError(
                 f"constructed solution disagrees with auxiliary recursion at k={k}: "
@@ -348,17 +332,17 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
         Wt, Ht = _wh_from_next(problem, cand.P, ell, min(ell + 1 - cand.t, cand.d),
                                problem.R[ell])
         Qt = state_gap(cand, problem, ell)
-        total += float(np.mean(np.einsum("ij,jl,il->i", X, Qt, X)))
+        total += float(np.mean(quadratic_rows(X, Qt)))
         hx = X @ Ht.T
         s = measurable_level(t, cand.d, ell)
         u_full = expand(u_coarse, ell - s)
         total += 2.0 * float(np.mean(np.sum(hx * u_full, axis=1)))
-        total += float(np.mean(np.einsum("ij,jl,il->i", u_coarse, Wt, u_coarse)))
+        total += float(np.mean(quadratic_rows(u_coarse, Wt)))
         if ell >= t + 1:
             delta = correction_matrix(cand, problem, ell)
             ex = block_mean(X, ell - s)
-            total += float(np.mean(np.einsum("ij,jl,il->i", ex, delta, ex)))
+            total += float(np.mean(quadratic_rows(ex, delta)))
     XN = traj.states.at(cand.N)
     G_aux = problem.G - cand.P_at(0, cand.N)
-    total += float(np.mean(np.einsum("ij,jl,il->i", XN, G_aux, XN)))
+    total += float(np.mean(quadratic_rows(XN, G_aux)))
     return total

@@ -21,6 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
+from .linalg import rel_deviation
 
 #: Default cap on tree depth N - t (2^22 leaves is about the desk-scale limit).
 DEFAULT_DEPTH_CAP = 22
@@ -125,8 +126,7 @@ def validate(problem: ProblemData) -> list[str]:
         return msgs
 
     def _sym(name: str, M: np.ndarray) -> None:
-        scale = max(1.0, float(np.max(np.abs(M))))
-        if float(np.max(np.abs(M - M.T))) > _ASYM_TOL * scale:
+        if rel_deviation(M - M.T, M) > _ASYM_TOL:
             msgs.append(f"{name} is not symmetric")
 
     for k in range(N):
@@ -455,6 +455,12 @@ def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
     )
 
 
+def quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """x_i^T M x_i for every row x_i of X; the mean over rows is the
+    expectation of the quadratic form on a node (or sample) array."""
+    return np.einsum("ij,jl,il->i", X, M, X)
+
+
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:
     """Exact expected cost of a simulated trajectory: the probability-weighted
     sum of X^T Q X and u^T R u over all nodes, plus the terminal X^T G X.
@@ -462,11 +468,11 @@ def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:
     total = 0.0
     for k in range(traj.first, problem.N):
         X = traj.states.at(k)
-        total += float(np.mean(np.einsum("ij,jl,il->i", X, problem.Q[k], X)))
+        total += float(np.mean(quadratic_rows(X, problem.Q[k])))
         u = traj.control_at(k)
-        total += float(np.mean(np.einsum("ij,jl,il->i", u, problem.R[k], u)))
+        total += float(np.mean(quadratic_rows(u, problem.R[k])))
     XN = traj.states.at(problem.N)
-    total += float(np.mean(np.einsum("ij,jl,il->i", XN, problem.G, XN)))
+    total += float(np.mean(quadratic_rows(XN, problem.G)))
     return total
 
 

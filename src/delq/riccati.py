@@ -32,15 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
-from .linalg import (
-    PINV_RTOL,
-    PSD_TOL,
-    is_pd,
-    is_psd,
-    pinv,
-    range_residual,
-    symmetrize,
-)
+from .linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, symmetrize
 from .model import FeedbackPolicy, ProblemData, ensure_valid
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
@@ -138,7 +130,7 @@ def _wh_from_next(problem: ProblemData, P: dict, k: int, limit: int,
 
 def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive W_k, H_k from the stored P matrices (consistency check)."""
-    return _wh_from_next(problem, sol.P, k, min(k + 1 - sol.t, sol.d), problem.R[k])
+    return _wh_from_next(problem, sol.P, k, sol.top_index(k + 1), problem.R[k])
 
 
 def _check_solve_args(problem: ProblemData, t: int) -> None:
@@ -269,17 +261,16 @@ def classify(sol: RiccatiSolution, tol: float = PSD_TOL) -> SolvabilityReport:
     every initial pair). ConvexCandidate: every W_k PSD but some range
     condition fails — solvability then depends on the initial pair and needs
     the oracle. NotConvex: some W_k has a genuinely negative eigenvalue.
+    PD/PSD are read from one eig_margin per step, as is_pd/is_psd decide.
     """
     steps = []
     all_pd = all_psd = ranges_ok = True
     for j, Wk in enumerate(sol.W):
-        k = sol.t + j
-        Hk = sol.H[j]
-        vals = np.linalg.eigvalsh(symmetrize(Wk))
-        resid = range_residual(Hk, Wk)
-        steps.append(StepEvidence(k=k, w_min_eig=float(vals[0]), range_residual=resid))
-        all_pd = all_pd and is_pd(Wk, tol)
-        all_psd = all_psd and is_psd(Wk, tol)
+        lam, margin = eig_margin(Wk)
+        resid = range_residual(sol.H[j], Wk)
+        steps.append(StepEvidence(k=sol.t + j, w_min_eig=lam, range_residual=resid))
+        all_pd = all_pd and margin > tol
+        all_psd = all_psd and margin >= -tol
         ranges_ok = ranges_ok and resid <= tol
     if all_pd:
         cls, note = UNIQUELY_SOLVABLE, ""
@@ -358,9 +349,9 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
         H = tuple(np.asarray(M, dtype=float) for M in data["H"])
         K = tuple(np.asarray(M, dtype=float) for M in data["K"])
         classification = str(data["classification"])
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        n = P[(0, N)].shape[0]
+        m = W[0].shape[0] if W else 0
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
-    n = P[(0, N)].shape[0]
-    m = W[0].shape[0] if W else 0
     sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K)
     return sol, classification

@@ -29,6 +29,7 @@ from .model import (
     ensure_valid,
     expand,
     measurable_level,
+    quadratic_rows,
     rollout,
     trajectory_cost,
     tree_step,
@@ -143,8 +144,8 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
             table = policy.controls[k - policy.start]
             u = table[_atom_indices(noises, s - t)]
 
-        costs += np.einsum("ij,jl,il->i", X, problem.Q[k], X)
-        costs += np.einsum("ij,jl,il->i", u, problem.R[k], u)
+        costs += quadratic_rows(X, problem.Q[k])
+        costs += quadratic_rows(u, problem.R[k])
 
         w = noises[:, k - t][:, None]
         X = X @ problem.A[k].T + u @ problem.B[k].T \
@@ -158,7 +159,7 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
             hist_controls.pop(0)
             front += 1
 
-    costs += np.einsum("ij,jl,il->i", X, problem.G, X)
+    costs += quadratic_rows(X, problem.G)
     return costs
 
 
@@ -278,9 +279,9 @@ def cost_decomposition_check(problem: ProblemData, t: int, u: Policy,
         Wk, Hk = sol.W[k - t], sol.H[k - t]
         hx = ex @ Hk.T
         uk = traj.control_at(k)
-        rhs += float(np.mean(np.einsum("ij,jl,il->i", hx, pinv(Wk), hx)))
+        rhs += float(np.mean(quadratic_rows(hx, pinv(Wk))))
         rhs += 2.0 * float(np.mean(np.sum(hx * uk, axis=1)))
-        rhs += float(np.mean(np.einsum("ij,jl,il->i", uk, Wk, uk)))
+        rhs += float(np.mean(quadratic_rows(uk, Wk)))
     return abs(lhs - rhs)
 
 
@@ -322,5 +323,5 @@ def completion_of_squares_residual(problem: ProblemData, t: int, x,
     rhs = float(x @ sol.P_at(0, t) @ x)
     for k in range(t, problem.N):
         uk = u.controls[k - u.start]
-        rhs += float(np.mean(np.einsum("ij,jl,il->i", uk, sol.W[k - t], uk)))
+        rhs += float(np.mean(quadratic_rows(uk, sol.W[k - t])))
     return abs(lhs - rhs)

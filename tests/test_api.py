@@ -1,10 +1,14 @@
 import importlib
+import pathlib
+import re
 
 import delq
 
-#: Public helpers that were removed because nothing in the package used them.
+#: Public helpers that were removed because nothing in the package used them
+#: (FEAS_TOL folded into PSD_TOL, which it always equalled).
 REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
-           "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh")
+           "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh",
+           "FEAS_TOL")
 
 
 def test_every_exported_name_resolves():
@@ -21,3 +25,17 @@ def test_removed_names_are_gone():
         assert not hasattr(delq, name), name
         for mod in modules:
             assert not hasattr(mod, name), (mod.__name__, name)
+
+
+def test_linalg_alone_turns_matrices_into_verdicts():
+    """Eigenvalue solves and the max(1, |.|) scale floor live in linalg only;
+    other modules call its primitives (scale_floor, eig_margin, rel_deviation)."""
+    pattern = re.compile(r"eigvalsh|max\(\s*1(\.0*)?\s*,")
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(pathlib.Path(delq.__file__).parent.glob("*.py"))
+        if path.name != "linalg.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

@@ -257,6 +257,11 @@ def test_usage_errors(paths, capsys, tmp_path):
     assert "comma-separated" in capsys.readouterr().err
     assert main(["solve", "--problem", paths["scalar"], "--bogus"]) == EXIT_USAGE
     capsys.readouterr()
+    # flags a command does not read are refused
+    for argv in (["solve", "--problem", paths["scalar"], "--feas-tol", "1e-9"],
+                 ["simulate", "--problem", paths["scalar"], "--x", "1", "--psd-tol", "1e-6"]):
+        assert main(argv) == EXIT_USAGE
+        assert "usage error" in capsys.readouterr().err
     assert main(["solve", "--problem", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert "file error" in capsys.readouterr().err
 

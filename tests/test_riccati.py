@@ -16,7 +16,10 @@ from delq import (
     classify,
     exact_cost,
     feedback_policy,
+    is_pd,
+    is_psd,
     optimal_value,
+    range_residual,
     recompute_wh,
     solution_from_dict,
     solution_to_dict,
@@ -120,11 +123,32 @@ def test_piecewise_matches_single_region_variant(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_recompute_wh_matches_stored(seed):
     problem, t = draw_mixed(seed)
-    sol = solve_riccati(problem, t)
-    for k in range(t, problem.N):
-        Wk, Hk = recompute_wh(problem, sol, k)
-        assert np.max(np.abs(Wk - sol.W_at(k))) <= 1e-12 * max(1.0, np.max(np.abs(Wk)))
-        assert np.max(np.abs(Hk - sol.H_at(k))) <= 1e-12 * max(1.0, np.max(np.abs(Hk)))
+    for sol in (solve_riccati(problem, t), solve_riccati_bar(problem, t)):
+        for k in range(t, problem.N):
+            Wk, Hk = recompute_wh(problem, sol, k)
+            assert np.array_equal(Wk, sol.W_at(k))
+            assert np.array_equal(Hk, sol.H_at(k))
+
+
+def test_classify_evidence_matches_per_step_tests():
+    """classify reads PD/PSD from one eigenvalue solve per step; its evidence
+    and grade equal those of the per-step is_pd/is_psd/range_residual route."""
+    instances = [draw_mixed(seed) for seed in range(30)]
+    instances += [(range_deficient_problem(), 0), (notconvex_problem(0), 0)]
+    for problem, t in instances:
+        sol = solve_riccati(problem, t)
+        report = classify(sol)
+        for step, Wk, Hk in zip(report.steps, sol.W, sol.H, strict=True):
+            assert step.w_min_eig == np.linalg.eigvalsh(Wk)[0]
+            assert step.range_residual == range_residual(Hk, Wk)
+        psd = all(is_psd(Wk) for Wk in sol.W)
+        if all(is_pd(Wk) for Wk in sol.W):
+            expected = UNIQUELY_SOLVABLE
+        elif psd and all(range_residual(Hk, Wk) <= PSD_TOL for Hk, Wk in zip(sol.H, sol.W)):
+            expected = SOLVABLE_ALL_PAIRS
+        else:
+            expected = CONVEX_CANDIDATE if psd else NOT_CONVEX
+        assert report.classification == expected
 
 
 def test_stored_matrices_are_exactly_symmetric():
@@ -279,6 +303,13 @@ def test_solution_from_dict_rejects_malformed():
     with pytest.raises(ValidationError, match="malformed"):
         solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"zero,1": [[1.0]]},
                             "W": [], "H": [], "K": [], "classification": "x"})
+    # no terminal block P^(0)_N, and a 0-d W entry
+    with pytest.raises(ValidationError, match="malformed"):
+        solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {},
+                            "W": [], "H": [], "K": [], "classification": "x"})
+    with pytest.raises(ValidationError, match="malformed"):
+        solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"0,1": [[1.0]]},
+                            "W": [1.0], "H": [], "K": [], "classification": "x"})
 
 
 # ---------------------------------------------------------------------------
