@@ -331,6 +331,10 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except np.linalg.LinAlgError as exc:
+        # A pinv, eigenvalue or oracle solve that did not converge.
+        print(f"consistency failure: numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 if __name__ == "__main__":

@@ -8,6 +8,11 @@ max(1, max|X|)``, through ``eig_margin`` (lambda_min, and lambda_min over
 the floor of the spectrum) and ``rel_deviation`` (max|err| over the floor
 of a reference). Below scale 1 the floor makes a relative tolerance absolute.
 
+``scale_floor``, ``eig_margin``, ``rel_deviation``, ``range_residual`` and
+``pinv`` also take a stack of matrices (a leading batch axis) and then
+return one number per matrix: exactly the floats the 2-d call gives for
+each slice, so a caller can grade every step of a recursion in one call.
+
 Tolerances (value: where used; why):
 
 - ``PINV_RTOL`` 1e-12: ``pinv`` cutoff as a fraction of sigma_max, so of
@@ -39,9 +44,11 @@ PSD_TOL = 1e-9
 _SYM_CHECK_TOL = 1e-8
 
 
-def _as_matrix(M, name: str) -> np.ndarray:
+def _as_matrix(M, name: str, stack: bool = False) -> np.ndarray:
+    """M as a float matrix (or, with stack=True, also a stack of matrices)
+    with finite entries."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
+    if M.ndim != 2 and not (stack and M.ndim == 3):
         raise ValidationError(f"{name} must be a 2-d matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValidationError(f"{name} contains non-finite entries")
@@ -49,27 +56,44 @@ def _as_matrix(M, name: str) -> np.ndarray:
 
 
 def symmetrize(S) -> np.ndarray:
-    """Return (S + S^T)/2; used after every backward step to stop drift."""
+    """Return (S + S^T)/2 (of each matrix of a stack); used after every
+    backward step to stop drift."""
     S = np.asarray(S, dtype=float)
-    return 0.5 * (S + S.T)
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
-def scale_floor(X) -> float:
-    """max(1, max|X|), and 1 for an empty X."""
+def _floor(X: np.ndarray, axis) -> np.ndarray:
+    """max(1, max|X|) over `axis`: an empty X, or a NaN max, floors to 1."""
+    return np.fmax(1.0, np.max(np.abs(X), axis=axis, initial=0.0))
+
+
+def scale_floor(X):
+    """max(1, max|X|), and 1 for an empty X; for a stack of matrices, one
+    floor per matrix."""
     X = np.asarray(X, dtype=float)
-    return max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
+    if X.ndim <= 2:
+        return float(_floor(X, None))
+    return _floor(X, (-2, -1))
 
 
-def eig_margin(S) -> tuple[float, float]:
-    """(lambda_min, lambda_min / scale_floor(spectrum)) of symmetrize(S)."""
+def eig_margin(S):
+    """(lambda_min, lambda_min / scale_floor(spectrum)) of symmetrize(S);
+    for a stack, two arrays with one entry per matrix."""
     vals = np.linalg.eigvalsh(symmetrize(S))
-    lam = float(vals[0])
-    return lam, lam / scale_floor(vals)
+    lam = vals[..., 0]
+    margin = lam / _floor(vals, -1)
+    if vals.ndim == 1:
+        return float(lam), float(margin)
+    return lam, margin
 
 
-def rel_deviation(err, ref) -> float:
-    """max|err| / scale_floor(ref)."""
-    return float(np.max(np.abs(err))) / scale_floor(ref)
+def rel_deviation(err, ref):
+    """max|err| / scale_floor(ref); for a stack of errors, one ratio per
+    matrix."""
+    err = np.asarray(err, dtype=float)
+    if err.ndim <= 2:
+        return float(np.max(np.abs(err))) / scale_floor(ref)
+    return np.max(np.abs(err), axis=(-2, -1)) / scale_floor(ref)
 
 
 def _require_symmetric(S, name: str) -> np.ndarray:
@@ -85,9 +109,10 @@ def pinv(M, rel_tol: float = PINV_RTOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
     Singular values ≤ rel_tol * sigma_max are truncated to zero. The zero
-    matrix maps to the (transposed-shape) zero matrix.
+    matrix maps to the (transposed-shape) zero matrix. A stack of matrices
+    is inverted matrix by matrix.
     """
-    M = _as_matrix(M, "M")
+    M = _as_matrix(M, "M", stack=True)
     return np.linalg.pinv(M, rcond=rel_tol)
 
 
@@ -101,14 +126,14 @@ def is_pd(S, tol: float = PSD_TOL) -> bool:
     return eig_margin(_require_symmetric(S, "S"))[1] > tol
 
 
-def range_residual(N, L, rel_tol: float = PINV_RTOL) -> float:
+def range_residual(N, L, rel_tol: float = PINV_RTOL):
     """rel_deviation of L·L†·N from N: zero iff Ran(N) ⊂ Ran(L) up to the
-    pseudo-inverse cutoff."""
-    N = _as_matrix(N, "N")
-    L = _as_matrix(L, "L")
-    if L.shape[0] != N.shape[0]:
+    pseudo-inverse cutoff. Stacks of N and L give one residual per pair."""
+    N = _as_matrix(N, "N", stack=True)
+    L = _as_matrix(L, "L", stack=True)
+    if L.shape[-2] != N.shape[-2]:
         raise ValidationError(
-            f"row counts differ: L has {L.shape[0]}, N has {N.shape[0]}"
+            f"row counts differ: L has {L.shape[-2]}, N has {N.shape[-2]}"
         )
     return rel_deviation(L @ pinv(L, rel_tol) @ N - N, N)
 

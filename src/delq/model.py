@@ -113,10 +113,12 @@ def validate(problem: ProblemData) -> list[str]:
         if len(seq) != N:
             msgs.append(f"{name} must have length N={N}, got {len(seq)}")
             continue
+        shaped = [M for M in seq if M.shape == want]
+        finite = iter(np.isfinite(np.stack(shaped)).all(axis=(1, 2)).tolist() if shaped else [])
         for k, M in enumerate(seq):
             if M.shape != want:
                 msgs.append(f"{name}[{k}] must have shape {want}, got {M.shape}")
-            elif not np.all(np.isfinite(M)):
+            elif not next(finite):
                 msgs.append(f"{name}[{k}] contains non-finite entries")
     if problem.G.shape != (n, n):
         msgs.append(f"G must have shape {(n, n)}, got {problem.G.shape}")
@@ -125,14 +127,17 @@ def validate(problem: ProblemData) -> list[str]:
     if msgs:
         return msgs
 
-    def _sym(name: str, M: np.ndarray) -> None:
-        if rel_deviation(M - M.T, M) > _ASYM_TOL:
-            msgs.append(f"{name} is not symmetric")
+    def _asym(M: np.ndarray):
+        return rel_deviation(M - np.swapaxes(M, -1, -2), M) > _ASYM_TOL
 
-    for k in range(N):
-        _sym(f"Q[{k}]", problem.Q[k])
-        _sym(f"R[{k}]", problem.R[k])
-    _sym("G", problem.G)
+    q_asym, r_asym = _asym(np.stack(problem.Q)), _asym(np.stack(problem.R))
+    for k in np.flatnonzero(q_asym | r_asym).tolist():
+        if q_asym[k]:
+            msgs.append(f"Q[{k}] is not symmetric")
+        if r_asym[k]:
+            msgs.append(f"R[{k}] is not symmetric")
+    if _asym(problem.G):
+        msgs.append("G is not symmetric")
     return msgs
 
 

@@ -21,12 +21,23 @@ indices defined at every time, an independent cross-check with its own
 loop), value evaluation, solvability classification, and JSON
 round-tripping of solutions.
 
-Solutions store only the defined (i, k) pairs; reading an undefined pair is
-an error rather than a silent zero, since zero-filling would mask indexing
-mistakes in the piecewise structure.
+The kernel holds the matrices of one time as a stack: P^(0..r)_k is one
+(r+1, n, n) array, so the middle indices P^(1..r-1)_k = A^T P^(2..r)_{k+1} A
+are one batched product and the W/H weight sum_{i<=limit} P^(i)_{k+1} is one
+running sum in index order, whatever d is. The products and sums are the
+per-matrix ones, bit for bit. The stacks of all times are consecutive slices
+of one buffer, allocated once per solve.
+
+Solutions store only the defined (i, k) pairs. The kernel's solutions read
+them through a mapping over the per-time stacks that returns a view per
+lookup, rather than holding one array object per pair (about 10^5 of them at
+N = 1000, d = 100). Reading an undefined pair is an error rather than a
+silent zero, since zero-filling would mask indexing mistakes in the
+piecewise structure.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +67,10 @@ class RiccatiSolution:
     """Output of the backward pass.
 
     P maps (i, k) to a symmetric n x n matrix for the defined pairs only
-    (at d = 0 that is P^(0) alone); W/H/K are indexed by k - t for
-    k = t..N-1. `single_region` marks the variant that carries every index
-    0..d at every time (solve_riccati_bar); the piecewise form tops out at
-    min(k - t, d).
+    (at d = 0 that is P^(0) alone), as a dict or a read-only mapping; W/H/K
+    are indexed by k - t for k = t..N-1. `single_region` marks the variant
+    that carries every index 0..d at every time (solve_riccati_bar); the
+    piecewise form tops out at min(k - t, d).
     """
 
     t: int
@@ -67,7 +78,7 @@ class RiccatiSolution:
     d: int
     n: int
     m: int
-    P: dict[tuple[int, int], np.ndarray]
+    P: Mapping[tuple[int, int], np.ndarray]
     W: tuple[np.ndarray, ...]
     H: tuple[np.ndarray, ...]
     K: tuple[np.ndarray, ...]
@@ -83,10 +94,11 @@ class RiccatiSolution:
         try:
             return self.P[(i, k)]
         except KeyError:
-            raise ValidationError(
-                f"P^({i})_{k} is not defined (defined indices at time {k}: "
-                f"0..{min(k - self.t, self.d)})"
-            ) from None
+            pass
+        raise ValidationError(
+            f"P^({i})_{k} is not defined (defined indices at time {k}: "
+            f"0..{self.top_index(k)})"
+        )
 
     def P_sum(self, k: int) -> np.ndarray:
         """Sum of all defined P^(i)_k; the value-function weight at time k."""
@@ -112,25 +124,60 @@ class RiccatiSolution:
             raise ValidationError(f"time {k} outside solution range [{self.t}, {last}]")
 
 
-def _wh_from_next(problem: ProblemData, P: dict, k: int, limit: int,
-                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_k and H_k from the next-time matrices P^(0..limit)_{k+1} with control
+def _wh_from_stack(problem: ProblemData, Pn: np.ndarray, k: int,
+                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_k and H_k from the stack Pn = P^(0..limit)_{k+1} with control
     weight R (the summation limit is min(k+1-t, d) in the piecewise system,
-    d in the single-region one)."""
+    d in the single-region one). The one W/H formula of the package."""
     A, B = problem.A[k], problem.B[k]
     C, D = problem.C[k], problem.D[k]
-    Psum = np.zeros((problem.n, problem.n))
-    for i in range(limit + 1):
-        Psum = Psum + P[(i, k + 1)]
-    P0 = P[(0, k + 1)]
+    # accumulate adds the blocks in index order, as a loop would (reduce may
+    # sum pairwise); the trailing + 0.0 makes the sum start from zero, which
+    # only turns an all -0.0 entry into 0.0.
+    Psum = np.add.accumulate(Pn, axis=0)[-1] + 0.0
+    P0 = Pn[0]
     W = symmetrize(R + B.T @ Psum @ B + D.T @ P0 @ D)
     H = B.T @ Psum @ A + D.T @ P0 @ C
     return W, H
 
 
+def _wh_from_next(problem: ProblemData, P: Mapping, k: int, limit: int,
+                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_wh_from_stack on the blocks P^(0..limit)_{k+1} of a mapping keyed (i, k)."""
+    Pn = np.stack([P[(i, k + 1)] for i in range(limit + 1)])
+    return _wh_from_stack(problem, Pn, k, R)
+
+
 def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive W_k, H_k from the stored P matrices (consistency check)."""
     return _wh_from_next(problem, sol.P, k, sol.top_index(k + 1), problem.R[k])
+
+
+class _StackedBlocks(Mapping):
+    """Read-only mapping (i, k) -> stacks[k][i] over per-time stacks
+    P^(0..r)_k, in the order of `stacks` and then of i; each lookup returns
+    a view into the stack."""
+
+    __slots__ = ("_stacks",)
+
+    def __init__(self, stacks: dict[int, np.ndarray]):
+        self._stacks = stacks
+
+    def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
+        try:
+            i, k = key
+            stack = self._stacks[k]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if not 0 <= i < len(stack):
+            raise KeyError(key)
+        return stack[i]
+
+    def __iter__(self):
+        return ((i, k) for k, stack in self._stacks.items() for i in range(len(stack)))
+
+    def __len__(self) -> int:
+        return sum(len(stack) for stack in self._stacks.values())
 
 
 def _check_solve_args(problem: ProblemData, t: int) -> None:
@@ -149,9 +196,17 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     (or a non-finite P^(0)_t) raise ConsistencyError naming the step.
     """
     n, N, d = problem.n, problem.N, problem.d
-    P: dict[tuple[int, int], np.ndarray] = {(0, N): G}
-    for j in range(1, min(N - t, d) + 1):
-        P[(j, N)] = np.zeros((n, n))
+    # The stacks of times N, N-1, ..., t are consecutive slices of one buffer.
+    # With one allocation per step, interleaved with the step's temporaries,
+    # the peak memory of a process running many solves varied from one
+    # process to the next by up to 8 MB.
+    times = range(N, t - 1, -1)
+    bounds = np.cumsum([0] + [min(k - t, d) + 1 for k in times]).tolist()
+    buffer = np.empty((bounds[-1], n, n))
+    stacks = {k: buffer[lo:hi] for k, lo, hi in zip(times, bounds, bounds[1:])}
+    Pn = stacks[N]
+    Pn.fill(0.0)
+    Pn[0] = G
 
     W: list[np.ndarray] = [np.empty(0)] * (N - t)
     H: list[np.ndarray] = [np.empty(0)] * (N - t)
@@ -159,7 +214,7 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     with np.errstate(all="ignore"):
         for k in range(N - 1, t - 1, -1):
             A, C = problem.A[k], problem.C[k]
-            Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), R[k])
+            Wk, Hk = _wh_from_stack(problem, Pn, k, R[k])
             if S is not None:
                 Hk = Hk + S[k]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
@@ -168,25 +223,27 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
             fold = symmetrize(Hk.T @ Wdag @ Hk)
             W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
 
-            nxt = P[(0, k + 1)] + P[(1, k + 1)] if d else P[(0, k + 1)]
-            state_part = Q[k] + A.T @ nxt @ A + C.T @ P[(0, k + 1)] @ C
+            nxt = Pn[0] + Pn[1] if d else Pn[0]
+            state_part = Q[k] + A.T @ nxt @ A + C.T @ Pn[0] @ C
             r = min(k - t, d)
+            Pk = stacks[k]
             if r == 0:
-                P[(0, k)] = symmetrize(state_part - fold)
-                continue
-            P[(0, k)] = symmetrize(state_part)
-            for i in range(1, r):
-                P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
-            if r == d:
-                top = -fold if delta is None else delta[k] - fold
+                Pk[0] = symmetrize(state_part - fold)
             else:
-                top = A.T @ P[(r + 1, k + 1)] @ A
-                top = (top if delta is None else delta[k] + top) - fold
-            P[(r, k)] = symmetrize(top)
-    if not np.isfinite(P[(0, t)]).all():
+                Pk[0] = symmetrize(state_part)
+                if r > 1:
+                    Pk[1:r] = symmetrize(A.T @ Pn[2:r + 1] @ A)
+                if r == d:
+                    top = -fold if delta is None else delta[k] - fold
+                else:
+                    top = A.T @ Pn[r + 1] @ A
+                    top = (top if delta is None else delta[k] + top) - fold
+                Pk[r] = symmetrize(top)
+            Pn = Pk
+    if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=_StackedBlocks(stacks),
                            W=tuple(W), H=tuple(H), K=tuple(K))
 
 
@@ -261,26 +318,25 @@ def classify(sol: RiccatiSolution, tol: float = PSD_TOL) -> SolvabilityReport:
     every initial pair). ConvexCandidate: every W_k PSD but some range
     condition fails — solvability then depends on the initial pair and needs
     the oracle. NotConvex: some W_k has a genuinely negative eigenvalue.
-    PD/PSD are read from one eig_margin per step, as is_pd/is_psd decide.
+    PD/PSD are read from the eig_margin of each step, as is_pd/is_psd
+    decide; all steps are graded in one stacked eig_margin and one stacked
+    range_residual.
     """
-    steps = []
-    all_pd = all_psd = ranges_ok = True
-    for j, Wk in enumerate(sol.W):
-        lam, margin = eig_margin(Wk)
-        resid = range_residual(sol.H[j], Wk)
-        steps.append(StepEvidence(k=sol.t + j, w_min_eig=lam, range_residual=resid))
-        all_pd = all_pd and margin > tol
-        all_psd = all_psd and margin >= -tol
-        ranges_ok = ranges_ok and resid <= tol
-    if all_pd:
+    W, H = np.stack(sol.W), np.stack(sol.H)
+    lam, margin = eig_margin(W)
+    resid = range_residual(H, W)
+    steps = tuple(StepEvidence(k=sol.t + j, w_min_eig=lam_j, range_residual=resid_j)
+                  for j, (lam_j, resid_j) in enumerate(zip(lam.tolist(), resid.tolist())))
+    all_psd = bool(np.all(margin >= -tol))
+    if np.all(margin > tol):
         cls, note = UNIQUELY_SOLVABLE, ""
-    elif all_psd and ranges_ok:
+    elif all_psd and np.all(resid <= tol):
         cls, note = SOLVABLE_ALL_PAIRS, ""
     elif all_psd:
         cls, note = CONVEX_CANDIDATE, "fixed-initial-pair solvability requires oracle check"
     else:
         cls, note = NOT_CONVEX, ""
-    return SolvabilityReport(classification=cls, steps=tuple(steps), note=note)
+    return SolvabilityReport(classification=cls, steps=steps, note=note)
 
 
 def optimal_value(sol: RiccatiSolution, k: int, xi,
@@ -311,7 +367,7 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # Serialization (consumed by the CLI)
 
-def _blocks_to_dict(P: dict[tuple[int, int], np.ndarray]) -> dict:
+def _blocks_to_dict(P: Mapping[tuple[int, int], np.ndarray]) -> dict:
     """Matrices keyed (i, k) as JSON: keys "i,k", matrices as nested lists."""
     return {f"{i},{k}": M.tolist() for (i, k), M in sorted(P.items())}
 
@@ -351,7 +407,13 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
         classification = str(data["classification"])
         n = P[(0, N)].shape[0]
         m = W[0].shape[0] if W else 0
+        if not len(W) == len(H) == len(K) == N - t:
+            raise ValueError(f"W, H and K must hold N - t = {N - t} matrices each")
+        if any(M.shape != (m, m) for M in W) or any(M.shape != (m, n) for M in H + K):
+            raise ValueError(f"W must hold {m}x{m} matrices, H and K {m}x{n} ones")
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
-    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K)
+    # Only the single-region variant carries P^(d) at the initial time.
+    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
+                          single_region=d >= 1 and (d, t) in P)
     return sol, classification

@@ -304,3 +304,16 @@ def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
         assert re.search(r"numerical breakdown: non-finite W/H at k=\d+", proc.stderr), argv
         for bad in ("RuntimeWarning", "Traceback", "invalid input"):
             assert bad not in proc.stderr, (argv, proc.stderr)
+
+
+def test_linalg_error_is_a_numerical_breakdown(paths, capsys, monkeypatch):
+    """A pseudo-inverse (or eigenvalue or oracle solve) that fails to
+    converge ends in exit 4 with a message, not a traceback."""
+    def failing_pinv(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", failing_pinv)
+    assert main(["solve", "--problem", paths["scalar"]]) == EXIT_INCONSISTENT
+    err = capsys.readouterr().err
+    assert err == "consistency failure: numerical breakdown: SVD did not converge\n"
+    assert "Traceback" not in err

@@ -14,6 +14,7 @@ from delq import (
     schur_block_psd,
     symmetrize,
 )
+from delq.linalg import eig_margin, rel_deviation, scale_floor
 from delq.worked_example import REFERENCE_W, benchmark_report
 
 finite_entries = st.floats(min_value=-10.0, max_value=10.0,
@@ -150,3 +151,51 @@ def test_benchmark_w3_positive_definite_and_reference_w0_inconsistent():
     assert float(np.linalg.det(REFERENCE_W[0])) < 0
     assert not is_psd(REFERENCE_W[0])
     assert is_psd(REFERENCE_W[3])
+
+
+def _stacks(rng, count, m, n):
+    """Stacks of symmetric m x m (PSD, indefinite, singular, zero and
+    sub-unit scale) and of m x n matrices, some inside the range."""
+    W, H = [], []
+    for j in range(count):
+        F = rng.normal(size=(m, m)) * 10.0 ** rng.integers(-3, 4)
+        kind = j % 4
+        if kind == 0:
+            Wj = F @ F.T
+        elif kind == 1:
+            Wj = symmetrize(F)
+        elif kind == 2:
+            Wj = F[:, :1] @ F[:, :1].T
+        else:
+            Wj = np.zeros((m, m))
+        W.append(Wj)
+        H.append(Wj @ rng.normal(size=(m, n)) if j % 3 else rng.normal(size=(m, n)))
+    return np.stack(W), np.stack(H)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (4, 2)])
+def test_stacked_verdicts_equal_per_slice_verdicts(m, n):
+    """A leading batch axis gives each slice exactly its 2-d float."""
+    W, H = _stacks(np.random.default_rng(m * 10 + n), 24, m, n)
+    lam, margin = eig_margin(W)
+    resid = range_residual(H, W)
+    floors = scale_floor(H)
+    devs = rel_deviation(W - np.swapaxes(W, -1, -2) + H[..., :1], H)
+    for j in range(len(W)):
+        assert (float(lam[j]), float(margin[j])) == eig_margin(W[j])
+        assert float(resid[j]) == range_residual(H[j], W[j])
+        assert float(floors[j]) == scale_floor(H[j])
+        assert float(devs[j]) == rel_deviation(W[j] - W[j].T + H[j][:, :1], H[j])
+        assert np.array_equal(symmetrize(W)[j], symmetrize(W[j]))
+    assert np.array_equal(pinv(W), np.stack([pinv(Wj) for Wj in W]))
+    assert isinstance(eig_margin(W[0])[0], float)
+    assert isinstance(range_residual(H[0], W[0]), float)
+
+
+def test_stacked_inputs_are_checked_like_matrices():
+    with pytest.raises(ValidationError, match="non-finite"):
+        range_residual(np.full((3, 2, 1), np.nan), np.ones((3, 2, 2)))
+    with pytest.raises(ValidationError, match="row counts"):
+        range_residual(np.ones((3, 3, 1)), np.ones((3, 2, 2)))
+    with pytest.raises(ValidationError, match="2-d"):
+        range_residual(np.ones(3), np.ones((3, 3)))

@@ -161,6 +161,41 @@ def test_validate_rejects_asymmetric_weights_and_nonfinite():
     assert validate(prob) == []
 
 
+def _faulty_problem(structural=True):
+    """n = m = 2, N = 5 with asymmetric Q[2], R[2] and G; with
+    `structural`, also a non-finite A[1], a wrong shape at A[3] and a NaN
+    in B[1] (which hide the symmetry faults: validate stops at them)."""
+    n, m, N = 2, 2, 5
+    A = [np.eye(n) * 0.5 for _ in range(N)]
+    B = [np.ones((n, m)) for _ in range(N)]
+    Q = [np.eye(n) for _ in range(N)]
+    R = [np.eye(m) for _ in range(N)]
+    if structural:
+        A[1] = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        A[3] = np.zeros((n, n + 1))
+        B[1] = np.array([[1.0, np.nan], [0.0, 1.0]])
+    Q[2] = np.array([[1.0, 0.5], [0.0, 1.0]])
+    R[2] = np.array([[1.0, 0.0], [2.0, 1.0]])
+    return ProblemData(n=n, m=m, N=N, d=2, A=A, B=B, C=[np.zeros((n, n))] * N,
+                       D=[np.zeros((n, m))] * N, Q=Q, R=R,
+                       G=np.array([[1.0, 1e-3], [0.0, 1.0]]))
+
+
+def test_validate_messages_keep_wording_and_order():
+    """Exact message lists: per sequence in A, B, C, D, Q, R order and by
+    step within it; symmetry faults by step (Q before R), then G."""
+    assert validate(_faulty_problem()) == [
+        "A[1] contains non-finite entries",
+        "A[3] must have shape (2, 2), got (2, 3)",
+        "B[1] contains non-finite entries",
+    ]
+    assert validate(_faulty_problem(structural=False)) == [
+        "Q[2] is not symmetric",
+        "R[2] is not symmetric",
+        "G is not symmetric",
+    ]
+
+
 def test_problem_data_rejects_non_numeric():
     with pytest.raises(ValidationError):
         ProblemData(n=1, m=1, N=1, d=0, A=["x"], B=[[[1.0]]], C=[[[0.0]]],

@@ -26,15 +26,19 @@ from delq import (
     solve_riccati,
     solve_riccati_bar,
 )
+from delq import lmei
+from delq.linalg import PINV_RTOL, pinv, symmetrize
 from delq.model import random_open_loop
-from delq.riccati import classification_rank
+from delq.riccati import RiccatiSolution, classification_rank
 from delq.worked_example import REFERENCE_GAINS
 
 from conftest import (
     draw_mixed,
+    nonneg_problem,
     notconvex_problem,
     range_deficient_problem,
     scalar_problem,
+    sym_with_eigs,
     uniquely_solvable_instances,
 )
 
@@ -90,6 +94,27 @@ def test_undefined_index_is_an_error(scalar_solution):
         scalar_solution.P_at(1, 0)
     with pytest.raises(ValidationError, match="not defined"):
         scalar_solution.P_at(3, 3)
+
+
+def test_solution_blocks_are_a_read_only_view_of_one_buffer():
+    """The kernel's P holds exactly the defined pairs, rejects any other key
+    like a dict, cannot be assigned to, and reads every block from one
+    buffer."""
+    problem, t = draw_mixed(3)
+    sol = solve_riccati(problem, t)
+    defined = {(i, k) for k in range(t, problem.N + 1)
+               for i in range(min(k - t, problem.d) + 1)}
+    assert set(sol.P) == defined and len(sol.P) == len(defined)
+    for key in [(problem.d + 1, problem.N), (-1, problem.N), (0, t - 1),
+                (0, problem.N + 1), (0,), "0,0", None]:
+        assert key not in sol.P
+        with pytest.raises(KeyError):
+            sol.P[key]
+    with pytest.raises(TypeError):
+        sol.P[(0, t)] = np.zeros((problem.n, problem.n))
+    buffer = sol.P[(0, problem.N)].base
+    assert buffer is not None
+    assert all(M.base is buffer for M in sol.P.values())
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +183,141 @@ def test_stored_matrices_are_exactly_symmetric():
         assert np.array_equal(M, M.T)
     for W in sol.W:
         assert np.array_equal(W, W.T)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel against a plain per-index loop
+
+def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
+    """The backward pass as one matrix per (i, k) and one product per index:
+    the arithmetic the stacked kernel must reproduce bit for bit."""
+    n, N, d = problem.n, problem.N, problem.d
+    P = {(0, N): G}
+    for j in range(1, min(N - t, d) + 1):
+        P[(j, N)] = np.zeros((n, n))
+    W, H, K = [None] * (N - t), [None] * (N - t), [None] * (N - t)
+    with np.errstate(all="ignore"):
+        for k in range(N - 1, t - 1, -1):
+            A, B, C, D = problem.A[k], problem.B[k], problem.C[k], problem.D[k]
+            Psum = np.zeros((n, n))
+            for i in range(min(k + 1 - t, d) + 1):
+                Psum = Psum + P[(i, k + 1)]
+            P0 = P[(0, k + 1)]
+            Wk = symmetrize(R[k] + B.T @ Psum @ B + D.T @ P0 @ D)
+            Hk = B.T @ Psum @ A + D.T @ P0 @ C
+            if S is not None:
+                Hk = Hk + S[k]
+            Wdag = pinv(Wk, pinv_rtol)
+            fold = symmetrize(Hk.T @ Wdag @ Hk)
+            W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
+            nxt = P[(0, k + 1)] + P[(1, k + 1)] if d else P[(0, k + 1)]
+            state_part = Q[k] + A.T @ nxt @ A + C.T @ P[(0, k + 1)] @ C
+            r = min(k - t, d)
+            if r == 0:
+                P[(0, k)] = symmetrize(state_part - fold)
+                continue
+            P[(0, k)] = symmetrize(state_part)
+            for i in range(1, r):
+                P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
+            if r == d:
+                top = -fold if delta is None else delta[k] - fold
+            else:
+                top = A.T @ P[(r + 1, k + 1)] @ A
+                top = (top if delta is None else delta[k] + top) - fold
+            P[(r, k)] = symmetrize(top)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
+                           W=tuple(W), H=tuple(H), K=tuple(K))
+
+
+def _with_delay(problem, d):
+    return ProblemData(n=problem.n, m=problem.m, N=problem.N, d=d, A=problem.A,
+                       B=problem.B, C=problem.C, D=problem.D, Q=problem.Q,
+                       R=problem.R, G=problem.G)
+
+
+def _assert_identical(got, want):
+    assert list(got.P) == list(want.P)
+    for key in want.P:
+        assert np.array_equal(got.P[key], want.P[key]), key
+    for name in "WHK":
+        pairs = zip(getattr(got, name), getattr(want, name), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs), name
+
+
+def _long_delay_problem(seed, n, N, d, m=1):
+    """A longer horizon than draw_mixed's, so that more than eight blocks
+    enter one W/H sum."""
+    rng = np.random.default_rng(seed)
+    return ProblemData(
+        n=n, m=m, N=N, d=d,
+        A=[rng.normal(scale=0.6, size=(n, n)) for _ in range(N)],
+        B=[rng.normal(scale=0.8, size=(n, m)) for _ in range(N)],
+        C=[rng.normal(scale=0.4, size=(n, n)) for _ in range(N)],
+        D=[rng.normal(scale=0.4, size=(n, m)) for _ in range(N)],
+        Q=[sym_with_eigs(rng, n, -0.3, 1.2) for _ in range(N)],
+        R=[sym_with_eigs(rng, m, 0.2, 1.5) for _ in range(N)],
+        G=sym_with_eigs(rng, n, -0.2, 1.2),
+    )
+
+
+def _kernel_cases():
+    for seed in range(20):
+        problem, t = draw_mixed(seed)
+        for d in sorted({0, 1, 2, problem.N}):
+            yield _with_delay(problem, d), t
+    for n in (1, 3):
+        yield _long_delay_problem(n, n, 20, 12), 0
+        yield _long_delay_problem(n, n, 20, 12), 3
+
+
+def test_stacked_kernel_matches_per_index_loop():
+    """Every P/W/H/K of solve_riccati equals the per-index loop's exactly,
+    at d in {0, 1, 2, N}, at t > 0, and with more than eight blocks summed
+    into W/H (n = 1 included)."""
+    cases = list(_kernel_cases())
+    assert any(t > 0 for _, t in cases)
+    for problem, t in cases:
+        want = _reference_backward(problem, t, problem.Q, problem.R,
+                                   symmetrize(problem.G), PINV_RTOL)
+        _assert_identical(solve_riccati(problem, t), want)
+
+
+def _construct_with(backward, cand, problem, t, monkeypatch):
+    """construct_from_candidate with lmei's kernel replaced by `backward`;
+    returns the auxiliary recursion and the constructed solution."""
+    aux = []
+
+    def recording(*args, **kwargs):
+        aux.append(backward(*args, **kwargs))
+        return aux[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lmei, "_backward", recording)
+        sol = lmei.construct_from_candidate(cand, problem, t)
+    return aux[0], sol
+
+
+def test_stacked_kernel_matches_per_index_loop_on_construct(monkeypatch):
+    """The cross-weight and top-correction path (construct_from_candidate's
+    auxiliary recursion) with zero and certificate candidates."""
+    from delq.riccati import _backward
+
+    candidates = []
+    for seed in range(6):
+        problem = nonneg_problem(seed)
+        candidates.append((problem, 0, lmei.zero_candidate(problem, 0)))
+    for _, problem, t, sol in uniquely_solvable_instances(6, start_seed=40):
+        candidates.append((problem, t, lmei.certificate_from_riccati(sol, problem)))
+    problem = _long_delay_problem(5, 2, 20, 12)
+    candidates.append((problem, 2, lmei.certificate_from_riccati(
+        solve_riccati(problem, 2), problem)))
+    assert any(t > 0 for _, t, _ in candidates)
+    for problem, t, cand in candidates:
+        aux, sol = _construct_with(_backward, cand, problem, t, monkeypatch)
+        ref_aux, ref_sol = _construct_with(_reference_backward, cand, problem, t,
+                                           monkeypatch)
+        _assert_identical(aux, ref_aux)
+        _assert_identical(sol, ref_sol)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +457,27 @@ def test_solution_json_round_trip(scalar, scalar_solution):
     assert optimal_value(back, 0, [1.0]) == optimal_value(scalar_solution, 0, [1.0])
 
 
+def test_single_region_solution_json_round_trip():
+    """The single-region flag is read back from the index set, so every
+    block still enters P_sum after a round trip."""
+    problem = _long_delay_problem(8, 2, 12, 3, m=2)
+    for sol in (solve_riccati_bar(problem, 0), solve_riccati(problem, 2)):
+        back, _ = solution_from_dict(json.loads(json.dumps(solution_to_dict(sol))))
+        assert back.single_region == sol.single_region
+        for k in range(sol.t, sol.N + 1):
+            assert back.top_index(k) == sol.top_index(k)
+            assert np.array_equal(back.P_sum(k), sol.P_sum(k))
+    assert solve_riccati_bar(problem, 0).single_region
+
+
+def test_undefined_index_message_names_the_defined_range():
+    problem = _long_delay_problem(8, 2, 12, 3)
+    with pytest.raises(ValidationError, match=r"at time 3: 0\.\.1\)"):
+        solve_riccati(problem, 2).P_at(2, 3)
+    with pytest.raises(ValidationError, match=r"at time 3: 0\.\.3\)"):
+        solve_riccati_bar(problem, 2).P_at(4, 3)
+
+
 def test_solution_from_dict_rejects_malformed():
     with pytest.raises(ValidationError, match="malformed"):
         solution_from_dict({"t": 0})
@@ -310,6 +491,14 @@ def test_solution_from_dict_rejects_malformed():
     with pytest.raises(ValidationError, match="malformed"):
         solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"0,1": [[1.0]]},
                             "W": [1.0], "H": [], "K": [], "classification": "x"})
+    with pytest.raises(ValidationError, match="N - t = 2"):
+        solution_from_dict({"t": 0, "d": 1, "N": 2, "P": {"0,2": [[1.0]]},
+                            "W": [[[1.0]]], "H": [[[1.0]]], "K": [[[1.0]]],
+                            "classification": "x"})
+    with pytest.raises(ValidationError, match="H and K 1x1"):
+        solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"0,1": [[1.0]]},
+                            "W": [[[1.0]]], "H": [[[1.0, 2.0]]], "K": [[[1.0]]],
+                            "classification": "x"})
 
 
 # ---------------------------------------------------------------------------
