@@ -314,7 +314,8 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
         WX0 = X0 @ weight_mat
         Sf = S.reshape(dim, -1)
         M_part = (S @ weight_mat).reshape(dim, -1) @ Sf.T
-        M[...] += prob * M_part
+        M_part *= prob
+        M[...] += M_part
         b[...] += prob * (Sf @ WX0.ravel())
         c += prob * float(np.sum(WX0 * X0))
 
@@ -338,12 +339,18 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
             for i in range(m):
                 U[off + a * m + i, a * span:(a + 1) * span, i] = 1.0
 
-        drift = S @ problem.A[k].T + U @ problem.B[k].T
-        diff = S @ problem.C[k].T + U @ problem.D[k].T
-        S_next = np.empty((dim, 2 * nodes, n))
-        S_next[:, 0::2] = drift + diff
-        S_next[:, 1::2] = drift - diff
-        S = S_next
+        # In place, and U, drift and diff released as soon as they are used:
+        # at dimension ~1000 each array here is tens of MB, and the plain
+        # expressions' temporaries set the oracle's peak memory.
+        drift = S @ problem.A[k].T
+        drift += U @ problem.B[k].T
+        diff = S @ problem.C[k].T
+        diff += U @ problem.D[k].T
+        del U
+        S = np.empty((dim, 2 * nodes, n))
+        np.add(drift, diff, out=S[:, 0::2])
+        np.subtract(drift, diff, out=S[:, 1::2])
+        del drift, diff
 
         drift0 = X0 @ problem.A[k].T
         diff0 = X0 @ problem.C[k].T

@@ -112,7 +112,12 @@ def pinv(M, rel_tol: float = PINV_RTOL) -> np.ndarray:
     matrix maps to the (transposed-shape) zero matrix. A stack of matrices
     is inverted matrix by matrix.
     """
-    M = _as_matrix(M, "M", stack=True)
+    return _pinv(_as_matrix(M, "M", stack=True), rel_tol)
+
+
+def _pinv(M: np.ndarray, rel_tol: float) -> np.ndarray:
+    """``pinv`` without the argument checks, for a caller that has just
+    checked M is a finite float matrix (the backward kernel's W_k)."""
     return np.linalg.pinv(M, rcond=rel_tol)
 
 

@@ -463,7 +463,7 @@ def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
 def quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     """x_i^T M x_i for every row x_i of X; the mean over rows is the
     expectation of the quadratic form on a node (or sample) array."""
-    return np.einsum("ij,jl,il->i", X, M, X)
+    return np.einsum("ij,ij->i", X @ M, X)
 
 
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, symmetrize
+from .linalg import PINV_RTOL, PSD_TOL, _pinv, eig_margin, pinv, range_residual, symmetrize
 from .model import FeedbackPolicy, ProblemData, ensure_valid
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
@@ -219,7 +219,7 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
                 Hk = Hk + S[k]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
                 raise ConsistencyError(f"numerical breakdown: non-finite W/H at k={k}")
-            Wdag = pinv(Wk, pinv_rtol)
+            Wdag = _pinv(Wk, pinv_rtol)
             fold = symmetrize(Hk.T @ Wdag @ Hk)
             W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
 

@@ -2,16 +2,23 @@
 
 Exact mode sums the cost over every noise path (Rademacher tree), so it is
 an expectation, not an estimate. Monte-Carlo mode exists for scale and for
-Gaussian noise; feedback policies there compute the delayed conditional
-mean E_{k-d}[X_k] with the implementable predictor recursion (from the
-realized state d steps back and the controls applied since), never by
-resampling. The whole noise block is drawn upfront from a counter-based
-generator keyed by the seed and consumed in fixed-size chunks with a
-fixed-order reduction, so results are bit-identical across runs regardless
-of how the work would be scheduled.
+Gaussian noise. Feedback policies there compute the delayed conditional
+mean E_{k-d}[X_k] with the innovation form of the implementable predictor:
+the mean dynamics plus each step's noise term, carried forward by a product
+of A's once it is d steps old. A step then costs the same whatever d is,
+and nothing is resampled. ``predictor`` is the direct per-path reference
+(replay the realized path to time k-d, then iterate the mean dynamics), and
+the tests hold the two routes to each other.
+
+The noise is streamed: chunks of ``MC_CHUNK`` rows are drawn in order from
+one counter-based generator keyed by the seed (the same numbers as one
+up-front draw), and each chunk's costs are reduced before the next is
+drawn, in a fixed order. Results are bit-identical across runs and memory
+does not grow with the sample count.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,19 +94,29 @@ def _normalize_noise(noise: str) -> str:
     return label
 
 
-def _noise_block(noise: str, samples: int, steps: int, seed: int) -> np.ndarray:
-    """(samples, steps) noise matrix from a counter-based stream keyed by seed."""
+def _noise_chunks(noise: str, samples: int, steps: int, seed: int):
+    """(rows, steps) noise blocks of at most MC_CHUNK rows, in sample order.
+
+    All chunks come in order from one counter-based generator keyed by the
+    seed; the generator carries its state between draws, so the rows are
+    exactly those of one (samples, steps) draw from the same key."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if noise == RADEMACHER:
-        return 1.0 - 2.0 * rng.integers(0, 2, size=(samples, steps)).astype(float)
-    return rng.standard_normal((samples, steps))
+    for lo in range(0, samples, MC_CHUNK):
+        shape = (min(MC_CHUNK, samples - lo), steps)
+        if noise == RADEMACHER:
+            yield 1.0 - 2.0 * rng.integers(0, 2, size=shape)
+        else:
+            yield rng.standard_normal(shape)
 
 
-def _enumerated_block(steps: int) -> np.ndarray:
-    """All 2^steps sign patterns, ordered like the tree leaves."""
-    idx = np.arange(1 << steps, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(steps - 1, -1, -1)[None, :]) & 1
-    return 1.0 - 2.0 * bits.astype(float)
+def _enumerated_chunks(steps: int):
+    """All 2^steps sign patterns, ordered like the tree leaves, in blocks of
+    at most MC_CHUNK rows: row i holds the bits of i, most significant first,
+    with bit 1 meaning w = -1."""
+    shifts = np.arange(steps - 1, -1, -1)
+    for lo in range(0, 1 << steps, MC_CHUNK):
+        idx = np.arange(lo, min(lo + MC_CHUNK, 1 << steps), dtype=np.int64)
+        yield 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
 
 
 def _atom_indices(noises: np.ndarray, levels: int) -> np.ndarray:
@@ -111,53 +128,69 @@ def _atom_indices(noises: np.ndarray, levels: int) -> np.ndarray:
     return bits @ weights
 
 
-def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
-                 noises: np.ndarray, noise: str) -> np.ndarray:
-    """Path costs for one chunk of samples (vectorized over the chunk)."""
-    rows = noises.shape[0]
+def _step_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
+    """Right operands of the chunk products at k = t..N-1, built once per
+    call: (A_k^T, B_k^T, C_k^T, D_k^T, K_k^T, Phi_{k+1}^T) as C-contiguous
+    arrays. A (rows, n) array times a transposed view takes numpy about 3x
+    as long as times a contiguous copy of it, for the same numbers.
+
+    Phi_{k+1} = A_k A_{k-1} ... A_{k-d+1} (the identity at d = 0) carries the
+    innovation e_{k-d}, revealed at time k+1-d, onto the conditional mean of
+    X_{k+1}; it is None for k < t+d, where no innovation is revealed. K_k^T
+    is None under an open-loop policy."""
     d = problem.d
-    X = np.tile(x, (rows, 1))
-    costs = np.zeros(rows)
-
-    # Sliding window of realized states/controls needed by the predictor:
-    # hist_states[0] is X at time `front`, followed by one entry per step.
-    front = t
-    hist_states = [X]
-    hist_controls: list[np.ndarray] = []
-
+    operands = []
     for k in range(t, problem.N):
-        s = measurable_level(t, d, k)
-        if isinstance(policy, FeedbackPolicy):
-            # Predictor: E_s[X_k] by the mean recursion from the realized
-            # X_s, using the controls actually applied in between (the noise
-            # terms vanish under E_s).
-            y = hist_states[s - front]
-            for j in range(s, k):
-                y = y @ problem.A[j].T + hist_controls[j - front] @ problem.B[j].T
-            u = y @ policy.gains[k - policy.t].T
+        Phi = None
+        if k >= t + d:
+            Phi = np.eye(problem.n)
+            for j in range(k - d + 1, k + 1):
+                Phi = problem.A[j] @ Phi
+        K = policy.gains[k - policy.t] if isinstance(policy, FeedbackPolicy) else None
+        operands.append(tuple(None if M is None else np.ascontiguousarray(M.T) for M in (
+            problem.A[k], problem.B[k], problem.C[k], problem.D[k], K, Phi)))
+    return operands
+
+
+def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
+                 noises: np.ndarray, operands: list[tuple]) -> np.ndarray:
+    """Path costs for one chunk of samples (vectorized over the chunk).
+
+    A step costs a fixed number of products on (rows, n) arrays, whatever d
+    is: four for the state update, plus the gain and two predictor products
+    under a feedback policy. ``operands`` is ``_step_operands``."""
+    N, d = problem.N, problem.d
+    feedback = isinstance(policy, FeedbackPolicy)
+    X = np.tile(x, (noises.shape[0], 1))
+    costs = np.zeros(noises.shape[0])
+
+    # Innovation-form predictor: y = E_s[X_k] with s = max(t, k-d). With
+    # e_j = (C_j X_j + D_j u_j) w_j, the noise term of the state update,
+    # y_{k+1} = A_k y_k + B_k u_k, plus Phi_{k+1} e_{k-d} once e_{k-d} is
+    # revealed (k >= t+d). The window holds the innovations that are still
+    # to be revealed; at d = 0 y equals X bit for bit.
+    y = X
+    window: deque[np.ndarray] = deque()
+
+    for k, (At, Bt, Ct, Dt, Kt, Phit) in enumerate(operands, start=t):
+        if feedback:
+            u = y @ Kt
         else:
-            if noise != RADEMACHER:
-                raise ValidationError(
-                    "open-loop controls are indexed by tree atoms; only "
-                    "Rademacher noise has them"
-                )
             table = policy.controls[k - policy.start]
-            u = table[_atom_indices(noises, s - t)]
+            u = table[_atom_indices(noises, measurable_level(t, d, k) - t)]
 
         costs += quadratic_rows(X, problem.Q[k])
         costs += quadratic_rows(u, problem.R[k])
 
-        w = noises[:, k - t][:, None]
-        X = X @ problem.A[k].T + u @ problem.B[k].T \
-            + (X @ problem.C[k].T + u @ problem.D[k].T) * w
-
-        hist_states.append(X)
-        hist_controls.append(u)
-        new_front = measurable_level(t, d, k + 1)
-        while front < new_front:
-            hist_states.pop(0)
-            hist_controls.pop(0)
-            front += 1
+        uB = u @ Bt
+        e = (X @ Ct + u @ Dt) * noises[:, k - t][:, None]
+        if feedback:
+            if k + d < N:
+                window.append(e)
+            y = y @ At + uB
+            if Phit is not None:
+                y = y + window.popleft() @ Phit
+        X = X @ At + uB + e
 
     costs += quadratic_rows(X, problem.G)
     return costs
@@ -170,7 +203,8 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
 
     With ``full_enumeration`` the "samples" are all 2^(N-t) sign patterns
     (requires Rademacher noise and exactly that sample count), which makes
-    the mean coincide with the exact expectation.
+    the mean coincide with the exact expectation. Memory is O(MC_CHUNK),
+    whatever the sample count: the noise is drawn and reduced chunk by chunk.
     """
     ensure_valid(problem)
     if not 0 <= t <= problem.N - 1:
@@ -182,6 +216,11 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.n,):
         raise ValidationError(f"initial state must have length {problem.n}")
+    if not isinstance(policy, FeedbackPolicy) and noise_label != RADEMACHER:
+        raise ValidationError(
+            "open-loop controls are indexed by tree atoms; only "
+            "Rademacher noise has them"
+        )
 
     if full_enumeration:
         if noise_label != RADEMACHER:
@@ -190,18 +229,26 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
             raise ValidationError(
                 f"full enumeration needs samples = 2^(N-t) = {1 << steps}, got {samples}"
             )
-        block = _enumerated_block(steps)
+        chunks = _enumerated_chunks(steps)
     else:
-        block = _noise_block(noise_label, samples, steps, seed)
+        chunks = _noise_chunks(noise_label, samples, steps, seed)
 
-    costs = np.empty(samples)
-    for lo in range(0, samples, MC_CHUNK):
-        hi = min(lo + MC_CHUNK, samples)
-        costs[lo:hi] = _chunk_costs(problem, t, x, policy, block[lo:hi], noise_label)
-
-    mean = float(np.sum(costs) / samples)
-    centered = costs - mean
-    std_error = float(np.sqrt(np.sum(centered * centered) / (samples - 1) / samples))
+    # Chunk means and squared deviations merged in chunk order (Chan, Golub
+    # & LeVeque's pairwise update), so no per-sample array outlives a chunk.
+    # With one chunk this is the plain two-pass mean and deviation sum.
+    operands = _step_operands(problem, t, policy)
+    count, mean, m2 = 0, 0.0, 0.0
+    for block in chunks:
+        costs = _chunk_costs(problem, t, x, policy, block, operands)
+        rows = costs.shape[0]
+        chunk_mean = float(np.sum(costs) / rows)
+        centered = costs - chunk_mean
+        delta = chunk_mean - mean
+        m2 += float(np.sum(centered * centered)) \
+            + delta * delta * (count * rows / (count + rows))
+        count += rows
+        mean += delta * (rows / count)
+    std_error = float(np.sqrt(m2 / (samples - 1) / samples))
     return EvaluationResult(mean=mean, std_error=std_error, samples=samples,
                             mode=MONTE_CARLO, noise=noise_label, seed=seed)
 

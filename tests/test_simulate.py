@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,13 @@ from delq import (
     zero_policy,
 )
 from delq.model import block_mean, measurable_level, random_open_loop
+from delq.simulate import (
+    MC_CHUNK,
+    _chunk_costs,
+    _enumerated_chunks,
+    _noise_chunks,
+    _step_operands,
+)
 
 from conftest import draw_mixed, uniquely_solvable_instances
 
@@ -54,6 +64,67 @@ def test_full_enumeration_reproduces_exact_mean(seed):
     assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("delay", ["zero", "drawn", "whole horizon"])
+def test_full_enumeration_of_feedback_policy_matches_tree(delay):
+    # The chunk predictor (innovation form) against the tree's block means,
+    # at d = 0, the drawn d, and d >= N - t (the predictor never updates).
+    starts = set()
+    for seed in range(12):
+        problem, t = draw_mixed(seed)
+        d = {"zero": 0, "drawn": problem.d, "whole horizon": problem.N}[delay]
+        problem = dataclasses.replace(problem, d=d)
+        starts.add(t > 0)
+        policy = feedback_policy(solve_riccati(problem, t))
+        x = np.random.default_rng(seed).normal(size=problem.n)
+        exact = exact_cost(problem, t, x, policy).mean
+        enum = monte_carlo_cost(problem, t, x, policy, samples=1 << (problem.N - t),
+                                full_enumeration=True)
+        assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact)), (seed, d)
+    assert starts == {False, True}
+
+
+def _unstable_problem(seed, d, N=11):
+    """n = 2, m = 1; every A_k has spectral radius 1.3."""
+    rng = np.random.default_rng(seed)
+    A = []
+    for _ in range(N):
+        basis = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        A.append(basis @ np.diag([1.3, rng.uniform(-1.0, 1.0)]) @ basis.T)
+    return ProblemData(
+        n=2, m=1, N=N, d=d, A=A,
+        B=[rng.normal(size=(2, 1)) for _ in range(N)],
+        C=[rng.normal(scale=0.4, size=(2, 2)) for _ in range(N)],
+        D=[rng.normal(scale=0.4, size=(2, 1)) for _ in range(N)],
+        Q=[np.eye(2)] * N, R=[np.eye(1)] * N, G=np.eye(2),
+    )
+
+
+@pytest.mark.parametrize("t, d", [(0, 5), (2, 6), (1, 9)])
+def test_chunk_predictor_matches_direct_predictor_path_by_path(t, d):
+    problem = _unstable_problem(t + d, d)
+    rng = np.random.default_rng(d)
+    gains = [rng.normal(scale=0.5, size=(1, 2)) for _ in range(problem.N - t)]
+    policy = FeedbackPolicy(t=t, d=d, gains=gains)
+    x = np.array([1.0, -0.5])
+    steps = problem.N - t
+    noises = np.vstack([1.0 - 2.0 * rng.integers(0, 2, size=(8, steps)),
+                        rng.standard_normal((8, steps))])
+    got = _chunk_costs(problem, t, x, policy, noises,
+                       _step_operands(problem, t, policy))
+    for path, w in enumerate(noises):
+        # Reference cost of the same path, with every control from the
+        # direct per-path predictor.
+        X, cost = x, 0.0
+        for k in range(t, problem.N):
+            s = measurable_level(t, d, k)
+            u = gains[k - t] @ predictor(problem, t, x, gains, k, noises=w[:s - t])
+            cost += X @ problem.Q[k] @ X + u @ problem.R[k] @ u
+            X = problem.A[k] @ X + problem.B[k] @ u \
+                + (problem.C[k] @ X + problem.D[k] @ u) * w[k - t]
+        cost += X @ problem.G @ X
+        assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), path
+
+
 def test_full_enumeration_argument_validation(scalar):
     u = zero_policy(scalar, 0)
     with pytest.raises(ValidationError, match="samples = 2"):
@@ -75,6 +146,46 @@ def test_monte_carlo_is_reproducible_and_seed_sensitive():
     assert a.mean == b.mean and a.std_error == b.std_error  # bit-identical
     c = monte_carlo_cost(problem, t, x, policy, samples=5000, seed=8)
     assert c.mean != a.mean
+
+
+@pytest.mark.parametrize("noise", ["Rademacher", "Gaussian"])
+@pytest.mark.parametrize("steps", [1, 7, 51])
+def test_noise_chunks_match_one_up_front_draw(noise, steps):
+    for samples in (2, 4095, 4097, 9001):
+        rng = np.random.Generator(np.random.Philox(key=5))
+        if noise == "Rademacher":
+            block = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, steps)).astype(float)
+        else:
+            block = rng.standard_normal((samples, steps))
+        chunks = list(_noise_chunks(noise, samples, steps, 5))
+        assert all(c.shape[0] <= MC_CHUNK for c in chunks)
+        assert np.array_equal(np.vstack(chunks), block), samples
+
+
+@pytest.mark.parametrize("steps", [1, 3, 13])
+def test_enumerated_chunks_are_the_tree_leaves_in_order(steps):
+    leaves = np.array([[1.0 - 2.0 * ((i >> (steps - 1 - j)) & 1) for j in range(steps)]
+                       for i in range(1 << steps)])
+    chunks = list(_enumerated_chunks(steps))
+    assert all(c.shape[0] <= MC_CHUNK for c in chunks)
+    assert np.array_equal(np.vstack(chunks), leaves)
+
+
+def test_monte_carlo_memory_does_not_grow_with_samples():
+    problem, t = draw_mixed(11)
+    policy = feedback_policy(solve_riccati(problem, t))
+    x = np.ones(problem.n)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            monte_carlo_cost(problem, t, x, policy, noise="gaussian",
+                             samples=samples, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(50 * MC_CHUNK) <= 1.5 * peak(2 * MC_CHUNK)
 
 
 def test_monte_carlo_matches_exact_within_error_bars():
