@@ -65,13 +65,8 @@ from .bsde import (
     OracleOutcome,
     QuadraticForm,
     StackedControlLayout,
-    adjoint_control,
-    adjoint_state,
-    adjoint_terminal_control,
-    adjoint_terminal_state,
     apply_operators,
     assemble_quadratic,
-    control_response,
     cost_difference_residual,
     decoupling_residual,
     first_variation_inner,
@@ -80,7 +75,6 @@ from .bsde import (
     oracle_minimize,
     process_inner,
     solve_bsde,
-    state_response,
     stationary_residual,
     terminal_inner,
 )
@@ -116,13 +110,11 @@ __all__ = [
     "PSD_TOL", "ProblemData", "QuadraticForm", "ResourceLimitError",
     "RiccatiSolution", "SOLVABLE_ALL_PAIRS", "ScenarioTree", "SolvabilityReport",
     "StackedControlLayout", "Trajectory", "UNIQUELY_SOLVABLE", "UnsolvableError",
-    "ValidationError", "adjoint_control", "adjoint_state",
-    "adjoint_terminal_control", "adjoint_terminal_state", "apply_operators",
-    "assemble_quadratic", "auxiliary_cost", "benchmark_problem",
-    "benchmark_report", "build_tree", "candidate_from_dict", "candidate_to_dict",
-    "certificate_from_riccati", "check_membership", "classify",
+    "ValidationError", "apply_operators", "assemble_quadratic", "auxiliary_cost",
+    "benchmark_problem", "benchmark_report", "build_tree", "candidate_from_dict",
+    "candidate_to_dict", "certificate_from_riccati", "check_membership", "classify",
     "completion_of_squares_residual", "cond_expect", "construct_from_candidate",
-    "control_response", "cost_decomposition_check", "cost_difference_residual",
+    "cost_decomposition_check", "cost_difference_residual",
     "decoupling_residual", "ensure_valid", "exact_cost", "feedback_policy",
     "first_variation_inner", "fixed_pair_check",
     "is_pd", "is_psd", "load_problem", "make_candidate",
@@ -131,7 +123,6 @@ __all__ = [
     "problem_to_dict", "process_inner", "range_residual",
     "recompute_wh", "rollout", "save_problem", "schur_block_psd",
     "shifted_policy", "solution_from_dict", "solution_to_dict", "solve_bsde",
-    "solve_riccati", "solve_riccati_bar", "state_response",
-    "stationary_residual", "symmetrize", "terminal_inner",
-    "trajectory_cost", "validate", "zero_candidate", "zero_policy",
+    "solve_riccati", "solve_riccati_bar", "stationary_residual", "symmetrize",
+    "terminal_inner", "trajectory_cost", "validate", "zero_candidate", "zero_policy",
 ]

@@ -6,7 +6,8 @@ Euclidean space (one m-vector per information atom per time), so the cost is
 literally a quadratic form J(t,x;u) = u^T M u + 2 b^T u + c over stacked
 control coordinates. This module materializes that form by simulating the
 zero-state response of every basis coordinate once and accumulating
-probability-weighted Gram products, minimizes it by pseudo-inverse, and
+probability-weighted Gram products, minimizes it from one symmetric
+eigendecomposition of M (boundedness verdict, minimizer and value), and
 provides the backward-equation machinery (adjoint operators, first-order
 stationarity residual, decoupling residual) used to cross-check the Riccati
 route. Everything here is exact up to floating point — no sampling.
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, rel_deviation, \
+from .linalg import PINV_RTOL, PSD_TOL, _eigh_solve, pinv, range_residual, rel_deviation, \
     symmetrize
 from .model import (
     AdaptedProcess,
@@ -101,16 +102,6 @@ def solve_bsde(tree: ScenarioTree, problem: ProblemData, terminal,
 # ---------------------------------------------------------------------------
 # System operators and adjoints
 
-def state_response(problem: ProblemData, tree: ScenarioTree, x) -> Trajectory:
-    """Homogeneous trajectory X^{x,0} (zero control) from the root."""
-    return rollout(problem, tree, x, zero_policy(problem, tree.start))
-
-
-def control_response(problem: ProblemData, tree: ScenarioTree, u: Policy) -> Trajectory:
-    """Zero-state trajectory X^{0,u} from the root."""
-    return rollout(problem, tree, np.zeros(problem.n), u)
-
-
 def _adjoint_controls(problem: ProblemData, tree: ScenarioTree,
                       V: AdaptedProcess) -> tuple[np.ndarray, ...]:
     """The control-space projections B_k^T E_s[V_{k+1}] + D_k^T E_s[V_{k+1} w_k]
@@ -126,56 +117,36 @@ def _adjoint_controls(problem: ProblemData, tree: ScenarioTree,
     return tuple(out)
 
 
-def adjoint_state(problem: ProblemData, tree: ScenarioTree, xi) -> np.ndarray:
-    """Adjoint of the homogeneous state map applied to a process xi on t..N-1."""
-    V = solve_bsde(tree, problem, terminal=np.zeros(problem.n), driver=xi)
-    return V.at(tree.start)[0]
-
-
-def adjoint_control(problem: ProblemData, tree: ScenarioTree, xi) -> tuple[np.ndarray, ...]:
-    """Adjoint of the zero-state control-to-state map applied to xi."""
-    V = solve_bsde(tree, problem, terminal=np.zeros(problem.n), driver=xi)
-    return _adjoint_controls(problem, tree, V)
-
-
-def adjoint_terminal_state(problem: ProblemData, tree: ScenarioTree, eta) -> np.ndarray:
-    """Adjoint of x -> X_N applied to terminal data eta."""
-    V = solve_bsde(tree, problem, terminal=eta, driver=None)
-    return V.at(tree.start)[0]
-
-
-def adjoint_terminal_control(problem: ProblemData, tree: ScenarioTree,
-                             eta) -> tuple[np.ndarray, ...]:
-    """Adjoint of u -> X_N applied to terminal data eta."""
-    V = solve_bsde(tree, problem, terminal=eta, driver=None)
-    return _adjoint_controls(problem, tree, V)
-
-
 def apply_operators(tree: ScenarioTree, problem: ProblemData, t: int,
                     x=None, u: Policy | None = None, xi=None, eta=None) -> dict:
     """Evaluate the four system operators and/or their adjoints.
 
     Forward (from x and/or u): the state block over t..N-1 and the terminal
-    state. Adjoint (from a state-process xi and/or terminal eta): the initial
-    covector and the coarse control-space process.
+    state of X^{x,0} (zero control) and of X^{0,u} (zero initial state).
+    Adjoint (from a state-process xi and/or terminal eta): the initial
+    covector and the coarse control-space process, i.e. the adjoints of
+    those two maps applied to xi, and of x -> X_N and u -> X_N applied to
+    eta.
     """
     if tree.start != t:
         raise ValidationError(f"tree is rooted at {tree.start}, not {t}")
     out: dict = {}
     if x is not None:
-        traj = state_response(problem, tree, x)
+        traj = rollout(problem, tree, x, zero_policy(problem, tree.start))
         out["homogeneous_states"] = traj.states
         out["homogeneous_terminal"] = traj.states.at(tree.end)
     if u is not None:
-        traj = control_response(problem, tree, u)
+        traj = rollout(problem, tree, np.zeros(problem.n), u)
         out["forced_states"] = traj.states
         out["forced_terminal"] = traj.states.at(tree.end)
     if xi is not None:
-        out["state_adjoint"] = adjoint_state(problem, tree, xi)
-        out["control_adjoint"] = adjoint_control(problem, tree, xi)
+        V = solve_bsde(tree, problem, terminal=np.zeros(problem.n), driver=xi)
+        out["state_adjoint"] = V.at(tree.start)[0]
+        out["control_adjoint"] = _adjoint_controls(problem, tree, V)
     if eta is not None:
-        out["terminal_state_adjoint"] = adjoint_terminal_state(problem, tree, eta)
-        out["terminal_control_adjoint"] = adjoint_terminal_control(problem, tree, eta)
+        V = solve_bsde(tree, problem, terminal=eta, driver=None)
+        out["terminal_state_adjoint"] = V.at(tree.start)[0]
+        out["terminal_control_adjoint"] = _adjoint_controls(problem, tree, V)
     return out
 
 
@@ -384,21 +355,24 @@ def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
     Bounded with value c - b^T M^+ b at minimizer -M^+ b iff M is PSD and b
     lies in the range of M; otherwise the form runs to minus infinity along
     a negative eigenvector or along kernel directions with linear descent.
+    All of it comes from one eigendecomposition of M (``linalg._eigh_solve``):
+    the eigen margin against `psd_tol` first, then the component of b in
+    the kernel (eigenvalues with |lambda| ≤ pinv_rtol * max|lambda|) against
+    `psd_tol`, then M^+ b on the kept spectrum.
     """
-    lam, margin = eig_margin(q.M)
+    lam, margin, resid, Mdag_b = _eigh_solve(q.M, q.b, pinv_rtol)
     if margin < -psd_tol:
         return OracleOutcome(
             bounded=False, value=None, minimizer=None,
             reason=f"quadratic term has negative eigenvalue {lam:.3e}",
         )
-    if range_residual(q.b[:, None], q.M, pinv_rtol) > psd_tol:
+    if resid > psd_tol:
         return OracleOutcome(
             bounded=False, value=None, minimizer=None,
             reason="linear term has a component outside the range of the quadratic term",
         )
-    Mdag = pinv(q.M, pinv_rtol)
-    minimizer = -(Mdag @ q.b)
-    value = q.c - float(q.b @ Mdag @ q.b)
+    minimizer = -Mdag_b
+    value = q.c - float(q.b @ Mdag_b)
     return OracleOutcome(bounded=True, value=value, minimizer=minimizer, reason="")
 
 

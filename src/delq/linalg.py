@@ -2,11 +2,13 @@
 into a numerical verdict.
 
 SVD pseudo-inverse with a relative cutoff, (semi)definiteness tests, the
-range-inclusion residual and the extended Schur block test (two independent
-routes). Every verdict is scaled by one floor, ``scale_floor(X) =
-max(1, max|X|)``, through ``eig_margin`` (lambda_min, and lambda_min over
-the floor of the spectrum) and ``rel_deviation`` (max|err| over the floor
-of a reference). Below scale 1 the floor makes a relative tolerance absolute.
+range-inclusion residual, the extended Schur block test (two independent
+routes) and, for the quadratic oracle, all of these from one symmetric
+eigendecomposition (``_eigh_solve``). Every verdict is scaled by one floor,
+``scale_floor(X) = max(1, max|X|)``, through ``eig_margin`` (lambda_min,
+and lambda_min over the floor of the spectrum) and ``rel_deviation``
+(max|err| over the floor of a reference). Below scale 1 the floor makes a
+relative tolerance absolute.
 
 ``scale_floor``, ``eig_margin``, ``rel_deviation``, ``range_residual`` and
 ``pinv`` also take a stack of matrices (a leading batch axis) and then
@@ -16,8 +18,12 @@ each slice, so a caller can grade every step of a recursion in one call.
 Tolerances (value: where used; why):
 
 - ``PINV_RTOL`` 1e-12: ``pinv`` cutoff as a fraction of sigma_max, so of
-  every W^+, range residual and oracle minimizer (``--pinv-tol``); it drops
-  only directions that rounding left nonzero.
+  every W^+ and range residual (``--pinv-tol``); it drops only directions
+  that rounding left nonzero. The oracle's ``_eigh_solve`` applies it to
+  the spectrum of the symmetric M, whose singular values are |lambda|: it
+  keeps |lambda| > rtol * max|lambda|, and its range test is the
+  kernel-component residual max|V_ker V_ker^T b| / scale_floor(b), equal
+  to ``range_residual(b, M)`` in exact arithmetic.
 - ``PSD_TOL`` 1e-9: margin tolerance of every semidefinite, range and
   equality verdict: ``classify``, ``is_psd``/``is_pd``, the Schur block
   test, the ``lmei`` constraints, the oracle's boundedness test and the
@@ -141,6 +147,31 @@ def range_residual(N, L, rel_tol: float = PINV_RTOL):
             f"row counts differ: L has {L.shape[-2]}, N has {N.shape[-2]}"
         )
     return rel_deviation(L @ pinv(L, rel_tol) @ N - N, N)
+
+
+def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, np.ndarray]:
+    """(lambda_min, eig margin, range residual of b, M^+ b) from one eigh of
+    symmetrize(M), for the quadratic oracle.
+
+    The margin is eig_margin's. For a symmetric matrix the singular values
+    are |lambda|, so the kept spectrum |lambda| > rel_tol * max|lambda| is
+    ``pinv``'s. The range residual is max|V_ker V_ker^T b| / scale_floor(b),
+    the component of b in the numerical kernel, and M^+ b is
+    V_keep diag(1/lambda) V_keep^T b.
+    """
+    M = _as_matrix(M, "M")
+    b = _as_matrix(np.reshape(b, (-1, 1)), "b")[:, 0]
+    if b.shape[0] != M.shape[0]:
+        raise ValidationError(f"b has length {b.shape[0]}, M has {M.shape[0]} rows")
+    vals, V = np.linalg.eigh(symmetrize(M))
+    lam = float(vals[0])
+    margin = lam / float(_floor(vals, None))
+    mags = np.abs(vals)
+    keep = mags > rel_tol * np.max(mags)
+    coef = V.T @ b
+    resid = rel_deviation(V @ np.where(keep, 0.0, coef), b)
+    solve = V @ np.divide(coef, vals, out=np.zeros_like(coef), where=keep)
+    return lam, margin, resid, solve
 
 
 def _schur_block(S, H, W, tol: float) -> tuple[bool, float]:

@@ -50,6 +50,15 @@ def measurable_level(t: int, d: int, k: int) -> int:
 
 
 def _matseq(seq, name: str) -> tuple[np.ndarray, ...]:
+    """One conversion for a sequence of equally shaped matrices. Anything
+    else (ragged, scalar or malformed) is converted matrix by matrix, so that
+    validate() can name each misshapen matrix by its index."""
+    try:
+        stacked = np.asarray(seq, dtype=float)
+        if stacked.ndim == 3:
+            return tuple(stacked)
+    except (TypeError, ValueError):
+        pass
     try:
         return tuple(np.asarray(M, dtype=float) for M in seq)
     except (TypeError, ValueError) as exc:

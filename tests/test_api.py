@@ -5,10 +5,12 @@ import re
 import delq
 
 #: Public helpers that were removed because nothing in the package used them
-#: (FEAS_TOL folded into PSD_TOL, which it always equalled).
+#: (FEAS_TOL folded into PSD_TOL, which it always equalled; the one-call
+#: operator wrappers inlined into apply_operators).
 REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
            "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh",
-           "FEAS_TOL")
+           "FEAS_TOL", "state_response", "control_response", "adjoint_state",
+           "adjoint_control", "adjoint_terminal_state", "adjoint_terminal_control")
 
 
 def test_every_exported_name_resolves():
@@ -19,7 +21,7 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_are_gone():
     modules = [importlib.import_module(f"delq.{mod}")
-               for mod in ("linalg", "model", "riccati", "lmei")]
+               for mod in ("linalg", "model", "riccati", "lmei", "bsde")]
     for name in REMOVED:
         assert name not in delq.__all__
         assert not hasattr(delq, name), name
@@ -28,9 +30,10 @@ def test_removed_names_are_gone():
 
 
 def test_linalg_alone_turns_matrices_into_verdicts():
-    """Eigenvalue solves and the max(1, |.|) scale floor live in linalg only;
-    other modules call its primitives (scale_floor, eig_margin, rel_deviation)."""
-    pattern = re.compile(r"eigvalsh|max\(\s*1(\.0*)?\s*,")
+    """Eigen and singular value decompositions, the pseudo-inverse and the
+    max(1, |.|) scale floor live in linalg only; other modules call its
+    primitives (scale_floor, eig_margin, rel_deviation, pinv, ...)."""
+    pattern = re.compile(r"eigvalsh|eigh\(|linalg\.svd|linalg\.pinv|max\(\s*1(\.0*)?\s*,")
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted(pathlib.Path(delq.__file__).parent.glob("*.py"))

@@ -26,6 +26,7 @@ from delq import (
     terminal_inner,
     trajectory_cost,
 )
+from delq.linalg import PSD_TOL, eig_margin, pinv, range_residual, scale_floor
 from delq.model import measurable_level, random_open_loop
 
 from conftest import draw_mixed, range_deficient_problem, uniquely_solvable_instances
@@ -166,28 +167,119 @@ def test_assemble_quadratic_enforces_dimension_cap(scalar):
 # ---------------------------------------------------------------------------
 # Oracle on hand-built forms
 
+def _form(M, b, c=0.0):
+    """A hand-built form over `len(b)` scalar controls, one per time."""
+    size = len(b)
+    layout = StackedControlLayout(t=0, N=size, d=0, m=1, atoms=(1,) * size,
+                                  offsets=tuple(range(size)), size=size)
+    return QuadraticForm(M=np.asarray(M, dtype=float), b=np.asarray(b, dtype=float),
+                         c=c, layout=layout)
+
+
 def test_oracle_minimizes_positive_definite_form():
-    layout = StackedControlLayout(t=0, N=2, d=0, m=1, atoms=(1, 1),
-                                  offsets=(0, 1), size=2)
-    q = QuadraticForm(M=np.eye(2), b=np.array([1.0, 2.0]), c=5.0, layout=layout)
-    out = oracle_minimize(q)
+    out = oracle_minimize(_form(np.eye(2), [1.0, 2.0], c=5.0))
     assert out.status == "Bounded"
     assert out.value == pytest.approx(0.0, abs=1e-12)
     assert out.minimizer == pytest.approx([-1.0, -2.0])
 
 
 def test_oracle_detects_negative_directions():
-    layout = StackedControlLayout(t=0, N=2, d=0, m=1, atoms=(1, 1),
-                                  offsets=(0, 1), size=2)
-    out = oracle_minimize(QuadraticForm(M=np.diag([1.0, -1.0]),
-                                        b=np.zeros(2), c=0.0, layout=layout))
+    out = oracle_minimize(_form(np.diag([1.0, -1.0]), np.zeros(2)))
     assert not out.bounded and "negative eigenvalue" in out.reason
 
-    out = oracle_minimize(QuadraticForm(M=np.diag([1.0, 0.0]),
-                                        b=np.array([0.0, 1.0]), c=0.0,
-                                        layout=layout))
+    out = oracle_minimize(_form(np.diag([1.0, 0.0]), [0.0, 1.0]))
     assert not out.bounded and "outside the range" in out.reason
     assert out.value is None and out.minimizer is None
+
+
+def test_oracle_on_zero_and_one_by_one_forms():
+    out = oracle_minimize(_form(np.zeros((3, 3)), np.zeros(3), c=2.5))
+    assert out.bounded and out.value == 2.5
+    assert np.array_equal(out.minimizer, np.zeros(3))
+
+    out = oracle_minimize(_form(np.zeros((3, 3)), [0.0, 1e-3, 0.0], c=2.5))
+    assert not out.bounded and "outside the range" in out.reason
+
+    out = oracle_minimize(_form([[2.0]], [4.0], c=1.0))
+    assert out.bounded
+    assert out.value == pytest.approx(-7.0, abs=1e-14)
+    assert out.minimizer == pytest.approx([-2.0], abs=1e-15)
+
+    out = oracle_minimize(_form([[-2.0]], [0.0]))
+    assert not out.bounded and out.reason == \
+        "quadratic term has negative eigenvalue -2.000e+00"
+
+    with pytest.raises(ValidationError, match="non-finite"):
+        oracle_minimize(_form([[np.nan]], [0.0]))
+    with pytest.raises(ValidationError, match="length 3"):
+        oracle_minimize(_form(np.eye(2), np.zeros(3)))
+
+
+def test_oracle_on_singular_psd_form():
+    rng = np.random.default_rng(7)
+    basis = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+    kernel = basis[:, 3:]
+    M = basis @ np.diag([3.0, 2.0, 0.5, 0.0, 0.0]) @ basis.T
+    y = rng.normal(size=5)
+    b = M @ y
+
+    out = oracle_minimize(_form(M, b, c=1.0))
+    assert out.bounded
+    assert out.value == pytest.approx(1.0 - y @ M @ y, abs=1e-12)
+    # -M^+ b: it solves M u = -b and has no kernel component
+    np.testing.assert_allclose(M @ out.minimizer, -b, atol=1e-12)
+    np.testing.assert_allclose(kernel.T @ out.minimizer, 0.0, atol=1e-12)
+
+    out = oracle_minimize(_form(M, b + 1e-3 * kernel[:, 0], c=1.0))
+    assert not out.bounded and "outside the range" in out.reason
+
+
+def _three_decomposition_oracle(q):
+    """The oracle as three separate decompositions of M: eigenvalues, the
+    range residual through an SVD pseudo-inverse, and that pseudo-inverse
+    again for the value."""
+    if eig_margin(q.M)[1] < -PSD_TOL:
+        return "Unbounded", None
+    if range_residual(q.b[:, None], q.M) > PSD_TOL:
+        return "Unbounded", None
+    return "Bounded", q.c - float(q.b @ pinv(q.M) @ q.b)
+
+
+def test_oracle_matches_three_decomposition_route():
+    statuses = set()
+    for seed in range(60):
+        problem, t = draw_mixed(seed)
+        x = np.random.default_rng(seed + 500).normal(size=problem.n)
+        q = assemble_quadratic(problem, t, x)
+        out = oracle_minimize(q)
+        status, value = _three_decomposition_oracle(q)
+        assert out.status == status, seed
+        statuses.add(status)
+        if out.bounded:
+            assert abs(out.value - value) <= 1e-12 * scale_floor(value), seed
+            cost = oracle_cost(problem, t, x, out.minimizer)
+            assert abs(cost - out.value) <= 1e-10 * scale_floor(out.value), seed
+    assert statuses == {"Bounded", "Unbounded"}
+
+
+def test_oracle_decomposes_its_matrix_once(monkeypatch):
+    problem, t = draw_mixed(3)
+    q = assemble_quadratic(problem, t, np.ones(problem.n))
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # np.linalg.pinv calls svd through numpy's own module, so patch both.
+    for module in (np.linalg, getattr(np.linalg, "_linalg", None)):
+        if module is not None:
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert oracle_minimize(q).bounded
+    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
 
 
 def test_oracle_agrees_with_backward_pass_on_scalar(scalar, scalar_solution):

@@ -197,9 +197,10 @@ def test_validate_messages_keep_wording_and_order():
 
 
 def test_problem_data_rejects_non_numeric():
-    with pytest.raises(ValidationError):
-        ProblemData(n=1, m=1, N=1, d=0, A=["x"], B=[[[1.0]]], C=[[[0.0]]],
-                    D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]], G=[[1.0]])
+    for A in (["x"], None, 5.0, [[["x"]]]):
+        with pytest.raises(ValidationError, match="A is not a sequence"):
+            ProblemData(n=1, m=1, N=1, d=0, A=A, B=[[[1.0]]], C=[[[0.0]]],
+                        D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]], G=[[1.0]])
     with pytest.raises(ValidationError):
         ProblemData(n="one", m=1, N=1, d=0, A=[[[1.0]]], B=[[[1.0]]],
                     C=[[[0.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]], G=[[1.0]])
