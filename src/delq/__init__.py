@@ -33,10 +33,8 @@ from .model import (
     ScenarioTree,
     Trajectory,
     build_tree,
-    cond_expect,
     ensure_valid,
     load_problem,
-    open_loop_from_values,
     problem_from_dict,
     problem_to_dict,
     rollout,
@@ -113,12 +111,12 @@ __all__ = [
     "ValidationError", "apply_operators", "assemble_quadratic", "auxiliary_cost",
     "benchmark_problem", "benchmark_report", "build_tree", "candidate_from_dict",
     "candidate_to_dict", "certificate_from_riccati", "check_membership", "classify",
-    "completion_of_squares_residual", "cond_expect", "construct_from_candidate",
+    "completion_of_squares_residual", "construct_from_candidate",
     "cost_decomposition_check", "cost_difference_residual",
     "decoupling_residual", "ensure_valid", "exact_cost", "feedback_policy",
     "first_variation_inner", "fixed_pair_check",
     "is_pd", "is_psd", "load_problem", "make_candidate",
-    "monte_carlo_cost", "open_loop_from_values", "optimal_value", "oracle_cost",
+    "monte_carlo_cost", "optimal_value", "oracle_cost",
     "oracle_minimize", "pinv", "predictor", "problem_from_dict",
     "problem_to_dict", "process_inner", "range_residual",
     "recompute_wh", "rollout", "save_problem", "schur_block_psd",

@@ -14,6 +14,11 @@ relative tolerance absolute.
 ``pinv`` also take a stack of matrices (a leading batch axis) and then
 return one number per matrix: exactly the floats the 2-d call gives for
 each slice, so a caller can grade every step of a recursion in one call.
+So do the symmetry check ``_is_symmetric`` (one verdict per matrix, False
+for a non-finite one) and the Schur block test ``_schur_blocks`` (one
+verdict and one direct-route margin per block; each route is one stacked
+call, and the gray-band check runs per block), on which ``schur_block_psd``
+is the one-block case.
 
 Tolerances (value: where used; why):
 
@@ -102,11 +107,18 @@ def rel_deviation(err, ref):
     return np.max(np.abs(err), axis=(-2, -1)) / scale_floor(ref)
 
 
+def _is_symmetric(S):
+    """rel_deviation(S - S^T, S) <= _SYM_CHECK_TOL; for a stack, one verdict
+    per matrix. A non-finite matrix is not symmetric (and raises no warning)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return rel_deviation(S - np.swapaxes(S, -1, -2), S) <= _SYM_CHECK_TOL
+
+
 def _require_symmetric(S, name: str) -> np.ndarray:
     S = _as_matrix(S, name)
     if S.shape[0] != S.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {S.shape}")
-    if rel_deviation(S - S.T, S) > _SYM_CHECK_TOL:
+    if not _is_symmetric(S):
         raise ValidationError(f"{name} is not symmetric within tolerance")
     return symmetrize(S)
 
@@ -146,7 +158,12 @@ def range_residual(N, L, rel_tol: float = PINV_RTOL):
         raise ValidationError(
             f"row counts differ: L has {L.shape[-2]}, N has {N.shape[-2]}"
         )
-    return rel_deviation(L @ pinv(L, rel_tol) @ N - N, N)
+    return _range_residual(N, L, pinv(L, rel_tol))
+
+
+def _range_residual(N: np.ndarray, L: np.ndarray, Ldag: np.ndarray):
+    """``range_residual`` given L's pseudo-inverse Ldag."""
+    return rel_deviation(L @ Ldag @ N - N, N)
 
 
 def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, np.ndarray]:
@@ -184,24 +201,41 @@ def _schur_block(S, H, W, tol: float) -> tuple[bool, float]:
         raise ValidationError(
             f"H must be {W.shape[0]}x{S.shape[0]}, got {H.shape}"
         )
-    block = eig_margin(np.block([[S, H.T], [H, W]]))[1]
+    ok, margin = _schur_blocks(S[None], H[None], W[None], tol)
+    return bool(ok[0]), float(margin[0])
+
+
+def _schur_blocks(S: np.ndarray, H: np.ndarray, W: np.ndarray,
+                  tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """_schur_block over stacks of finite, exactly symmetric S (K, n, n) and
+    W (K, m, m) and of H (K, m, n): per block, the verdict and the relative
+    eig_margin of the assembled block. Each route is one stacked call; the
+    first block whose routes split beyond the gray band raises."""
+    n, m = S.shape[-1], W.shape[-1]
+    Ht = np.swapaxes(H, -1, -2)
+    block = np.empty(S.shape[:-2] + (n + m, n + m))
+    block[..., :n, :n], block[..., :n, n:] = S, Ht
+    block[..., n:, :n], block[..., n:, n:] = H, W
+    margin = eig_margin(block)[1]
     w_min = eig_margin(W)[1]
-    resid = range_residual(H, W)
-    comp = eig_margin(S - H.T @ pinv(W) @ H)[1]
+    Wdag = pinv(W)
+    resid = _range_residual(H, W, Wdag)
+    comp = eig_margin(S - Ht @ Wdag @ H)[1]
 
-    def _triple(t: float) -> bool:
-        return w_min >= -t and resid <= t and comp >= -t
+    def _triple(t: float) -> np.ndarray:
+        return (w_min >= -t) & (resid <= t) & (comp >= -t)
 
-    direct, triple = block >= -tol, _triple(tol)
-    if direct != triple:
-        # Mathematically equivalent routes can straddle the threshold when a
-        # margin sits at the boundary; only a confident split is an error.
-        if not (block >= -100.0 * tol and _triple(100.0 * tol)):
-            raise ConsistencyError(
-                "schur_block_psd: direct block test and Schur-complement "
-                f"triple disagree (direct={direct}, triple={triple})"
-            )
-    return direct, block
+    direct, triple = margin >= -tol, _triple(tol)
+    # Mathematically equivalent routes can straddle the threshold when a
+    # margin sits at the boundary; only a confident split is an error.
+    split = (direct != triple) & ~((margin >= -100.0 * tol) & _triple(100.0 * tol))
+    if split.any():
+        j = int(np.argmax(split))
+        raise ConsistencyError(
+            "schur_block_psd: direct block test and Schur-complement "
+            f"triple disagree (direct={bool(direct[j])}, triple={bool(triple[j])})"
+        )
+    return direct, margin
 
 
 def schur_block_psd(S, H, W, tol: float = PSD_TOL) -> bool:

@@ -11,10 +11,30 @@ P~^(j)_N = 0. Feasibility of this system is equivalent to solvability of the
 control problem for every initial pair, and the equivalence is constructive:
 an auxiliary problem built from the candidate's slack turns any feasible
 candidate into an exact solution of the constrained recursion (P = P~ + U).
+
+A candidate holds its matrices as the backward kernel holds a solution's:
+P~^(0..r)_k, r = min(k-t, d), is one stack per time, and the stacks of times
+N, N-1, ..., t are consecutive slices of one buffer (riccati._StackedBlocks),
+so a lookup by (i, k) returns a view. Finiteness and symmetry of all entries
+are checked in one stacked call; a message still names the first bad entry
+in input order.
+
+One slack pass per candidate computes every per-step quantity under
+np.errstate: W~_k and H~_k (the kernel's W/H formula on the stack of time
+k+1), the state gaps, the block upper-left entries and the middle-index
+residuals (one batched product per step). The earliest step with a
+non-finite quantity raises ConsistencyError. check_membership then grades
+each family of constraints in one stacked linalg call (eig_margin for the
+inequalities, rel_deviation for the equalities, the stacked Schur test with
+both routes and the gray-band check for the blocks): the floats of a
+per-constraint loop, in the same report order. construct_from_candidate
+reuses the pass, runs the auxiliary recursion, forms P = P~ + U as one
+buffer add and verifies the final W/H/K in stacked calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,12 +42,11 @@ from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import (
     PINV_RTOL,
     PSD_TOL,
-    _require_symmetric,
-    _schur_block,
+    _is_symmetric,
+    _range_residual,
+    _schur_blocks,
     eig_margin,
-    is_psd,
     pinv,
-    range_residual,
     rel_deviation,
     symmetrize,
 )
@@ -40,7 +59,8 @@ from .riccati import (
     _backward,
     _blocks_from_dict,
     _blocks_to_dict,
-    _wh_from_next,
+    _StackedBlocks,
+    _wh_from_stack,
     classify,
 )
 
@@ -50,13 +70,13 @@ _CONSTRUCT_CONSISTENCY_TOL = 1e-8
 @dataclass(frozen=True)
 class LmeiCandidate:
     """Symmetric matrices P~^(i)_k over the defined index ranges
-    (i = 0..min(k-t, d) for t <= k <= N)."""
+    (i = 0..min(k-t, d) for t <= k <= N), as per-time stacks in one buffer."""
 
     t: int
     N: int
     d: int
     n: int
-    P: dict[tuple[int, int], np.ndarray]
+    P: _StackedBlocks
 
     def top_index(self, k: int) -> int:
         return min(k - self.t, self.d)
@@ -68,26 +88,58 @@ class LmeiCandidate:
             raise ValidationError(f"candidate entry P~^({i})_{k} is missing") from None
 
 
-def _expected_keys(t: int, N: int, d: int) -> set[tuple[int, int]]:
-    return {(i, k) for k in range(t, N + 1) for i in range(min(k - t, d) + 1)}
-
-
-def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate:
-    """Build and structurally validate a candidate for the given problem."""
+def _check_candidate_args(problem: ProblemData, t: int) -> None:
     ensure_valid(problem)
     if problem.d < 1:
         raise ValidationError("the inequality system is defined for delay d >= 1")
     if not 0 <= t <= problem.N - 1:
         raise ValidationError(f"t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
+
+
+def _check_entries(keys, stack: np.ndarray) -> None:
+    """Raise for the first non-finite or asymmetric matrix of `stack`, named
+    by the key at its position in `keys`."""
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    good = finite & _is_symmetric(stack)
+    if good.all():
+        return
+    j = int(np.argmin(good))
+    key = next(islice(keys, j, None))
+    if not finite[j]:
+        raise ValidationError(f"candidate entry {key} contains non-finite entries")
+    raise ValidationError(f"candidate entry {key} is not symmetric within tolerance")
+
+
+def _candidate(problem: ProblemData, t: int, buffer: np.ndarray) -> LmeiCandidate:
+    """The candidate over `buffer`, in _StackedBlocks' layout for (t, N, d, n),
+    with every block symmetrized."""
     n, N, d = problem.n, problem.N, problem.d
-    P: dict[tuple[int, int], np.ndarray] = {}
+    with np.errstate(over="ignore"):
+        blocks = _StackedBlocks(t, N, d, n, symmetrize(buffer))
+    return LmeiCandidate(t=t, N=N, d=d, n=n, P=blocks)
+
+
+def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate:
+    """Build and structurally validate a candidate for the given problem.
+
+    Entries are checked in their order: the first one with the wrong shape,
+    non-finite values or an asymmetry is reported; then the index structure.
+    """
+    _check_candidate_args(problem, t)
+    n, N, d = problem.n, problem.N, problem.d
+    keys, mats, misshapen = list(entries), [], None
     for key, M in entries.items():
         M = np.asarray(M, dtype=float)
         if M.shape != (n, n):
-            raise ValidationError(f"candidate entry {key} must be {n}x{n}, got {M.shape}")
-        P[key] = _require_symmetric(M, f"candidate entry {key}")
-    want = _expected_keys(t, N, d)
-    have = set(P)
+            misshapen = f"candidate entry {key} must be {n}x{n}, got {M.shape}"
+            break
+        mats.append(M)
+    stack = np.stack(mats) if mats else np.empty((0, n, n))
+    _check_entries(keys, stack)  # the entries before a misshapen one
+    if misshapen:
+        raise ValidationError(misshapen)
+    layout = _StackedBlocks(t, N, d, n)
+    want, have = set(layout), set(keys)
     if have != want:
         missing = sorted(want - have)
         extra = sorted(have - want)
@@ -97,15 +149,18 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
         if extra:
             parts.append(f"unexpected entries {extra[:6]}{'...' if len(extra) > 6 else ''}")
         raise ValidationError("candidate index structure is wrong: " + "; ".join(parts))
-    return LmeiCandidate(t=t, N=N, d=d, n=n, P=P)
+    position = {key: j for j, key in enumerate(keys)}
+    np.take(stack, [position[key] for key in layout], axis=0, out=layout.buffer)
+    return _candidate(problem, t, layout.buffer)
 
 
 def zero_candidate(problem: ProblemData, t: int) -> LmeiCandidate:
     """The all-zero candidate (feasible exactly when the data are pointwise
     nonnegative-definite)."""
-    n = problem.n
-    entries = {key: np.zeros((n, n)) for key in _expected_keys(t, problem.N, problem.d)}
-    return make_candidate(problem, t, entries)
+    _check_candidate_args(problem, t)
+    blocks = _StackedBlocks(t, problem.N, problem.d, problem.n)
+    blocks.buffer.fill(0.0)
+    return LmeiCandidate(t=t, N=problem.N, d=problem.d, n=problem.n, P=blocks)
 
 
 def candidate_to_dict(cand: LmeiCandidate) -> dict:
@@ -119,7 +174,9 @@ def candidate_to_dict(cand: LmeiCandidate) -> dict:
 
 def candidate_from_dict(problem: ProblemData, data: dict) -> LmeiCandidate:
     try:
-        t = int(data["t"])
+        t = data["t"]
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise TypeError(f"t must be an integer, got {t!r}")
         entries = _blocks_from_dict(data["P"])
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed candidate JSON: {exc}") from exc
@@ -154,6 +211,56 @@ def correction_matrix(cand: LmeiCandidate, problem: ProblemData, k: int) -> np.n
     return symmetrize(A.T @ cand.P_at(r + 1, k + 1) @ A - cand.P_at(r, k))
 
 
+@dataclass(frozen=True)
+class _Slack:
+    """Per-step quantities of a candidate; the leading axis is k - t for
+    k = t..N-1, except for the middle-index equalities."""
+
+    W: np.ndarray         # W~_k
+    H: np.ndarray         # H~_k
+    gap: np.ndarray       # state_gap at k
+    upper: np.ndarray     # block upper-left: state_gap at k = t, correction_matrix after
+    eq_err: np.ndarray    # P~^(i)_k - A_k^T P~^(i+1)_{k+1} A_k, t < k, 0 < i < r_k, in (k, i) order
+    eq_rhs: np.ndarray    # A_k^T P~^(i+1)_{k+1} A_k, same order
+    terminal: np.ndarray  # G - P~^(0)_N
+
+
+def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
+    """The one slack pass. Overflow is not warned about: the earliest step
+    with a non-finite quantity (k = N for the terminal gap) raises
+    ConsistencyError."""
+    t, N, d, n, m = cand.t, cand.N, cand.d, cand.n, problem.m
+    stacks = cand.P.stacks
+    middle = [max(min(k - t, d) - 1, 0) for k in range(t, N)]
+    W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
+    gap, upper = np.empty((N - t, n, n)), np.empty((N - t, n, n))
+    eq_err, eq_rhs = np.empty((sum(middle), n, n)), np.empty((sum(middle), n, n))
+    pos = 0
+    with np.errstate(all="ignore"):
+        for j, k in enumerate(range(t, N)):
+            W[j], H[j] = _wh_from_stack(problem, stacks[k + 1], k, problem.R[k])
+            gap[j] = state_gap(cand, problem, k)
+            upper[j] = gap[j] if k == t else correction_matrix(cand, problem, k)
+            if middle[j]:
+                A, end = problem.A[k], pos + middle[j]
+                eq_rhs[pos:end] = A.T @ stacks[k + 1][2:middle[j] + 2] @ A
+                eq_err[pos:end] = stacks[k][1:middle[j] + 1] - eq_rhs[pos:end]
+                pos = end
+        terminal = problem.G - stacks[N][0]
+        finite = (np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
+                  & np.isfinite(gap).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2)))
+        eq_step = np.repeat(np.arange(N - t), middle)
+        finite[eq_step[~np.isfinite(eq_err).all(axis=(1, 2))]] = False
+    if not finite.all():
+        k = t + int(np.argmin(finite))
+    elif not np.isfinite(terminal).all():
+        k = N
+    else:
+        return _Slack(W=W, H=H, gap=gap, upper=upper, eq_err=eq_err, eq_rhs=eq_rhs,
+                      terminal=terminal)
+    raise ConsistencyError(f"numerical breakdown: non-finite candidate slack at k={k}")
+
+
 # ---------------------------------------------------------------------------
 # Membership checking
 
@@ -183,6 +290,39 @@ class LmeiReport:
         return min(self.constraints, key=lambda c: c.margin)
 
 
+def _check_anchor(cand: LmeiCandidate, problem: ProblemData, t: int) -> None:
+    if cand.t != t:
+        raise ValidationError(f"candidate is anchored at t={cand.t}, not {t}")
+    if (cand.N, cand.d, cand.n) != (problem.N, problem.d, problem.n):
+        raise ValidationError("candidate dimensions do not match the problem")
+
+
+def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
+    """Every constraint from the slack pass, in report order: the terminal
+    conditions, then per step k the inequality, the equalities (i = 1..) and
+    the block constraint."""
+    t, N, d = cand.t, cand.N, cand.d
+
+    def status(kind: str, k: int, i: int | None, margin: float) -> ConstraintStatus:
+        return ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=margin >= -tol)
+
+    records = [status("terminal_gap", N, 0, eig_margin(slack.terminal)[1])]
+    zero = (-rel_deviation(cand.P.stacks[N][1:], 0.0)).tolist()
+    records += [status("terminal_zero", N, j, margin) for j, margin in enumerate(zero, 1)]
+    inequality = eig_margin(slack.gap[1:])[1].tolist()
+    equality = iter((-rel_deviation(slack.eq_err, slack.eq_rhs)).tolist())
+    block_ok, block = (x.tolist() for x in _schur_blocks(slack.upper, slack.H, slack.W, tol))
+    for j, k in enumerate(range(t, N)):
+        if k > t:
+            records.append(status("inequality", k, 0, inequality[j - 1]))
+            records += [status("equality", k, i, next(equality))
+                        for i in range(1, min(k - t, d))]
+        records.append(ConstraintStatus(kind="block", k=k, i=None, margin=block[j],
+                                        satisfied=block_ok[j]))
+    feasible = all(c.satisfied for c in records)
+    return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
+
+
 def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
                      tol: float = PSD_TOL) -> LmeiReport:
     """Evaluate every constraint of the system on the candidate.
@@ -190,40 +330,8 @@ def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
     Block constraints are decided by the dual-path extended-Schur test; all
     margins are reported signed so near-boundary candidates are diagnosable.
     """
-    if cand.t != t:
-        raise ValidationError(f"candidate is anchored at t={cand.t}, not {t}")
-    if (cand.N, cand.d, cand.n) != (problem.N, problem.d, problem.n):
-        raise ValidationError("candidate dimensions do not match the problem")
-    records: list[ConstraintStatus] = []
-
-    def add(kind: str, k: int, i: int | None, margin: float,
-            satisfied: bool | None = None) -> None:
-        ok = (margin >= -tol) if satisfied is None else satisfied
-        records.append(ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=ok))
-
-    N, d = cand.N, cand.d
-    # Terminal conditions.
-    add("terminal_gap", N, 0, eig_margin(problem.G - cand.P_at(0, N))[1])
-    for j in range(1, min(N - t, d) + 1):
-        add("terminal_zero", N, j, -rel_deviation(cand.P_at(j, N), 0.0))
-
-    for k in range(t, N):
-        W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
-        if k == t:
-            upper = state_gap(cand, problem, k)
-        else:
-            add("inequality", k, 0, eig_margin(state_gap(cand, problem, k))[1])
-            r = min(k - t, d)
-            for i in range(1, r):
-                lhs = cand.P_at(i, k)
-                rhs = problem.A[k].T @ cand.P_at(i + 1, k + 1) @ problem.A[k]
-                add("equality", k, i, -rel_deviation(lhs - rhs, rhs))
-            upper = correction_matrix(cand, problem, k)
-        block_ok, margin = _schur_block(upper, H, W, tol)
-        add("block", k, None, margin, satisfied=block_ok)
-
-    feasible = all(c.satisfied for c in records)
-    return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
+    _check_anchor(cand, problem, t)
+    return _grade(cand, _slack(cand, problem), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +350,12 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
         raise UnsolvableError(
             f"classification {report.classification} is too weak for a certificate"
         )
+    if isinstance(sol.P, _StackedBlocks) and (sol.N, sol.d, sol.n) == \
+            (problem.N, problem.d, problem.n):
+        # The kernel's layout is the candidate's: one stacked check, one copy.
+        _check_candidate_args(problem, sol.t)
+        _check_entries(sol.P, sol.P.buffer)
+        return _candidate(problem, sol.t, sol.P.buffer)
     entries = {key: M.copy() for key, M in sol.P.items()}
     return make_candidate(problem, sol.t, entries)
 
@@ -258,10 +372,13 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
     the same backward kernel as solve_riccati and is always solvable with
     PSD step matrices; P = P~ + U then satisfies the original constrained
     recursion. The returned W/H are recomputed from P and verified against
-    the auxiliary-recursion quantities; disagreement or a failed constrained
-    check raises ConsistencyError (numerical breakdown).
+    the auxiliary-recursion quantities; disagreement, a non-finite P, W or H,
+    or a failed constrained check raises ConsistencyError (numerical
+    breakdown) naming the earliest such step.
     """
-    report = check_membership(cand, problem, t, tol)
+    _check_anchor(cand, problem, t)
+    slack = _slack(cand, problem)
+    report = _grade(cand, slack, tol)
     if not report.feasible:
         worst = report.worst()
         raise UnsolvableError(
@@ -269,44 +386,53 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
             f"{worst.kind} at k={worst.k} (margin {worst.margin:.3e})"
         )
 
-    n, N, d = cand.n, cand.N, cand.d
-    # Auxiliary weights from the candidate's slack.
-    Q_aux = {k: state_gap(cand, problem, k) for k in range(t, N)}
-    W_cand, H_cand = {}, {}
-    for k in range(t, N):
-        W_cand[k], H_cand[k] = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d),
-                                             problem.R[k])
-    delta = {k: correction_matrix(cand, problem, k) for k in range(t + 1, N)}
-    G_aux = symmetrize(problem.G - cand.P_at(0, N))
-    aux = _backward(problem, t, Q_aux, W_cand, G_aux, pinv_rtol, S=H_cand, delta=delta)
+    n, m, N, d = cand.n, problem.m, cand.N, cand.d
+    steps = range(t, N)
+    aux = _backward(problem, t, dict(zip(steps, slack.gap)), dict(zip(steps, slack.W)),
+                    symmetrize(slack.terminal), pinv_rtol, S=dict(zip(steps, slack.H)),
+                    delta=dict(zip(steps[1:], slack.upper[1:])))
 
-    P = {key: symmetrize(cand.P[key] + aux.P[key]) for key in cand.P}
-
-    # Assemble the solution with W/H recomputed from P (the defining sums)
-    # and cross-check against the auxiliary quantities, which must coincide.
-    W_fin, H_fin, K_fin = [], [], []
-    for k in range(t, N):
-        Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), problem.R[k])
-        dW = rel_deviation(Wk - aux.W[k - t], Wk)
-        dH = rel_deviation(Hk - aux.H[k - t], Hk)
-        if max(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL:
+    with np.errstate(all="ignore"):
+        P = _StackedBlocks(t, N, d, n, symmetrize(cand.P.buffer + aux.P.buffer))
+        finite = np.isfinite(P.buffer).all(axis=(1, 2))
+        if not finite.all():
+            # The buffer runs from time N down to t: the last bad row is earliest.
+            k = next(islice(P, int(np.flatnonzero(~finite)[-1]), None))[1]
+            raise ConsistencyError(f"numerical breakdown: non-finite P at k={k}")
+        # W/H recomputed from P (the defining sums), cross-checked against the
+        # auxiliary quantities, which must coincide.
+        W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
+        for j, k in enumerate(steps):
+            W[j], H[j] = _wh_from_stack(problem, P.stacks[k + 1], k, problem.R[k])
+        finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
+    if not finite.all():
+        raise ConsistencyError(
+            f"numerical breakdown: non-finite W/H at k={t + int(np.argmin(finite))}"
+        )
+    dW = rel_deviation(W - np.stack(aux.W), W)
+    dH = rel_deviation(H - np.stack(aux.H), H)
+    bound = max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL)
+    psd = eig_margin(W)[1] >= -bound
+    Wdag = pinv(W, pinv_rtol)
+    rr = _range_residual(H, W, Wdag if pinv_rtol == PINV_RTOL else pinv(W))
+    failed = np.flatnonzero((np.maximum(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL)
+                            | ~psd | (rr > bound))
+    if failed.size:
+        j = int(failed[0])
+        k = t + j
+        if max(dW[j], dH[j]) > _CONSTRUCT_CONSISTENCY_TOL:
             raise ConsistencyError(
                 f"constructed solution disagrees with auxiliary recursion at k={k}: "
-                f"W deviation {dW:.3e}, H deviation {dH:.3e}"
+                f"W deviation {dW[j]:.3e}, H deviation {dH[j]:.3e}"
             )
-        if not is_psd(Wk, max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL)):
+        if not psd[j]:
             raise ConsistencyError(f"constructed W_{k} is not PSD (numerical breakdown)")
-        rr = range_residual(Hk, Wk)
-        if rr > max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL):
-            raise ConsistencyError(
-                f"constructed H_{k} leaves the range of W_{k} (residual {rr:.3e})"
-            )
-        W_fin.append(Wk)
-        H_fin.append(Hk)
-        K_fin.append(-pinv(Wk, pinv_rtol) @ Hk)
-
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
-                           W=tuple(W_fin), H=tuple(H_fin), K=tuple(K_fin))
+        raise ConsistencyError(
+            f"constructed H_{k} leaves the range of W_{k} (residual {rr[j]:.3e})"
+        )
+    K = -Wdag @ H
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P,
+                           W=tuple(W), H=tuple(H), K=tuple(K))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +455,7 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
     for ell in range(k, cand.N):
         X = traj.states.at(ell)
         u_coarse = traj.control_at(ell)
-        Wt, Ht = _wh_from_next(problem, cand.P, ell, min(ell + 1 - cand.t, cand.d),
-                               problem.R[ell])
+        Wt, Ht = _wh_from_stack(problem, cand.P.stacks[ell + 1], ell, problem.R[ell])
         Qt = state_gap(cand, problem, ell)
         total += float(np.mean(quadratic_rows(X, Qt)))
         hx = X @ Ht.T

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -303,15 +303,6 @@ class AdaptedProcess:
         return self.values[k - self.first]
 
 
-def cond_expect(proc: AdaptedProcess, k: int, j: int) -> np.ndarray:
-    """E_j of the process at time k: one row per atom at level j."""
-    if j > k:
-        raise ValidationError(f"cannot condition time {k} on later time {j}")
-    if j < proc.tree.start:
-        raise ValidationError(f"level {j} precedes tree start {proc.tree.start}")
-    return block_mean(proc.at(k), k - j)
-
-
 # ---------------------------------------------------------------------------
 # Policies and forward simulation
 
@@ -348,42 +339,6 @@ class OpenLoopPolicy:
 
 
 Policy = Union[FeedbackPolicy, OpenLoopPolicy]
-
-
-def open_loop_from_values(tree: ScenarioTree, t: int, d: int, values: Sequence,
-                          start: int | None = None, tol: float = 1e-12) -> OpenLoopPolicy:
-    """Build an open-loop policy from per-time control arrays, checking the
-    delayed-measurability requirement.
-
-    Each entry may be given at any node resolution between its information
-    level max(t, k-d) and full; finer-grained input is accepted only when it
-    is constant on each information atom (and is then compressed), otherwise
-    the control would depend on noise the controller cannot have seen.
-    """
-    start = t if start is None else start
-    out: list[np.ndarray] = []
-    for j, raw in enumerate(values):
-        k = start + j
-        u = np.atleast_2d(np.asarray(raw, dtype=float))
-        s = measurable_level(t, d, k)
-        want = 1 << (s - tree.start)
-        rows = u.shape[0]
-        if rows < want or rows % want != 0 or (rows // want) & (rows // want - 1):
-            raise ValidationError(
-                f"control at time {k} has {rows} rows; expected {want} times a "
-                f"power of two (atoms of the level-{s} information set)"
-            )
-        if u.shape[0] > want:
-            levels = int(np.log2(u.shape[0] // want))
-            coarse = block_mean(u, levels)
-            if float(np.max(np.abs(expand(coarse, levels) - u))) > tol:
-                raise ValidationError(
-                    f"control at time {k} varies within information atoms of "
-                    f"level {s}: delayed measurability violated"
-                )
-            u = coarse
-        out.append(u)
-    return OpenLoopPolicy(t=t, d=d, controls=out, start=start)
 
 
 @dataclass(frozen=True)

@@ -154,19 +154,24 @@ def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np
 
 
 class _StackedBlocks(Mapping):
-    """Read-only mapping (i, k) -> stacks[k][i] over per-time stacks
-    P^(0..r)_k, in the order of `stacks` and then of i; each lookup returns
-    a view into the stack."""
+    """Read-only mapping (i, k) -> P^(i)_k over the per-time stacks
+    P^(0..r_k)_k, r_k = min(k - t, d), of times N, N-1, ..., t: consecutive
+    slices of one (sum_k (r_k + 1), n, n) buffer, allocated here unless
+    given. Iteration follows the buffer (times N..t, then i); each lookup
+    returns a view into the buffer."""
 
-    __slots__ = ("_stacks",)
+    __slots__ = ("buffer", "stacks")
 
-    def __init__(self, stacks: dict[int, np.ndarray]):
-        self._stacks = stacks
+    def __init__(self, t: int, N: int, d: int, n: int, buffer: np.ndarray | None = None):
+        times = range(N, t - 1, -1)
+        bounds = np.cumsum([0] + [min(k - t, d) + 1 for k in times]).tolist()
+        self.buffer = np.empty((bounds[-1], n, n)) if buffer is None else buffer
+        self.stacks = {k: self.buffer[lo:hi] for k, lo, hi in zip(times, bounds, bounds[1:])}
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         try:
             i, k = key
-            stack = self._stacks[k]
+            stack = self.stacks[k]
         except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
         if not 0 <= i < len(stack):
@@ -174,10 +179,10 @@ class _StackedBlocks(Mapping):
         return stack[i]
 
     def __iter__(self):
-        return ((i, k) for k, stack in self._stacks.items() for i in range(len(stack)))
+        return ((i, k) for k, stack in self.stacks.items() for i in range(len(stack)))
 
     def __len__(self) -> int:
-        return sum(len(stack) for stack in self._stacks.values())
+        return len(self.buffer)
 
 
 def _check_solve_args(problem: ProblemData, t: int) -> None:
@@ -200,10 +205,8 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     # With one allocation per step, interleaved with the step's temporaries,
     # the peak memory of a process running many solves varied from one
     # process to the next by up to 8 MB.
-    times = range(N, t - 1, -1)
-    bounds = np.cumsum([0] + [min(k - t, d) + 1 for k in times]).tolist()
-    buffer = np.empty((bounds[-1], n, n))
-    stacks = {k: buffer[lo:hi] for k, lo, hi in zip(times, bounds, bounds[1:])}
+    blocks = _StackedBlocks(t, N, d, n)
+    stacks = blocks.stacks
     Pn = stacks[N]
     Pn.fill(0.0)
     Pn[0] = G
@@ -243,7 +246,7 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=_StackedBlocks(stacks),
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=blocks,
                            W=tuple(W), H=tuple(H), K=tuple(K))
 
 
@@ -373,12 +376,17 @@ def _blocks_to_dict(P: Mapping[tuple[int, int], np.ndarray]) -> dict:
 
 
 def _blocks_from_dict(raw: dict) -> dict[tuple[int, int], np.ndarray]:
-    """Inverse of _blocks_to_dict; malformed input raises KeyError,
-    ValueError, TypeError or AttributeError for the caller to report."""
-    blocks = {}
+    """Inverse of _blocks_to_dict; malformed input, including two keys that
+    name the same pair ("0,1" and "00,1"), raises KeyError, ValueError,
+    TypeError or AttributeError for the caller to report."""
+    blocks, names = {}, {}
     for key, M in raw.items():
         i_s, k_s = key.split(",")
-        blocks[(int(i_s), int(k_s))] = np.asarray(M, dtype=float)
+        pair = (int(i_s), int(k_s))
+        if pair in names:
+            raise ValueError(f"keys {names[pair]!r} and {key!r} both name the pair {pair}")
+        names[pair] = key
+        blocks[pair] = np.asarray(M, dtype=float)
     return blocks
 
 

@@ -10,7 +10,8 @@ import delq
 REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
            "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh",
            "FEAS_TOL", "state_response", "control_response", "adjoint_state",
-           "adjoint_control", "adjoint_terminal_state", "adjoint_terminal_control")
+           "adjoint_control", "adjoint_terminal_state", "adjoint_terminal_control",
+           "cond_expect", "open_loop_from_values")
 
 
 def test_every_exported_name_resolves():

@@ -306,6 +306,42 @@ def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
             assert bad not in proc.stderr, (argv, proc.stderr)
 
 
+def test_overflow_in_candidate_slack_is_a_numerical_breakdown(paths, tmp_path):
+    """A finite candidate whose slack overflows (P~^(0)_1 = 1e308 on the
+    scalar problem) ends in exit 4 naming the step, for check and construct,
+    without numpy warnings; it used to exit 2 with a message about S."""
+    data = candidate_to_dict(certificate_from_riccati(solve_riccati(scalar_problem(), 0),
+                                                      scalar_problem()))
+    data["P"]["0,1"] = [[1e308]]
+    path = tmp_path / "overflow-candidate.json"
+    path.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(delq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for sub in ("check", "construct"):
+        proc = subprocess.run([sys.executable, "-m", "delq", "lmei", sub, "--problem",
+                               paths["scalar"], "--candidate", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INCONSISTENT, (sub, proc.stderr)
+        assert proc.stderr == ("consistency failure: numerical breakdown: "
+                               "non-finite candidate slack at k=0\n"), sub
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["P"].__setitem__("00,1", [[-5.0]]),
+    lambda data: data.__setitem__("t", 0.7),
+    lambda data: data.__setitem__("t", False),
+])
+def test_lmei_rejects_ambiguous_candidate_json(paths, capsys, tmp_path, edit):
+    data = candidate_to_dict(certificate_from_riccati(solve_riccati(scalar_problem(), 0),
+                                                      scalar_problem()))
+    edit(data)
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(data))
+    assert main(["lmei", "check", "--problem", paths["scalar"],
+                 "--candidate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input: malformed candidate JSON: ")
+
+
 def test_linalg_error_is_a_numerical_breakdown(paths, capsys, monkeypatch):
     """A pseudo-inverse (or eigenvalue or oracle solve) that fails to
     converge ends in exit 4 with a message, not a traceback."""

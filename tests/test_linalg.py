@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from delq import (
     PSD_TOL,
+    ConsistencyError,
     ValidationError,
     is_pd,
     is_psd,
@@ -14,7 +15,7 @@ from delq import (
     schur_block_psd,
     symmetrize,
 )
-from delq.linalg import eig_margin, rel_deviation, scale_floor
+from delq.linalg import _schur_block, _schur_blocks, eig_margin, rel_deviation, scale_floor
 from delq.worked_example import REFERENCE_W, benchmark_report
 
 finite_entries = st.floats(min_value=-10.0, max_value=10.0,
@@ -131,6 +132,25 @@ def test_schur_block_dual_paths_agree_on_random_triples():
             W = symmetrize(rng.normal(size=(m, m)))
         result = schur_block_psd(S, H, W)  # raises on confident disagreement
         assert result == is_psd(np.block([[S, H.T], [H, W]]))
+
+
+def test_schur_block_gray_band_and_confident_split():
+    """W = diag(1, 1e-13): pinv drops the small direction, so a component h
+    of H along it leaves a range residual h that the direct route does not
+    see. Between tol and 100 tol the routes may split (gray band); beyond,
+    the split raises. The stacked test decides each block alone."""
+    S, W = np.array([[1.0]]), np.diag([1.0, 1e-13])
+    gray, split = np.array([[0.0], [5e-9]]), np.array([[0.0], [1e-6]])
+    assert schur_block_psd(S, gray, W)
+    with pytest.raises(ConsistencyError, match=r"direct=True, triple=False"):
+        schur_block_psd(S, split, W)
+    Ss, Ws = np.stack([S, S, S]), np.stack([W, W, W])
+    ok, margin = _schur_blocks(Ss, np.stack([gray, np.zeros((2, 1)), gray]), Ws, 1e-9)
+    assert ok.tolist() == [True, True, True]
+    assert margin.tolist() == [_schur_block(S, H, W, 1e-9)[1]
+                               for H in (gray, np.zeros((2, 1)), gray)]
+    with pytest.raises(ConsistencyError, match=r"direct=True, triple=False"):
+        _schur_blocks(Ss, np.stack([gray, split, gray]), Ws, 1e-9)
 
 
 def test_schur_block_near_singular_w():

@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from delq import (
+    ConsistencyError,
+    DelqError,
     ProblemData,
     UnsolvableError,
     ValidationError,
@@ -20,13 +23,39 @@ from delq import (
     trajectory_cost,
     zero_candidate,
 )
-from delq.lmei import correction_matrix, state_gap
-from delq.riccati import _wh_from_next
+from delq import lmei
+from delq.linalg import (
+    _as_matrix,
+    _require_symmetric,
+    eig_margin,
+    is_psd,
+    pinv,
+    range_residual,
+    rel_deviation,
+    symmetrize,
+)
+from delq.lmei import (
+    _CONSTRUCT_CONSISTENCY_TOL,
+    ConstraintStatus,
+    LmeiReport,
+    correction_matrix,
+    state_gap,
+)
+from delq.riccati import (
+    SOLVABLE_ALL_PAIRS,
+    RiccatiSolution,
+    _backward,
+    _wh_from_next,
+    classify,
+    solution_from_dict,
+)
 from delq.model import random_open_loop
 
 from conftest import (
+    draw_mixed,
     nonneg_problem,
     notconvex_problem,
+    scalar_problem,
     uniquely_solvable_instances,
 )
 
@@ -74,6 +103,35 @@ def test_make_candidate_rejects_structural_defects(scalar):
         make_candidate(scalar, 0, bad_value)
 
 
+def test_make_candidate_reports_the_first_bad_entry_in_input_order():
+    """Shape, finiteness and symmetry are checked in stacked calls, but the
+    message still names the first defective entry in dict order."""
+    prob = nonneg_problem(0, n=2)
+    keys = list(zero_candidate(prob, 0).P)
+    asym = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+    def entries(**bad):
+        out = {key: np.zeros((2, 2)) for key in keys}
+        for j, M in bad.items():
+            out[keys[int(j[1:])]] = M
+        return out
+
+    with pytest.raises(ValidationError, match=rf"entry {re.escape(str(keys[1]))} is not symmetric"):
+        make_candidate(prob, 0, entries(e1=asym, e4=np.zeros((1, 1))))
+    with pytest.raises(ValidationError, match=rf"entry {re.escape(str(keys[1]))} must be 2x2"):
+        make_candidate(prob, 0, entries(e1=np.zeros((1, 1)), e4=asym))
+    with pytest.raises(ValidationError, match=rf"entry {re.escape(str(keys[2]))} contains non-finite"):
+        make_candidate(prob, 0, entries(e2=np.full((2, 2), np.inf), e3=asym,
+                                        e5=np.zeros(3)))
+    with pytest.raises(ValidationError, match=rf"entry {re.escape(str(keys[0]))} is not symmetric"):
+        make_candidate(prob, 0, entries(e0=asym, e2=np.full((2, 2), np.nan)))
+    # entry defects come before the index structure
+    bad = entries(e3=asym)
+    del bad[keys[0]]
+    with pytest.raises(ValidationError, match="not symmetric"):
+        make_candidate(prob, 0, bad)
+
+
 def test_make_candidate_rejects_asymmetry():
     prob = nonneg_problem(0, n=2)
     entries = {key: np.zeros((2, 2)) for key in zero_candidate(prob, 0).P}
@@ -103,6 +161,34 @@ def test_candidate_json_round_trip(scalar, scalar_solution):
         candidate_from_dict(scalar, {"P": {}})
     with pytest.raises(ValidationError, match="malformed"):  # ragged matrix
         candidate_from_dict(scalar, {"t": 0, "P": {"0,0": [[1.0], [1.0, 2.0]]}})
+
+
+def test_candidate_json_rejects_two_keys_for_one_pair(scalar, scalar_solution):
+    """"0,1" and "00,1" both name P~^(0)_1; the last one used to win, which
+    turned the feasible certificate infeasible."""
+    data = candidate_to_dict(certificate_from_riccati(scalar_solution, scalar))
+    assert check_membership(candidate_from_dict(scalar, data), scalar, 0).feasible
+    data["P"]["00,1"] = [[-5.0]]
+    with pytest.raises(ValidationError,
+                       match=r"malformed candidate JSON: keys '0,1' and '00,1' both name"):
+        candidate_from_dict(scalar, data)
+
+
+@pytest.mark.parametrize("t", [0.7, False, True, 1.0, "0", None])
+def test_candidate_json_requires_an_integer_t(scalar, t):
+    data = candidate_to_dict(zero_candidate(scalar, 0))
+    data["t"] = t
+    with pytest.raises(ValidationError, match="malformed candidate JSON: t must be an integer"):
+        candidate_from_dict(scalar, data)
+
+
+def test_solution_json_rejects_two_keys_for_one_pair(scalar_solution):
+    from delq import solution_to_dict
+    data = json.loads(json.dumps(solution_to_dict(scalar_solution)))
+    data["P"]["0,01"] = data["P"]["0,1"]
+    with pytest.raises(ValidationError,
+                       match=r"malformed solution JSON: keys '0,1' and '0,01' both name"):
+        solution_from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +353,272 @@ def test_state_gap_of_certificate_is_psd(scalar, scalar_solution):
     for k in range(1, scalar.N):
         gap = state_gap(cand, scalar, k)
         assert np.min(np.linalg.eigvalsh(gap)) >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked layer against the per-constraint loop it replaced
+
+def _reference_schur_block(S, H, W, tol):
+    """The Schur block test as one call per block, both routes and the gray
+    band (the arithmetic the stacked test must reproduce)."""
+    S = _require_symmetric(S, "S")
+    W = _require_symmetric(W, "W")
+    H = _as_matrix(H, "H")
+    block = eig_margin(np.block([[S, H.T], [H, W]]))[1]
+    w_min = eig_margin(W)[1]
+    resid = range_residual(H, W)
+    comp = eig_margin(S - H.T @ pinv(W) @ H)[1]
+
+    def _triple(t: float) -> bool:
+        return w_min >= -t and resid <= t and comp >= -t
+
+    direct, triple = block >= -tol, _triple(tol)
+    if direct != triple:
+        if not (block >= -100.0 * tol and _triple(100.0 * tol)):
+            raise ConsistencyError(
+                "schur_block_psd: direct block test and Schur-complement "
+                f"triple disagree (direct={direct}, triple={triple})"
+            )
+    return direct, block
+
+
+def _reference_check_membership(cand, problem, t, tol=1e-9):
+    """check_membership as one verdict call per constraint."""
+    records = []
+
+    def add(kind, k, i, margin, satisfied=None):
+        ok = (margin >= -tol) if satisfied is None else satisfied
+        records.append(ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=ok))
+
+    N, d = cand.N, cand.d
+    add("terminal_gap", N, 0, eig_margin(problem.G - cand.P_at(0, N))[1])
+    for j in range(1, min(N - t, d) + 1):
+        add("terminal_zero", N, j, -rel_deviation(cand.P_at(j, N), 0.0))
+
+    for k in range(t, N):
+        W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+        if k == t:
+            upper = state_gap(cand, problem, k)
+        else:
+            add("inequality", k, 0, eig_margin(state_gap(cand, problem, k))[1])
+            r = min(k - t, d)
+            for i in range(1, r):
+                lhs = cand.P_at(i, k)
+                rhs = problem.A[k].T @ cand.P_at(i + 1, k + 1) @ problem.A[k]
+                add("equality", k, i, -rel_deviation(lhs - rhs, rhs))
+            upper = correction_matrix(cand, problem, k)
+        block_ok, margin = _reference_schur_block(upper, H, W, tol)
+        add("block", k, None, margin, satisfied=block_ok)
+
+    feasible = all(c.satisfied for c in records)
+    return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
+
+
+def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
+    """construct_from_candidate with per-step W/H checks and a per-key P."""
+    report = _reference_check_membership(cand, problem, t, tol)
+    if not report.feasible:
+        worst = report.worst()
+        raise UnsolvableError(
+            "candidate is infeasible: worst constraint "
+            f"{worst.kind} at k={worst.k} (margin {worst.margin:.3e})"
+        )
+    n, N, d = cand.n, cand.N, cand.d
+    Q_aux = {k: state_gap(cand, problem, k) for k in range(t, N)}
+    W_cand, H_cand = {}, {}
+    for k in range(t, N):
+        W_cand[k], H_cand[k] = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d),
+                                             problem.R[k])
+    delta = {k: correction_matrix(cand, problem, k) for k in range(t + 1, N)}
+    G_aux = symmetrize(problem.G - cand.P_at(0, N))
+    aux = lmei._backward(problem, t, Q_aux, W_cand, G_aux, pinv_rtol, S=H_cand,
+                         delta=delta)
+
+    P = {key: symmetrize(cand.P[key] + aux.P[key]) for key in cand.P}
+    W_fin, H_fin, K_fin = [], [], []
+    for k in range(t, N):
+        Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), problem.R[k])
+        dW = rel_deviation(Wk - aux.W[k - t], Wk)
+        dH = rel_deviation(Hk - aux.H[k - t], Hk)
+        if max(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL:
+            raise ConsistencyError(
+                f"constructed solution disagrees with auxiliary recursion at k={k}: "
+                f"W deviation {dW:.3e}, H deviation {dH:.3e}"
+            )
+        if not is_psd(Wk, max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL)):
+            raise ConsistencyError(f"constructed W_{k} is not PSD (numerical breakdown)")
+        rr = range_residual(Hk, Wk)
+        if rr > max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL):
+            raise ConsistencyError(
+                f"constructed H_{k} leaves the range of W_{k} (residual {rr:.3e})"
+            )
+        W_fin.append(Wk)
+        H_fin.append(Hk)
+        K_fin.append(-pinv(Wk, pinv_rtol) @ Hk)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
+                           W=tuple(W_fin), H=tuple(H_fin), K=tuple(K_fin))
+
+
+def _perturbed(cand, problem, seed, scale=1e-3):
+    """The candidate with every entry moved by a small symmetric matrix."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for key, M in cand.P.items():
+        E = rng.normal(scale=scale, size=M.shape)
+        entries[key] = M + E + E.T
+    return make_candidate(problem, cand.t, entries)
+
+
+def _parity_cases():
+    """(problem, t, candidate): zero, certificate and perturbed candidates,
+    t > 0, ramp-up horizons N - t <= d, d = 1, longer horizons."""
+    cases = []
+    for seed in range(8):
+        problem = nonneg_problem(seed)
+        cases.append((problem, 0, zero_candidate(problem, 0)))
+    for seed in range(10):
+        problem, t = draw_mixed(seed)
+        cases.append((problem, t, zero_candidate(problem, t)))
+    for seed, problem, t, sol in uniquely_solvable_instances(8, start_seed=300):
+        cand = certificate_from_riccati(sol, problem)
+        cases += [(problem, t, cand), (problem, t, _perturbed(cand, problem, seed))]
+    for j, (n, m, horizon, d, t) in enumerate([(2, 1, 12, 1, 3), (2, 2, 10, 4, 2),
+                                                (1, 1, 6, 6, 1), (3, 2, 16, 9, 0),
+                                                (2, 1, 5, 5, 3), (1, 2, 14, 11, 4)]):
+        problem = nonneg_problem(60 + j, n=n, m=m, horizon=horizon, d=d)
+        sol = solve_riccati(problem, t)
+        cases.append((problem, t, zero_candidate(problem, t)))
+        if classify(sol).at_least(SOLVABLE_ALL_PAIRS):
+            cand = certificate_from_riccati(sol, problem)
+            cases += [(problem, t, cand), (problem, t, _perturbed(cand, problem, j))]
+    return cases
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DelqError as exc:
+        return type(exc), str(exc)
+
+
+def test_stacked_layer_matches_per_constraint_loop():
+    """Every ConstraintStatus (kind, k, i, margin, satisfied), the report
+    order, every constructed P/W/H/K and every refusal equal the
+    per-constraint loop's exactly."""
+    cases = _parity_cases()
+    feasible = 0
+    for problem, t, cand in cases:
+        got = check_membership(cand, problem, t)
+        want = _reference_check_membership(cand, problem, t)
+        assert got.constraints == want.constraints
+        assert got.feasible is want.feasible
+        for c in got.constraints:
+            assert type(c.margin) is float and type(c.satisfied) is bool
+        built = _outcome(construct_from_candidate, cand, problem, t)
+        ref = _outcome(_reference_construct, cand, problem, t)
+        if isinstance(ref, tuple):
+            assert built == ref
+            continue
+        feasible += 1
+        assert list(built.P) == list(ref.P)
+        for key in ref.P:
+            assert np.array_equal(built.P[key], ref.P[key]), key
+        for name in "WHK":
+            pairs = zip(getattr(built, name), getattr(ref, name), strict=True)
+            assert all(np.array_equal(a, b) for a, b in pairs), name
+    # the cases cover what they claim
+    assert 0 < feasible < len(cases)
+    assert any(t > 0 for _, t, _ in cases)
+    assert any(problem.N - t <= problem.d for problem, t, _ in cases)
+    assert any(problem.d == 1 for problem, _, _ in cases)
+    assert any(problem.N - t > problem.d + 5 for problem, t, _ in cases)
+
+
+def test_check_membership_makes_a_fixed_number_of_decompositions(monkeypatch):
+    """The constraints are graded in stacked calls: as many eigvalsh (and
+    svd) calls at N = 20 as at N = 200."""
+    counts = []
+    for horizon in (20, 200):
+        problem = nonneg_problem(7, n=2, m=2, horizon=horizon, d=6)
+        cand = zero_candidate(problem, 0)
+        calls = {"eigvalsh": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            # np.linalg.pinv calls svd through numpy's own module, so patch both.
+            for module in (np.linalg, getattr(np.linalg, "_linalg", None)):
+                if module is not None:
+                    for name in calls:
+                        patch.setattr(module, name, counting(name, getattr(module, name)))
+            assert len(check_membership(cand, problem, 0).constraints) > horizon
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["eigvalsh"] > 0
+
+
+def test_overflowing_slack_is_a_numerical_breakdown():
+    """Finite candidates whose slack overflows raise ConsistencyError naming
+    the earliest step, the terminal gap counting as k = N."""
+    scalar = scalar_problem()
+    entries = dict(zero_candidate(scalar, 0).P)
+    entries[(0, 1)] = np.array([[1e308]])
+    cand = make_candidate(scalar, 0, entries)
+    for fn in (check_membership, construct_from_candidate):
+        with pytest.raises(ConsistencyError,
+                           match=r"numerical breakdown: non-finite candidate slack at k=0$"):
+            fn(cand, scalar, 0)
+    big_g = ProblemData(n=1, m=1, N=3, d=2, A=scalar.A, B=scalar.B, C=scalar.C,
+                        D=scalar.D, Q=scalar.Q, R=scalar.R, G=[[1e308]])
+    entries = dict(zero_candidate(big_g, 0).P)
+    entries[(0, 3)] = np.array([[-8e307]])
+    with pytest.raises(ConsistencyError, match=r"non-finite candidate slack at k=3$"):
+        check_membership(make_candidate(big_g, 0, entries), big_g, 0)
+
+
+def test_overflowing_construction_is_a_numerical_breakdown(monkeypatch):
+    """P = P~ + U and the W/H recomputed from it are checked for overflow in
+    one call each; the earliest non-finite step is named."""
+    scalar = scalar_problem()
+    cand = certificate_from_riccati(solve_riccati(scalar, 0), scalar)
+
+    def inflating(times, value):
+        def backward(*args, **kwargs):
+            aux = _backward(*args, **kwargs)
+            for k in times:
+                aux.P.stacks[k][...] = value
+            return aux
+        return backward
+
+    monkeypatch.setattr(lmei, "_backward", inflating((3, 2), 1e308))
+    with pytest.raises(ConsistencyError, match=r"non-finite P at k=2$"):
+        construct_from_candidate(cand, scalar, 0)
+    # finite P whose three blocks at time 3 overflow W_2 = R + B^T (sum P) B
+    monkeypatch.setattr(lmei, "_backward", inflating((3,), 8e307))
+    with pytest.raises(ConsistencyError, match=r"non-finite W/H at k=2$"):
+        construct_from_candidate(cand, scalar, 0)
+
+
+def test_construct_names_the_first_disagreeing_step_like_the_loop(monkeypatch):
+    """An auxiliary recursion whose W disagrees with the W recomputed from
+    P = P~ + U is refused at the same step, with the same message, as by
+    the per-step loop."""
+    problem = nonneg_problem(3, n=2, m=2, horizon=9, d=3)
+    cand = zero_candidate(problem, 1)
+
+    def skewed(*args, **kwargs):
+        aux = _backward(*args, **kwargs)
+        W = list(aux.W)
+        for j in (5, 2):
+            W[j] = W[j] * (1.0 + 1e-6)
+        return RiccatiSolution(t=aux.t, N=aux.N, d=aux.d, n=aux.n, m=aux.m, P=aux.P,
+                               W=tuple(W), H=aux.H, K=aux.K)
+
+    monkeypatch.setattr(lmei, "_backward", skewed)
+    got = _outcome(construct_from_candidate, cand, problem, 1)
+    assert got == _outcome(_reference_construct, cand, problem, 1)
+    assert got[0] is ConsistencyError and "disagrees with auxiliary recursion at k=3" in got[1]

@@ -13,10 +13,8 @@ from delq import (
     ResourceLimitError,
     ValidationError,
     build_tree,
-    cond_expect,
     ensure_valid,
     load_problem,
-    open_loop_from_values,
     problem_from_dict,
     problem_to_dict,
     rollout,
@@ -97,18 +95,6 @@ def test_expand_then_mean_is_identity():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(4, 3))
     assert np.array_equal(block_mean(expand(values, 2), 2), values)
-
-
-def test_cond_expect_recovers_earlier_noise():
-    # X_2 = w_0 + w_1; conditioning on time 1 must return w_0 exactly.
-    tree = build_tree(0, 2)
-    x2 = np.array([[w0 + w1] for w0, w1 in
-                   (tree.noise_path(2, node) for node in range(4))])
-    proc = AdaptedProcess(tree=tree, first=2, values=(x2,))
-    assert np.array_equal(cond_expect(proc, 2, 1), [[1.0], [-1.0]])
-    assert np.array_equal(cond_expect(proc, 2, 0), [[0.0]])
-    with pytest.raises(ValidationError):
-        cond_expect(proc, 2, 3)
 
 
 def test_adapted_process_shape_validation():
@@ -230,25 +216,6 @@ def test_problem_from_dict_missing_fields():
 
 # ---------------------------------------------------------------------------
 # Policies, measurability, simulation
-
-def test_open_loop_accepts_only_atom_constant_controls():
-    prob = scalar_problem()
-    tree = build_tree(0, prob.N)
-    # time 2 has information level 0 (d = 2): a single scalar control
-    fine_constant = [np.zeros((1, 1)), np.zeros((1, 1)), np.full((4, 1), 0.7)]
-    policy = open_loop_from_values(tree, 0, prob.d, fine_constant)
-    assert policy.controls[2].shape == (1, 1)
-    assert policy.controls[2][0, 0] == pytest.approx(0.7)
-
-    varying = [np.zeros((1, 1)), np.zeros((1, 1)),
-               np.array([[0.7], [0.7], [0.7], [0.1]])]
-    with pytest.raises(ValidationError, match="measurability"):
-        open_loop_from_values(tree, 0, prob.d, varying)
-
-    with pytest.raises(ValidationError, match="rows"):
-        open_loop_from_values(tree, 0, prob.d,
-                              [np.zeros((3, 1)), np.zeros((1, 1)), np.zeros((1, 1))])
-
 
 def test_policy_control_shape_enforcement():
     prob = scalar_problem()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -29,7 +30,7 @@ from delq import (
 from delq import lmei
 from delq.linalg import PINV_RTOL, pinv, symmetrize
 from delq.model import random_open_loop
-from delq.riccati import RiccatiSolution, classification_rank
+from delq.riccati import RiccatiSolution, _StackedBlocks, classification_rank
 from delq.worked_example import REFERENCE_GAINS
 
 from conftest import (
@@ -282,6 +283,19 @@ def test_stacked_kernel_matches_per_index_loop():
         _assert_identical(solve_riccati(problem, t), want)
 
 
+def _in_stacked_layout(sol):
+    """sol with its per-(i, k) P copied into the kernel's stacked layout,
+    which construct_from_candidate adds to the candidate's buffer in one
+    call."""
+    if isinstance(sol.P, _StackedBlocks):
+        return sol
+    blocks = _StackedBlocks(sol.t, sol.N, sol.d, sol.n)
+    assert set(sol.P) == set(blocks)
+    for key in blocks:
+        blocks[key][...] = sol.P[key]
+    return dataclasses.replace(sol, P=blocks)
+
+
 def _construct_with(backward, cand, problem, t, monkeypatch):
     """construct_from_candidate with lmei's kernel replaced by `backward`;
     returns the auxiliary recursion and the constructed solution."""
@@ -289,7 +303,7 @@ def _construct_with(backward, cand, problem, t, monkeypatch):
 
     def recording(*args, **kwargs):
         aux.append(backward(*args, **kwargs))
-        return aux[-1]
+        return _in_stacked_layout(aux[-1])
 
     with monkeypatch.context() as patch:
         patch.setattr(lmei, "_backward", recording)
