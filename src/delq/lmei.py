@@ -17,7 +17,8 @@ P~^(0..r)_k, r = min(k-t, d), is one stack per time, and the stacks of times
 N, N-1, ..., t are consecutive slices of one buffer (riccati._StackedBlocks),
 so a lookup by (i, k) returns a view. Finiteness and symmetry of all entries
 are checked in one stacked call; a message still names the first bad entry
-in input order.
+in input order. A finite entry whose symmetrized value overflows raises
+ConsistencyError naming the earliest step.
 
 One slack pass per candidate computes every per-step quantity under
 np.errstate: W~_k and H~_k (the kernel's W/H formula on the stack of time
@@ -34,7 +35,6 @@ buffer add and verifies the final W/H/K in stacked calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .riccati import (
     _blocks_from_dict,
     _blocks_to_dict,
     _StackedBlocks,
+    _stacked_keys,
     _wh_from_stack,
     classify,
 )
@@ -96,7 +97,7 @@ def _check_candidate_args(problem: ProblemData, t: int) -> None:
         raise ValidationError(f"t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
 
 
-def _check_entries(keys, stack: np.ndarray) -> None:
+def _check_entries(keys: list, stack: np.ndarray) -> None:
     """Raise for the first non-finite or asymmetric matrix of `stack`, named
     by the key at its position in `keys`."""
     finite = np.isfinite(stack).all(axis=(-2, -1))
@@ -104,19 +105,27 @@ def _check_entries(keys, stack: np.ndarray) -> None:
     if good.all():
         return
     j = int(np.argmin(good))
-    key = next(islice(keys, j, None))
+    key = keys[j]
     if not finite[j]:
         raise ValidationError(f"candidate entry {key} contains non-finite entries")
     raise ValidationError(f"candidate entry {key} is not symmetric within tolerance")
 
 
-def _candidate(problem: ProblemData, t: int, buffer: np.ndarray) -> LmeiCandidate:
-    """The candidate over `buffer`, in _StackedBlocks' layout for (t, N, d, n),
-    with every block symmetrized."""
+def _candidate(problem: ProblemData, t: int, stack: np.ndarray) -> LmeiCandidate:
+    """The candidate over the symmetrized `stack`, whose rows are in
+    _StackedBlocks' layout for (t, N, d, n). A finite entry whose
+    symmetrization overflows raises ConsistencyError naming the earliest step."""
     n, N, d = problem.n, problem.N, problem.d
     with np.errstate(over="ignore"):
-        blocks = _StackedBlocks(t, N, d, n, symmetrize(buffer))
-    return LmeiCandidate(t=t, N=N, d=d, n=n, P=blocks)
+        buffer = symmetrize(stack)
+    finite = np.isfinite(buffer).all(axis=(1, 2))
+    if not finite.all():
+        bad = [key for key, ok in zip(_stacked_keys(t, N, d), finite.tolist()) if not ok]
+        i, k = min(bad, key=lambda key: (key[1], key[0]))
+        raise ConsistencyError(
+            f"numerical breakdown: non-finite symmetrized candidate P~^({i}) at k={k}"
+        )
+    return LmeiCandidate(t=t, N=N, d=d, n=n, P=_StackedBlocks(t, N, d, n, buffer))
 
 
 def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate:
@@ -138,7 +147,7 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
     _check_entries(keys, stack)  # the entries before a misshapen one
     if misshapen:
         raise ValidationError(misshapen)
-    layout = _StackedBlocks(t, N, d, n)
+    layout = _stacked_keys(t, N, d)
     want, have = set(layout), set(keys)
     if have != want:
         missing = sorted(want - have)
@@ -150,8 +159,7 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
             parts.append(f"unexpected entries {extra[:6]}{'...' if len(extra) > 6 else ''}")
         raise ValidationError("candidate index structure is wrong: " + "; ".join(parts))
     position = {key: j for j, key in enumerate(keys)}
-    np.take(stack, [position[key] for key in layout], axis=0, out=layout.buffer)
-    return _candidate(problem, t, layout.buffer)
+    return _candidate(problem, t, stack[[position[key] for key in layout]])
 
 
 def zero_candidate(problem: ProblemData, t: int) -> LmeiCandidate:
@@ -350,14 +358,7 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
         raise UnsolvableError(
             f"classification {report.classification} is too weak for a certificate"
         )
-    if isinstance(sol.P, _StackedBlocks) and (sol.N, sol.d, sol.n) == \
-            (problem.N, problem.d, problem.n):
-        # The kernel's layout is the candidate's: one stacked check, one copy.
-        _check_candidate_args(problem, sol.t)
-        _check_entries(sol.P, sol.P.buffer)
-        return _candidate(problem, sol.t, sol.P.buffer)
-    entries = {key: M.copy() for key, M in sol.P.items()}
-    return make_candidate(problem, sol.t, entries)
+    return make_candidate(problem, sol.t, dict(sol.P))
 
 
 def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
@@ -397,7 +398,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         finite = np.isfinite(P.buffer).all(axis=(1, 2))
         if not finite.all():
             # The buffer runs from time N down to t: the last bad row is earliest.
-            k = next(islice(P, int(np.flatnonzero(~finite)[-1]), None))[1]
+            k = _stacked_keys(t, N, d)[int(np.flatnonzero(~finite)[-1])][1]
             raise ConsistencyError(f"numerical breakdown: non-finite P at k={k}")
         # W/H recomputed from P (the defining sums), cross-checked against the
         # auxiliary quantities, which must coincide.

@@ -153,6 +153,11 @@ def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np
     return _wh_from_next(problem, sol.P, k, sol.top_index(k + 1), problem.R[k])
 
 
+def _stacked_keys(t: int, N: int, d: int) -> list[tuple[int, int]]:
+    """The (i, k) of the rows of _StackedBlocks' buffer, in order."""
+    return [(i, k) for k in range(N, t - 1, -1) for i in range(min(k - t, d) + 1)]
+
+
 class _StackedBlocks(Mapping):
     """Read-only mapping (i, k) -> P^(i)_k over the per-time stacks
     P^(0..r_k)_k, r_k = min(k - t, d), of times N, N-1, ..., t: consecutive

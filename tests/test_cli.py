@@ -306,13 +306,21 @@ def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
             assert bad not in proc.stderr, (argv, proc.stderr)
 
 
-def test_overflow_in_candidate_slack_is_a_numerical_breakdown(paths, tmp_path):
-    """A finite candidate whose slack overflows (P~^(0)_1 = 1e308 on the
-    scalar problem) ends in exit 4 naming the step, for check and construct,
-    without numpy warnings; it used to exit 2 with a message about S."""
+@pytest.mark.parametrize("edit, message", [
+    (lambda P: P.__setitem__("0,1", [[1e308]]),
+     "non-finite symmetrized candidate P~^(0) at k=1"),
+    (lambda P: P.update({f"{i},2": [[8e307]] for i in range(3)}),
+     "non-finite candidate slack at k=1"),
+], ids=["symmetrization", "slack"])
+def test_overflow_in_candidate_is_a_numerical_breakdown(paths, tmp_path, edit, message):
+    """A finite candidate whose arithmetic overflows on the scalar problem
+    ends in exit 4 naming the step, for check and construct, without numpy
+    warnings: P~^(0)_1 = 1e308 overflows (S + S^T)/2 (it used to exit 2
+    with a message about S), three blocks of 8e307 at time 2 overflow the
+    slack W~_1."""
     data = candidate_to_dict(certificate_from_riccati(solve_riccati(scalar_problem(), 0),
                                                       scalar_problem()))
-    data["P"]["0,1"] = [[1e308]]
+    edit(data["P"])
     path = tmp_path / "overflow-candidate.json"
     path.write_text(json.dumps(data))
     src = os.path.dirname(os.path.dirname(delq.__file__))
@@ -322,8 +330,7 @@ def test_overflow_in_candidate_slack_is_a_numerical_breakdown(paths, tmp_path):
                                paths["scalar"], "--candidate", str(path)],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == EXIT_INCONSISTENT, (sub, proc.stderr)
-        assert proc.stderr == ("consistency failure: numerical breakdown: "
-                               "non-finite candidate slack at k=0\n"), sub
+        assert proc.stderr == f"consistency failure: numerical breakdown: {message}\n", sub
 
 
 @pytest.mark.parametrize("edit", [

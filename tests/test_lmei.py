@@ -561,17 +561,45 @@ def test_check_membership_makes_a_fixed_number_of_decompositions(monkeypatch):
     assert counts[0]["eigvalsh"] > 0
 
 
-def test_overflowing_slack_is_a_numerical_breakdown():
-    """Finite candidates whose slack overflows raise ConsistencyError naming
-    the earliest step, the terminal gap counting as k = N."""
+def test_overflowing_symmetrization_is_a_numerical_breakdown():
+    """A finite entry whose symmetrized value (S + S^T)/2 overflows is refused
+    when the candidate is made, naming the earliest such step."""
     scalar = scalar_problem()
     entries = dict(zero_candidate(scalar, 0).P)
     entries[(0, 1)] = np.array([[1e308]])
-    cand = make_candidate(scalar, 0, entries)
+    entries[(1, 2)] = np.array([[-1e308]])
+    entries[(0, 3)] = np.array([[1e308]])
+    with pytest.raises(ConsistencyError, match=r"numerical breakdown: "
+                       r"non-finite symmetrized candidate P~\^\(0\) at k=1$"):
+        make_candidate(scalar, 0, entries)
+    del entries[(0, 1)]
+    entries = {(0, 1): np.array([[0.0]]), **entries}
+    with pytest.raises(ConsistencyError, match=r"candidate P~\^\(1\) at k=2$"):
+        make_candidate(scalar, 0, entries)
+
+
+def test_overflowing_slack_is_a_numerical_breakdown():
+    """Finite candidates whose slack arithmetic overflows raise
+    ConsistencyError naming the earliest step, the terminal gap counting as
+    k = N."""
+    one = [[[1.0]]] * 3
+    wide = ProblemData(n=1, m=1, N=3, d=2, A=[[[1e5]]] * 3, B=one, C=one, D=one,
+                       Q=one, R=one, G=[[1.0]])
+    entries = dict(zero_candidate(wide, 0).P)
+    entries[(0, 2)] = np.array([[1e300]])  # A^T P~^(0)_2 A = 1e310
+    cand = make_candidate(wide, 0, entries)
+    assert np.isfinite(cand.P.buffer).all()
     for fn in (check_membership, construct_from_candidate):
         with pytest.raises(ConsistencyError,
-                           match=r"numerical breakdown: non-finite candidate slack at k=0$"):
-            fn(cand, scalar, 0)
+                           match=r"numerical breakdown: non-finite candidate slack at k=1$"):
+            fn(cand, wide, 0)
+    # three finite blocks at time 2 whose sum overflows W~_1 = R + B^T (sum P) B
+    scalar = scalar_problem()
+    entries = dict(zero_candidate(scalar, 0).P)
+    for i in range(3):
+        entries[(i, 2)] = np.array([[8e307]])
+    with pytest.raises(ConsistencyError, match=r"non-finite candidate slack at k=1$"):
+        check_membership(make_candidate(scalar, 0, entries), scalar, 0)
     big_g = ProblemData(n=1, m=1, N=3, d=2, A=scalar.A, B=scalar.B, C=scalar.C,
                         D=scalar.D, Q=scalar.Q, R=scalar.R, G=[[1e308]])
     entries = dict(zero_candidate(big_g, 0).P)
