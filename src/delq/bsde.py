@@ -4,13 +4,12 @@ brute-force quadratic oracle.
 Under the two-point noise the admissible control set is a finite-dimensional
 Euclidean space (one m-vector per information atom per time), so the cost is
 literally a quadratic form J(t,x;u) = u^T M u + 2 b^T u + c over stacked
-control coordinates. This module materializes that form by simulating the
-zero-state response of every basis coordinate once and accumulating
-probability-weighted Gram products, minimizes it from one symmetric
-eigendecomposition of M (boundedness verdict, minimizer and value), and
-provides the backward-equation machinery (adjoint operators, first-order
-stationarity residual, decoupling residual) used to cross-check the Riccati
-route. Everything here is exact up to floating point — no sampling.
+control coordinates. This module materializes that form from one zero-state
+response pattern per (time, control component), minimizes it from one
+symmetric eigendecomposition of M (boundedness verdict, minimizer and
+value), and provides the backward-equation machinery (adjoint operators,
+first-order stationarity residual, decoupling residual) used to cross-check
+the Riccati route. Everything here is exact up to floating point — no sampling.
 """
 from __future__ import annotations
 
@@ -41,7 +40,8 @@ from .model import (
     zero_policy,
 )
 
-#: Default cap on the stacked-control dimension for oracle assembly.
+#: Default cap on the stacked-control dimension: it bounds M's dim^2 memory
+#: and the O(dim^3) eigh of the oracle.
 STACKED_DIM_CAP = 4096
 
 
@@ -248,13 +248,14 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
                        dim_cap: int = STACKED_DIM_CAP) -> QuadraticForm:
     """Materialize the cost as an explicit quadratic form.
 
-    One joint forward sweep carries the homogeneous response to x and the
-    zero-state response of every stacked basis control; at each time the
-    Q-weighted (and finally G-weighted) Gram products accumulate into M, the
-    cross products with the homogeneous response into b, and the homogeneous
-    cost into c. The R-blocks of M are added analytically (controls at
-    different times never meet through R). Identical to evaluating J on
-    basis controls and polarizing, but with one simulation per coordinate.
+    Every atom's subtree runs the same dynamics, so the zero-state response
+    to basis control (time j, atom a, component i) is one pattern per
+    (j, i), placed on a's subtree. One sweep steps the response to x and the
+    patterns together; per time and acted time j2, one Gram product against
+    j2's weighted pattern accumulates b's j2 segment and, per j1 <= j2, a
+    table over the position of j2's atom inside j1's. The tables fill M
+    along the ancestor diagonal (disjoint subtrees never meet), R joins the
+    diagonal ones, and the lower block triangle mirrors the upper.
     """
     ensure_valid(problem)
     if not 0 <= t <= problem.N - 1:
@@ -274,64 +275,48 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
     if x.shape != (n,):
         raise ValidationError(f"initial state must have length {n}, got {x.shape}")
 
-    M = np.zeros((dim, dim))
-    b = np.zeros(dim)
+    atoms = layout.atoms
+    # acc[j2]: b's j2 segment, then a table per j1 <= j2
+    acc = [np.zeros((a2 + m * sum(a2 // a1 for a1 in atoms[:j2 + 1]), m))
+           for j2, a2 in enumerate(atoms)]
     c = 0.0
-    X0 = x[None, :]                      # homogeneous response, (nodes, n)
-    S = np.zeros((dim, 1, n))            # basis responses, (dim, nodes, n)
+    Z = x[None, :]      # response to x, then one pattern per acted time
+    ends = [1]          # row end of each
+    for j in range(problem.N - t + 1):
+        k = t + j
+        ZW = Z @ symmetrize(problem.Q[k] if k < problem.N else problem.G)
+        prob = 1.0 / tree.n_nodes(k)
+        c += prob * float(np.sum(ZW[:ends[0]] * Z[:ends[0]]))
+        for j2 in range(j):
+            lo, hi = ends[j2], ends[j2 + 1]
+            width = (hi - lo) // m * n
+            acc[j2] += prob * (Z[:hi].reshape(-1, width) @ ZW[lo:hi].reshape(m, width).T)
+        if k == problem.N:
+            break
+        rows = tree.n_nodes(k) // atoms[j]   # time k's pattern, zero state
+        U = np.zeros((ends[-1] + m * rows, m))
+        U[ends[-1]:] = np.repeat(np.eye(m), rows, axis=0)
+        Z = tree_step(problem, k, np.concatenate([Z, np.zeros((m * rows, n))]), U)
+        ends = [2 * e for e in ends] + [2 * len(U)]
 
-    def accumulate(weight_mat: np.ndarray, prob: float) -> None:
-        nonlocal c
-        WX0 = X0 @ weight_mat
-        Sf = S.reshape(dim, -1)
-        M_part = (S @ weight_mat).reshape(dim, -1) @ Sf.T
-        M_part *= prob
-        M[...] += M_part
-        b[...] += prob * (Sf @ WX0.ravel())
-        c += prob * float(np.sum(WX0 * X0))
-
-    for k in range(t, problem.N):
-        nodes = tree.n_nodes(k)
-        accumulate(problem.Q[k], 1.0 / nodes)
-
-        j = k - t
-        atoms = layout.atoms[j]
-        off = layout.offsets[j]
-        prob_atom = 1.0 / atoms
-        for a in range(atoms):
-            sl = slice(off + a * m, off + (a + 1) * m)
-            M[sl, sl] += prob_atom * problem.R[k]
-
-        # Basis controls acting now: coordinate (k, atom a, component i) is
-        # e_i on every node descending from atom a.
-        U = np.zeros((dim, nodes, m))
-        span = nodes // atoms
-        for a in range(atoms):
-            for i in range(m):
-                U[off + a * m + i, a * span:(a + 1) * span, i] = 1.0
-
-        # In place, and U, drift and diff released as soon as they are used:
-        # at dimension ~1000 each array here is tens of MB, and the plain
-        # expressions' temporaries set the oracle's peak memory.
-        drift = S @ problem.A[k].T
-        drift += U @ problem.B[k].T
-        diff = S @ problem.C[k].T
-        diff += U @ problem.D[k].T
-        del U
-        S = np.empty((dim, 2 * nodes, n))
-        np.add(drift, diff, out=S[:, 0::2])
-        np.subtract(drift, diff, out=S[:, 1::2])
-        del drift, diff
-
-        drift0 = X0 @ problem.A[k].T
-        diff0 = X0 @ problem.C[k].T
-        X0_next = np.empty((2 * nodes, n))
-        X0_next[0::2] = drift0 + diff0
-        X0_next[1::2] = drift0 - diff0
-        X0 = X0_next
-
-    accumulate(problem.G, 1.0 / tree.n_nodes(problem.N))
-    return QuadraticForm(M=symmetrize(M), b=b, c=c, layout=layout)
+    M = np.zeros((dim, dim))
+    b = np.empty(dim)
+    for j2, (a2, off2) in enumerate(zip(atoms, layout.offsets)):
+        b[off2:off2 + a2 * m] = acc[j2][:a2].ravel()
+        row = a2
+        for j1 in range(j2 + 1):
+            a1, off1 = atoms[j1], layout.offsets[j1]
+            span = a2 // a1 * m     # time j2's columns under one atom of j1
+            table = acc[j2][row:row + span].reshape(m, span)
+            row += span
+            r = off1 + np.arange(a1 * m).reshape(a1, m, 1)
+            cols = off2 + np.arange(a1 * span).reshape(a1, 1, span)
+            if j1 == j2:
+                M[r, cols] = symmetrize(table + problem.R[t + j2] / a2)
+            else:
+                M[r, cols] = table
+                M[cols.swapaxes(1, 2), r.swapaxes(1, 2)] = table.T
+    return QuadraticForm(M=M, b=b, c=c, layout=layout)
 
 
 @dataclass(frozen=True)

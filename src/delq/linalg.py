@@ -33,7 +33,8 @@ Tolerances (value: where used; why):
   equality verdict: ``classify``, ``is_psd``/``is_pd``, the Schur block
   test, the ``lmei`` constraints, the oracle's boundedness test and the
   fixed-pair probe (``--psd-tol``); above rounding, below the margin of a
-  genuinely indefinite step.
+  genuinely indefinite step. The Schur test grades lambda_min(S - H^T W^+ H)
+  over the assembled block's scale_floor, as the direct route does.
 - ``_SYM_CHECK_TOL`` 1e-8: symmetry of matrix arguments here and of
   ``lmei`` candidates, which are computed or read back from JSON.
 - ``model._ASYM_TOL`` 1e-9: symmetry of the problem weights Q, R, G.
@@ -220,7 +221,7 @@ def _schur_blocks(S: np.ndarray, H: np.ndarray, W: np.ndarray,
     w_min = eig_margin(W)[1]
     Wdag = pinv(W)
     resid = _range_residual(H, W, Wdag)
-    comp = eig_margin(S - Ht @ Wdag @ H)[1]
+    comp = eig_margin(S - Ht @ Wdag @ H)[0] / scale_floor(block)
 
     def _triple(t: float) -> np.ndarray:
         return (w_min >= -t) & (resid <= t) & (comp >= -t)

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +29,8 @@ from delq import (
     terminal_inner,
     trajectory_cost,
 )
-from delq.linalg import PSD_TOL, eig_margin, pinv, range_residual, scale_floor
-from delq.model import measurable_level, random_open_loop
+from delq.linalg import PSD_TOL, eig_margin, pinv, range_residual, scale_floor, symmetrize
+from delq.model import measurable_level, random_open_loop, tree_step
 
 from conftest import draw_mixed, range_deficient_problem, uniquely_solvable_instances
 
@@ -157,6 +160,86 @@ def test_quadratic_form_reproduces_simulated_cost(seed):
         direct = trajectory_cost(problem, rollout(problem, tree, x, u))
         assert abs(q.evaluate(q.layout.stack(u)) - direct) \
             <= 1e-10 * max(1.0, abs(direct))
+
+
+def _dense_quadratic(problem, t, x):
+    """(M, b, c) from the dense joint sweep the pattern sweep replaced: the
+    zero-state response of every stacked basis control over every node,
+    stepped together, with full dim x dim Gram products."""
+    layout = StackedControlLayout.build(problem, t)
+    n, m, dim = problem.n, problem.m, layout.size
+    M, b, c = np.zeros((dim, dim)), np.zeros(dim), 0.0
+    X0 = np.asarray(x, dtype=float)[None, :]
+    S = np.zeros((dim, 1, n))
+
+    def accumulate(weight, prob):
+        nonlocal c
+        Sf = S.reshape(dim, -1)
+        M[...] += prob * ((S @ weight).reshape(dim, -1) @ Sf.T)
+        b[...] += prob * (Sf @ (X0 @ weight).ravel())
+        c += prob * float(np.sum((X0 @ weight) * X0))
+
+    for j, k in enumerate(range(t, problem.N)):
+        nodes = 1 << j
+        accumulate(problem.Q[k], 1.0 / nodes)
+        atoms, off = layout.atoms[j], layout.offsets[j]
+        U = np.zeros((dim, nodes, m))
+        span = nodes // atoms
+        for a in range(atoms):
+            sl = slice(off + a * m, off + (a + 1) * m)
+            M[sl, sl] += problem.R[k] / atoms
+            for i in range(m):
+                U[off + a * m + i, a * span:(a + 1) * span, i] = 1.0
+        S = np.stack([tree_step(problem, k, S[r], U[r]) for r in range(dim)])
+        X0 = tree_step(problem, k, X0, np.zeros((nodes, m)))
+    accumulate(problem.G, 1.0 / (1 << (problem.N - t)))
+    return symmetrize(M), b, c
+
+
+def _parity_cases():
+    for seed in range(60):
+        problem, t = draw_mixed(seed)
+        for d in sorted({0, problem.d, problem.N}):
+            for start in sorted({t, problem.N - 1}):
+                yield seed, replace(problem, d=d), start
+
+
+def test_pattern_sweep_matches_dense_reference():
+    cases = list(_parity_cases())
+    ms = {p.m for _, p, _ in cases}
+    spans = {p.N - start for _, p, start in cases}
+    assert 1 in ms and 1 in spans
+    for seed, problem, t in cases:
+        x = np.random.default_rng(seed + 900).normal(size=problem.n)
+        q = assemble_quadratic(problem, t, x)
+        M, b, c = _dense_quadratic(problem, t, x)
+        assert np.array_equal(q.M, q.M.T), seed
+        assert np.max(np.abs(q.M - M)) <= 1e-13 * scale_floor(M), seed
+        assert np.max(np.abs(q.b - b)) <= 1e-13 * scale_floor(b), seed
+        assert abs(q.c - c) <= 1e-13 * scale_floor(c), seed
+
+
+def test_assembly_memory_is_bounded_by_the_matrix():
+    """The assembly holds M and small per-time patterns, never a response
+    per basis control: its traced peak stays within 3 copies of M."""
+    n, m, N, d = 3, 2, 11, 2
+    rng = np.random.default_rng(5)
+    problem = ProblemData(n=n, m=m, N=N, d=d,
+                          A=[rng.normal(scale=0.5, size=(n, n)) for _ in range(N)],
+                          B=[rng.normal(size=(n, m)) for _ in range(N)],
+                          C=[rng.normal(scale=0.3, size=(n, n)) for _ in range(N)],
+                          D=[rng.normal(scale=0.3, size=(n, m)) for _ in range(N)],
+                          Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
+    dim = StackedControlLayout.build(problem, 0).size
+    assert dim == 1026
+    tracemalloc.start()
+    try:
+        q = assemble_quadratic(problem, 0, np.ones(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.M.shape == (dim, dim)
+    assert peak <= 3 * 8 * dim * dim
 
 
 def test_assemble_quadratic_enforces_dimension_cap(scalar):

@@ -333,6 +333,27 @@ def test_overflow_in_candidate_is_a_numerical_breakdown(paths, tmp_path, edit, m
         assert proc.stderr == f"consistency failure: numerical breakdown: {message}\n", sub
 
 
+def test_lmei_huge_candidate_block_is_graded_not_a_route_split(capsys, tmp_path):
+    """A candidate with P~^(0)_1 = 1e300 makes the k = 0 block
+    [[1 + 1.25e300, 1.25e300], [1.25e300, 1 + 1.25e300]], which is PSD while
+    its Schur complement is pure rounding noise: check and construct grade
+    it (exit 0 or 3) and never report a consistency failure (exit 4)."""
+    one, half = [[[1.0]]] * 3, [[[0.5]]] * 3
+    prob = ProblemData(n=1, m=1, N=3, d=2, A=one, B=one, C=half, D=half,
+                       Q=one, R=one, G=[[1.0]])
+    problem_path, cand_path = tmp_path / "problem.json", tmp_path / "candidate.json"
+    save_problem(prob, str(problem_path))
+    data = candidate_to_dict(delq.zero_candidate(prob, 0))
+    data["P"]["0,1"] = [[1e300]]
+    cand_path.write_text(json.dumps(data))
+    for sub in ("check", "construct"):
+        code = main(["lmei", sub, "--problem", str(problem_path),
+                     "--candidate", str(cand_path)])
+        err = capsys.readouterr().err
+        assert code in (EXIT_OK, EXIT_UNSOLVABLE), (sub, err)
+        assert "disagree" not in err, sub
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: data["P"].__setitem__("00,1", [[-5.0]]),
     lambda data: data.__setitem__("t", 0.7),

@@ -153,6 +153,20 @@ def test_schur_block_gray_band_and_confident_split():
         _schur_blocks(Ss, np.stack([gray, split, gray]), Ws, 1e-9)
 
 
+def test_schur_complement_is_graded_at_the_block_scale():
+    """[[1 + h, h], [h, 1 + h]] with h = 1.25e300 is PSD (eigenvalues 1 and
+    1 + 2h), but S - H^T W^+ H cancels to rounding noise of order 1e284.
+    Graded against its own spectrum that noise reads -1, a confident split;
+    graded at the block's scale it is about -1e-16, and both routes agree."""
+    h = 1.25e300
+    S, H, W = np.array([[1.0 + h]]), np.array([[h]]), np.array([[1.0 + h]])
+    assert schur_block_psd(S, H, W)
+    ok, _ = _schur_blocks(np.stack([S, S]), np.stack([H, -H]), np.stack([W, W]), 1e-9)
+    assert ok.tolist() == [True, True]
+    # Still not PSD once the complement is negative at the block's scale.
+    assert not schur_block_psd(S - 1e-6 * h, H, W)
+
+
 def test_schur_block_near_singular_w():
     """Tiny-but-nonzero W with H far outside its scale: both routes must
     settle on 'not PSD' (Schur complement hugely negative, block indefinite)."""

@@ -32,6 +32,7 @@ from delq.linalg import (
     pinv,
     range_residual,
     rel_deviation,
+    scale_floor,
     symmetrize,
 )
 from delq.lmei import (
@@ -364,10 +365,11 @@ def _reference_schur_block(S, H, W, tol):
     S = _require_symmetric(S, "S")
     W = _require_symmetric(W, "W")
     H = _as_matrix(H, "H")
-    block = eig_margin(np.block([[S, H.T], [H, W]]))[1]
+    assembled = np.block([[S, H.T], [H, W]])
+    block = eig_margin(assembled)[1]
     w_min = eig_margin(W)[1]
     resid = range_residual(H, W)
-    comp = eig_margin(S - H.T @ pinv(W) @ H)[1]
+    comp = eig_margin(S - H.T @ pinv(W) @ H)[0] / scale_floor(assembled)
 
     def _triple(t: float) -> bool:
         return w_min >= -t and resid <= t and comp >= -t
