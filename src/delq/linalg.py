@@ -169,7 +169,9 @@ def _range_residual(N: np.ndarray, L: np.ndarray, Ldag: np.ndarray):
 
 def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, np.ndarray]:
     """(lambda_min, eig margin, range residual of b, M^+ b) from one eigh of
-    symmetrize(M), for the quadratic oracle.
+    symmetrize(M), for the quadratic oracle. An exactly symmetric M is its
+    own symmetric part, so it goes to eigh as it is: no dim x dim temporary,
+    and no overflow of M + M^T for entries near the float maximum.
 
     The margin is eig_margin's. For a symmetric matrix the singular values
     are |lambda|, so the kept spectrum |lambda| > rel_tol * max|lambda| is
@@ -181,7 +183,7 @@ def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, 
     b = _as_matrix(np.reshape(b, (-1, 1)), "b")[:, 0]
     if b.shape[0] != M.shape[0]:
         raise ValidationError(f"b has length {b.shape[0]}, M has {M.shape[0]} rows")
-    vals, V = np.linalg.eigh(symmetrize(M))
+    vals, V = np.linalg.eigh(M if np.array_equal(M, M.T) else symmetrize(M))
     lam = float(vals[0])
     margin = lam / float(_floor(vals, None))
     mags = np.abs(vals)

@@ -390,7 +390,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
     n, m, N, d = cand.n, problem.m, cand.N, cand.d
     steps = range(t, N)
     aux = _backward(problem, t, dict(zip(steps, slack.gap)), dict(zip(steps, slack.W)),
-                    symmetrize(slack.terminal), pinv_rtol, S=dict(zip(steps, slack.H)),
+                    slack.terminal, pinv_rtol, S=dict(zip(steps, slack.H)),
                     delta=dict(zip(steps[1:], slack.upper[1:])))
 
     with np.errstate(all="ignore"):

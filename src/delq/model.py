@@ -424,10 +424,19 @@ def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
     )
 
 
-def quadratic_rows(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+def quadratic_rows(X: np.ndarray, M: np.ndarray, columns: bool = False,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """x_i^T M x_i for every row x_i of X; the mean over rows is the
-    expectation of the quadratic form on a node (or sample) array."""
-    return np.einsum("ij,ij->i", X @ M, X)
+    expectation of the quadratic form on a node (or sample) array.
+
+    With ``columns`` the x_i are the columns of X, an (n, rows) array, and
+    the form is a column sum of (M X) * X; ``out``, an array shaped like X,
+    then receives that product instead of a new array."""
+    if not columns:
+        return np.einsum("ij,ij->i", X @ M, X)
+    MX = np.matmul(M, X, out=out)
+    MX *= X
+    return np.add.reduce(MX, axis=0)
 
 
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:

@@ -202,8 +202,10 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     weight Q[k], control weight R[k] and terminal weight G.
 
     Optional per-step terms: a cross weight S[k] added last to H_k, and a
-    correction delta[k] added to the top index for k > t. Non-finite W/H
-    (or a non-finite P^(0)_t) raise ConsistencyError naming the step.
+    correction delta[k] added to the top index for k > t. The terminal
+    weight is symmetrized here. A non-finite symmetrized terminal weight,
+    non-finite W/H (or a non-finite P^(0)_t) raise ConsistencyError naming
+    the step.
     """
     n, N, d = problem.n, problem.N, problem.d
     # The stacks of times N, N-1, ..., t are consecutive slices of one buffer.
@@ -214,12 +216,16 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     stacks = blocks.stacks
     Pn = stacks[N]
     Pn.fill(0.0)
-    Pn[0] = G
 
     W: list[np.ndarray] = [np.empty(0)] * (N - t)
     H: list[np.ndarray] = [np.empty(0)] * (N - t)
     K: list[np.ndarray] = [np.empty(0)] * (N - t)
     with np.errstate(all="ignore"):
+        Pn[0] = symmetrize(G)
+        if not np.isfinite(Pn[0]).all():
+            raise ConsistencyError(
+                f"numerical breakdown: non-finite symmetrized terminal weight at k={N}"
+            )
         for k in range(N - 1, t - 1, -1):
             A, C = problem.A[k], problem.C[k]
             Wk, Hk = _wh_from_stack(problem, Pn, k, R[k])
@@ -259,7 +265,7 @@ def solve_riccati(problem: ProblemData, t: int,
                   pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
     """Backward pass of the piecewise-coupled recursion (see module docstring)."""
     _check_solve_args(problem, t)
-    return _backward(problem, t, problem.Q, problem.R, symmetrize(problem.G), pinv_rtol)
+    return _backward(problem, t, problem.Q, problem.R, problem.G, pinv_rtol)
 
 
 def solve_riccati_bar(problem: ProblemData, t: int,

@@ -15,6 +15,15 @@ one counter-based generator keyed by the seed (the same numbers as one
 up-front draw), and each chunk's costs are reduced before the next is
 drawn, in a fixed order. Results are bit-identical across runs and memory
 does not grow with the sample count.
+
+Inside a chunk the paths are columns: the state, the predictor, the
+control and the innovations are C-contiguous (n, rows) and (m, rows)
+arrays, left-multiplied by the step's matrices, and each quadratic cost is
+a column sum. Every elementwise kernel then runs along the long axis (a
+(rows, n) layout loops over the length-n axis instead, several times
+slower for small n), and the step's products go into buffers allocated
+once per chunk. Feedback policies, open-loop policies and full
+enumeration run the same loop.
 """
 from __future__ import annotations
 
@@ -128,71 +137,112 @@ def _atom_indices(noises: np.ndarray, levels: int) -> np.ndarray:
     return bits @ weights
 
 
+def _window_products(mats: list, d: int) -> list:
+    """[mats[j+d-1] @ ... @ mats[j] for j = 0..len(mats)-d], for d >= 1, at
+    about three n x n products per window whatever d is.
+
+    Two-stack sliding-window aggregation (Tangwongsan et al., PVLDB 2015)
+    over blocks of d matrices: a window starting at j in the block [s, s+d)
+    is the product of the block's tail mats[s+d-1] ... mats[j] and the head
+    mats[j+d-1] ... mats[s+d] of the next block, both built incrementally;
+    a window that starts a block is that block's whole tail."""
+    windows = []
+    for s in range(0, len(mats) - d + 1, d):
+        tails = [mats[s + d - 1]]
+        for j in range(s + d - 2, s - 1, -1):
+            tails.append(tails[-1] @ mats[j])
+        tails.reverse()
+        windows.append(tails[0])
+        head = None
+        for j in range(s + 1, min(s + d, len(mats) - d + 1)):
+            nxt = mats[j + d - 1]
+            head = nxt if head is None else nxt @ head
+            windows.append(head @ tails[j - s])
+    return windows
+
+
 def _step_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
-    """Right operands of the chunk products at k = t..N-1, built once per
-    call: (A_k^T, B_k^T, C_k^T, D_k^T, K_k^T, Phi_{k+1}^T) as C-contiguous
-    arrays. A (rows, n) array times a transposed view takes numpy about 3x
-    as long as times a contiguous copy of it, for the same numbers.
+    """Left operands of the chunk products at k = t..N-1, built once per
+    call: (A_k, B_k, C_k, D_k, K_k, Phi_{k+1}).
 
     Phi_{k+1} = A_k A_{k-1} ... A_{k-d+1} (the identity at d = 0) carries the
     innovation e_{k-d}, revealed at time k+1-d, onto the conditional mean of
-    X_{k+1}; it is None for k < t+d, where no innovation is revealed. K_k^T
-    is None under an open-loop policy."""
-    d = problem.d
-    operands = []
-    for k in range(t, problem.N):
-        Phi = None
-        if k >= t + d:
-            Phi = np.eye(problem.n)
-            for j in range(k - d + 1, k + 1):
-                Phi = problem.A[j] @ Phi
-        K = policy.gains[k - policy.t] if isinstance(policy, FeedbackPolicy) else None
-        operands.append(tuple(None if M is None else np.ascontiguousarray(M.T) for M in (
-            problem.A[k], problem.B[k], problem.C[k], problem.D[k], K, Phi)))
-    return operands
+    X_{k+1}; it is None for k < t+d, where no innovation is revealed. The
+    Phi's are sliding windows of d consecutive A's (``_window_products``),
+    so building them all costs O(N) products. K_k is None under an
+    open-loop policy."""
+    N, d = problem.N, problem.d
+    if d == 0:
+        Phis = [np.eye(problem.n)] * (N - t)
+    else:
+        Phis = [None] * min(d, N - t) + _window_products(list(problem.A[t + 1:N]), d)
+    feedback = isinstance(policy, FeedbackPolicy)
+    return [(problem.A[k], problem.B[k], problem.C[k], problem.D[k],
+             policy.gains[k - policy.t] if feedback else None, Phis[k - t])
+            for k in range(t, N)]
 
 
 def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
                  noises: np.ndarray, operands: list[tuple]) -> np.ndarray:
-    """Path costs for one chunk of samples (vectorized over the chunk).
+    """Path costs for one (rows, steps) chunk of noises, one cost per row.
 
-    A step costs a fixed number of products on (rows, n) arrays, whatever d
-    is: four for the state update, plus the gain and two predictor products
-    under a feedback policy. ``operands`` is ``_step_operands``."""
+    The paths are the columns of the chunk's arrays (see the module
+    docstring). The noise of step k, column k - t of the chunk, is read in
+    place and broadcast over the n rows of the innovation. A step costs a fixed
+    number of products, whatever d is: four for the state update, plus the
+    gain and two predictor products under a feedback policy. ``operands``
+    is ``_step_operands``."""
     N, d = problem.N, problem.d
     feedback = isinstance(policy, FeedbackPolicy)
-    X = np.tile(x, (noises.shape[0], 1))
-    costs = np.zeros(noises.shape[0])
+    rows = noises.shape[0]
+    X = np.repeat(x[:, None], rows, axis=1)
+    work = np.empty_like(X)
+    uB = np.empty_like(X)
+    u = np.empty((problem.m, rows))
+    u_work = np.empty_like(u)
+    costs = np.zeros(rows)
 
     # Innovation-form predictor: y = E_s[X_k] with s = max(t, k-d). With
     # e_j = (C_j X_j + D_j u_j) w_j, the noise term of the state update,
     # y_{k+1} = A_k y_k + B_k u_k, plus Phi_{k+1} e_{k-d} once e_{k-d} is
     # revealed (k >= t+d). The window holds the innovations that are still
-    # to be revealed; at d = 0 y equals X bit for bit.
-    y = X
+    # to be revealed; at d = 0 y equals X bit for bit. Step k writes e_k into
+    # ring[(k - t) % len(ring)]: with d + 1 slots, that slot's innovation was
+    # revealed by step k-1 (at d = 0, e_k itself is revealed in step k).
+    y = X.copy() if feedback else None
     window: deque[np.ndarray] = deque()
+    ring = [np.empty_like(X) for _ in range(d + 1 if feedback and d < N - t else 1)]
 
-    for k, (At, Bt, Ct, Dt, Kt, Phit) in enumerate(operands, start=t):
+    for k, (A, B, C, D, K, Phi) in enumerate(operands, start=t):
         if feedback:
-            u = y @ Kt
+            np.matmul(K, y, out=u)
         else:
             table = policy.controls[k - policy.start]
-            u = table[_atom_indices(noises, measurable_level(t, d, k) - t)]
+            idx = _atom_indices(noises, measurable_level(t, d, k) - t)
+            np.take(table.T, idx, axis=1, out=u)
 
-        costs += quadratic_rows(X, problem.Q[k])
-        costs += quadratic_rows(u, problem.R[k])
+        costs += quadratic_rows(X, problem.Q[k], columns=True, out=work)
+        costs += quadratic_rows(u, problem.R[k], columns=True, out=u_work)
 
-        uB = u @ Bt
-        e = (X @ Ct + u @ Dt) * noises[:, k - t][:, None]
+        np.matmul(B, u, out=uB)
+        e = ring[(k - t) % len(ring)]
+        np.matmul(C, X, out=e)
+        e += np.matmul(D, u, out=work)
+        e *= noises[:, k - t]
         if feedback:
             if k + d < N:
                 window.append(e)
-            y = y @ At + uB
-            if Phit is not None:
-                y = y + window.popleft() @ Phit
-        X = X @ At + uB + e
+            np.matmul(A, y, out=work)
+            work += uB
+            y, work = work, y
+            if Phi is not None:
+                y += np.matmul(Phi, window.popleft(), out=work)
+        np.matmul(A, X, out=work)
+        work += uB
+        work += e
+        X, work = work, X
 
-    costs += quadratic_rows(X, problem.G)
+    costs += quadratic_rows(X, problem.G, columns=True, out=work)
     return costs
 
 
@@ -240,6 +290,9 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     count, mean, m2 = 0, 0.0, 0.0
     for block in chunks:
         costs = _chunk_costs(problem, t, x, policy, block, operands)
+        # Release the chunk before the generator draws the next one, so that
+        # only one noise chunk is alive at a time.
+        del block
         rows = costs.shape[0]
         chunk_mean = float(np.sum(costs) / rows)
         centered = costs - chunk_mean

@@ -306,6 +306,29 @@ def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
             assert bad not in proc.stderr, (argv, proc.stderr)
 
 
+def test_overflowing_terminal_weight_is_a_numerical_breakdown(tmp_path):
+    """A finite terminal weight G = 1e308 overflows its symmetrization
+    (G + G^T)/2: every command that solves the recursion exits 4 naming the
+    symmetrized terminal weight, without numpy warnings or a traceback."""
+    one, zero = [[[1.0]]], [[[0.0]]]
+    path = tmp_path / "terminal.json"
+    path.write_text(json.dumps({
+        "n": 1, "m": 1, "N": 1, "d": 0, "A": one, "B": one, "C": zero, "D": zero,
+        "Q": one, "R": one, "G": [[1e308]],
+    }))
+    src = os.path.dirname(os.path.dirname(delq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["value", "--x=0.5"], ["solve"], ["gains"], ["oracle", "--x=0.5"],
+                 ["simulate", "--x=0.5"]):
+        proc = subprocess.run([sys.executable, "-m", "delq", *argv, "--problem", str(path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INCONSISTENT, (argv, proc.stderr)
+        assert proc.stderr == ("consistency failure: numerical breakdown: non-finite "
+                               "symmetrized terminal weight at k=1\n"), argv
+        for bad in ("RuntimeWarning", "Traceback"):
+            assert bad not in proc.stderr, (argv, proc.stderr)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda P: P.__setitem__("0,1", [[1e308]]),
      "non-finite symmetrized candidate P~^(0) at k=1"),

@@ -15,7 +15,16 @@ from delq import (
     schur_block_psd,
     symmetrize,
 )
-from delq.linalg import _schur_block, _schur_blocks, eig_margin, rel_deviation, scale_floor
+from delq import linalg
+from delq.linalg import (
+    _eigh_solve,
+    _schur_block,
+    _schur_blocks,
+    eig_margin,
+    rel_deviation,
+    scale_floor,
+)
+from delq.model import _ASYM_TOL
 from delq.worked_example import REFERENCE_W, benchmark_report
 
 finite_entries = st.floats(min_value=-10.0, max_value=10.0,
@@ -79,6 +88,48 @@ def test_symmetrize_and_symmetry_guard():
     # genuinely asymmetric input to the symmetric-only routines is refused
     with pytest.raises(ValidationError):
         is_psd(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def _counting_symmetrize(monkeypatch):
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return symmetrize(S)
+    monkeypatch.setattr(linalg, "symmetrize", counted)
+    return calls
+
+
+def test_eigh_solve_takes_an_exactly_symmetric_matrix_as_it_is(monkeypatch):
+    rng = np.random.default_rng(3)
+    F = rng.normal(size=(6, 6))
+    M, b = F + F.T, rng.normal(size=6)
+    calls = _counting_symmetrize(monkeypatch)
+    lam = _eigh_solve(M, b)[0]
+    assert calls == []
+    assert lam == np.linalg.eigh(M)[0][0]
+
+
+def test_eigh_solve_symmetrizes_a_nearly_symmetric_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    F = rng.normal(size=(5, 5))
+    M = F + F.T
+    M[0, 1] += 0.5 * _ASYM_TOL
+    b = rng.normal(size=5)
+    calls = _counting_symmetrize(monkeypatch)
+    got = _eigh_solve(M, b)
+    assert len(calls) == 1
+    want = _eigh_solve(symmetrize(M), b)
+    assert got[:3] == want[:3] and np.array_equal(got[3], want[3])
+
+
+def test_eigh_solve_huge_symmetric_entries_stay_finite():
+    """M + M^T would overflow to inf at 1e308; the symmetric M is used as
+    it is, so the spectrum stays finite."""
+    lam, margin, resid, solve = _eigh_solve(np.array([[1e308, 0.0], [0.0, 1.0]]),
+                                            np.zeros(2))
+    assert lam == 1.0 and margin == 1.0 / 1e308
+    assert resid == 0.0 and np.array_equal(solve, np.zeros(2))
 
 
 def test_psd_pd_frozen_examples():

@@ -193,7 +193,7 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
     """The backward pass as one matrix per (i, k) and one product per index:
     the arithmetic the stacked kernel must reproduce bit for bit."""
     n, N, d = problem.n, problem.N, problem.d
-    P = {(0, N): G}
+    P = {(0, N): symmetrize(G)}
     for j in range(1, min(N - t, d) + 1):
         P[(j, N)] = np.zeros((n, n))
     W, H, K = [None] * (N - t), [None] * (N - t), [None] * (N - t)
@@ -278,8 +278,8 @@ def test_stacked_kernel_matches_per_index_loop():
     cases = list(_kernel_cases())
     assert any(t > 0 for _, t in cases)
     for problem, t in cases:
-        want = _reference_backward(problem, t, problem.Q, problem.R,
-                                   symmetrize(problem.G), PINV_RTOL)
+        want = _reference_backward(problem, t, problem.Q, problem.R, problem.G,
+                                   PINV_RTOL)
         _assert_identical(solve_riccati(problem, t), want)
 
 

@@ -125,6 +125,56 @@ def test_chunk_predictor_matches_direct_predictor_path_by_path(t, d):
         assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), path
 
 
+@pytest.mark.parametrize("t", [0, 3])
+def test_chunk_open_loop_costs_match_direct_rollout_path_by_path(t):
+    # Open-loop controls are read from the tree atom of each path's revealed
+    # prefix, w_t..w_{s-1} with s = max(t, k-d).
+    d = 2
+    problem = _unstable_problem(t + 7, d)
+    rng = np.random.default_rng(t)
+    policy = random_open_loop(problem, t, rng)
+    x = np.array([0.5, 1.0])
+    steps = problem.N - t
+    noises = 1.0 - 2.0 * rng.integers(0, 2, size=(16, steps))
+    got = _chunk_costs(problem, t, x, policy, noises,
+                       _step_operands(problem, t, policy))
+    for path, w in enumerate(noises):
+        X, cost = x, 0.0
+        for k in range(t, problem.N):
+            s = measurable_level(t, d, k)
+            atom = int("".join("1" if v < 0 else "0" for v in w[:s - t]) or "0", 2)
+            u = policy.controls[k - t][atom]
+            cost += X @ problem.Q[k] @ X + u @ problem.R[k] @ u
+            X = problem.A[k] @ X + problem.B[k] @ u \
+                + (problem.C[k] @ X + problem.D[k] @ u) * w[k - t]
+        cost += X @ problem.G @ X
+        assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), path
+
+
+@pytest.mark.parametrize("delay", ["zero", "one", "drawn", "whole horizon"])
+def test_step_operands_phi_matches_direct_products(delay):
+    # Phi_{k+1} = A_k ... A_{k-d+1} from sliding-window blocks against the
+    # product formed from scratch, on horizons of several blocks.
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        t, N = int(rng.integers(0, 4)), int(rng.integers(20, 41))
+        d = {"zero": 0, "one": 1, "drawn": int(rng.integers(2, 13)),
+             "whole horizon": N}[delay]
+        problem = _unstable_problem(seed, d, N=N)
+        policy = FeedbackPolicy(t=t, d=d, gains=[np.zeros((1, 2))] * (N - t))
+        operands = _step_operands(problem, t, policy)
+        assert len(operands) == N - t
+        for k, ops in enumerate(operands, start=t):
+            if k < t + d:
+                assert ops[5] is None, (seed, k)
+                continue
+            direct = np.eye(problem.n)
+            for j in range(k - d + 1, k + 1):
+                direct = problem.A[j] @ direct
+            err = np.max(np.abs(ops[5] - direct))
+            assert err <= 1e-13 * np.max(np.abs(direct)), (seed, d, k)
+
+
 def test_full_enumeration_argument_validation(scalar):
     u = zero_policy(scalar, 0)
     with pytest.raises(ValidationError, match="samples = 2"):
