@@ -29,9 +29,9 @@ from .model import (
     ProblemData,
     ScenarioTree,
     Trajectory,
+    _check_solve_args,
     block_mean,
     build_tree,
-    ensure_valid,
     expand,
     measurable_level,
     rollout,
@@ -197,14 +197,6 @@ class StackedControlLayout:
         return cls(t=t, N=problem.N, d=problem.d, m=problem.m,
                    atoms=tuple(atoms), offsets=tuple(offsets), size=size)
 
-    def offset(self, k: int, atom: int) -> int:
-        j = k - self.t
-        if not 0 <= j < len(self.offsets):
-            raise ValidationError(f"time {k} outside [{self.t}, {self.N - 1}]")
-        if not 0 <= atom < self.atoms[j]:
-            raise ValidationError(f"atom {atom} out of range at time {k}")
-        return self.offsets[j] + atom * self.m
-
     def stack(self, policy: OpenLoopPolicy) -> np.ndarray:
         if policy.start != self.t or len(policy.controls) != self.N - self.t:
             raise ValidationError("policy does not span t..N-1")
@@ -257,9 +249,7 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
     along the ancestor diagonal (disjoint subtrees never meet), R joins the
     diagonal ones, and the lower block triangle mirrors the upper.
     """
-    ensure_valid(problem)
-    if not 0 <= t <= problem.N - 1:
-        raise ValidationError(f"t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
+    _check_solve_args(problem, t)
     layout = StackedControlLayout.build(problem, t)
     if layout.size > dim_cap:
         raise ResourceLimitError(
@@ -390,14 +380,10 @@ def stationary_residual(problem: ProblemData, t: int, x, u: Policy,
     if tree is None:
         tree = build_tree(t, problem.N)
     traj = rollout(problem, tree, x, u)
-    Z = _costate(problem, tree, traj)
+    adjoint = _adjoint_controls(problem, tree, _costate(problem, tree, traj))
     worst = 0.0
     for k in range(t, problem.N):
-        s = measurable_level(t, problem.d, k)
-        Zn = Z.at(k + 1)
-        ez = block_mean(Zn, k + 1 - s)
-        ezw = block_mean(0.5 * (Zn[0::2] - Zn[1::2]), k - s)
-        rows = traj.control_at(k) @ problem.R[k] + ez @ problem.B[k] + ezw @ problem.D[k]
+        rows = traj.control_at(k) @ problem.R[k] + adjoint[k - t]
         worst = max(worst, float(np.max(np.linalg.norm(rows, axis=1))))
     return worst
 
@@ -444,12 +430,8 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol,
     admissible inputs, so sampling can only falsify)."""
     if tree is None:
         tree = build_tree(t, problem.N)
-    sufficient = all(
-        range_residual(sol.H[j], sol.W[j]) <= tol for j in range(len(sol.W))
-    )
-    projectors = [
-        np.eye(problem.m) - sol.W[j] @ pinv(sol.W[j]) for j in range(len(sol.W))
-    ]
+    sufficient = bool(np.all(range_residual(sol.H, sol.W) <= tol))
+    projectors = np.eye(problem.m) - sol.W @ pinv(sol.W)
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float).reshape(-1)
     worst = 0.0

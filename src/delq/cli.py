@@ -188,7 +188,7 @@ def cmd_gains(args) -> int:
         lines.append(f"K_{sol.t + j} = [{rows}]")
     _emit(args, "\n".join(lines), {
         "t": sol.t, "d": sol.d, "N": sol.N,
-        "K": [K.tolist() for K in sol.K],
+        "K": sol.K.tolist(),
         "classification": report.classification,
     })
     return EXIT_OK

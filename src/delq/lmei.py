@@ -20,17 +20,20 @@ are checked in one stacked call; a message still names the first bad entry
 in input order. A finite entry whose symmetrized value overflows raises
 ConsistencyError naming the earliest step.
 
-One slack pass per candidate computes every per-step quantity under
-np.errstate: W~_k and H~_k (the kernel's W/H formula on the stack of time
-k+1), the state gaps, the block upper-left entries and the middle-index
-residuals (one batched product per step). The earliest step with a
-non-finite quantity raises ConsistencyError. check_membership then grades
-each family of constraints in one stacked linalg call (eig_margin for the
-inequalities, rel_deviation for the equalities, the stacked Schur test with
-both routes and the gray-band check for the blocks): the floats of a
-per-constraint loop, in the same report order. construct_from_candidate
-reuses the pass, runs the auxiliary recursion, forms P = P~ + U as one
-buffer add and verifies the final W/H/K in stacked calls.
+One slack pass per candidate computes under np.errstate every per-step
+quantity, as (N - t, ., .) stacks indexed by step k - t: W~_k and H~_k (the
+kernel's W/H formula on the stack of time k+1), the state gaps, the block
+upper-left entries; also the middle-index residuals (one batched product
+per step) and the terminal gap. The earliest step with a non-finite
+quantity (k = N for an overflowing symmetrized terminal gap) raises
+ConsistencyError. check_membership then grades each family of constraints
+in one stacked linalg call (eig_margin for the inequalities, rel_deviation
+for the equalities, the stacked Schur test with both routes and the
+gray-band check for the blocks): the floats of a per-constraint loop, in
+the same report order; a non-finite margin raises ConsistencyError.
+construct_from_candidate hands the pass's stacks to the backward kernel as
+they are, forms P = P~ + U as one buffer add and verifies the final W/H/K
+in stacked calls. auxiliary_cost reads its weights from the same pass.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ from .linalg import (
     rel_deviation,
     symmetrize,
 )
-from .model import ProblemData, ScenarioTree, block_mean, ensure_valid, expand, \
+from .model import ProblemData, ScenarioTree, _check_solve_args, block_mean, expand, \
     measurable_level, quadratic_rows, rollout
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
@@ -90,11 +93,9 @@ class LmeiCandidate:
 
 
 def _check_candidate_args(problem: ProblemData, t: int) -> None:
-    ensure_valid(problem)
+    _check_solve_args(problem, t)
     if problem.d < 1:
         raise ValidationError("the inequality system is defined for delay d >= 1")
-    if not 0 <= t <= problem.N - 1:
-        raise ValidationError(f"t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
 
 
 def _check_entries(keys: list, stack: np.ndarray) -> None:
@@ -259,9 +260,11 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
                   & np.isfinite(gap).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2)))
         eq_step = np.repeat(np.arange(N - t), middle)
         finite[eq_step[~np.isfinite(eq_err).all(axis=(1, 2))]] = False
+        # Graded and run through the kernel symmetrized, which can overflow.
+        terminal_finite = np.isfinite(symmetrize(terminal)).all()
     if not finite.all():
         k = t + int(np.argmin(finite))
-    elif not np.isfinite(terminal).all():
+    elif not terminal_finite:
         k = N
     else:
         return _Slack(W=W, H=H, gap=gap, upper=upper, eq_err=eq_err, eq_rhs=eq_rhs,
@@ -308,18 +311,20 @@ def _check_anchor(cand: LmeiCandidate, problem: ProblemData, t: int) -> None:
 def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
     """Every constraint from the slack pass, in report order: the terminal
     conditions, then per step k the inequality, the equalities (i = 1..) and
-    the block constraint."""
+    the block constraint. A non-finite margin (an eigenvalue of finite slack
+    can overflow) raises ConsistencyError naming the earliest such step."""
     t, N, d = cand.t, cand.N, cand.d
 
     def status(kind: str, k: int, i: int | None, margin: float) -> ConstraintStatus:
         return ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=margin >= -tol)
 
-    records = [status("terminal_gap", N, 0, eig_margin(slack.terminal)[1])]
-    zero = (-rel_deviation(cand.P.stacks[N][1:], 0.0)).tolist()
+    with np.errstate(all="ignore"):
+        records = [status("terminal_gap", N, 0, eig_margin(slack.terminal)[1])]
+        zero = (-rel_deviation(cand.P.stacks[N][1:], 0.0)).tolist()
+        inequality = eig_margin(slack.gap[1:])[1].tolist()
+        equality = iter((-rel_deviation(slack.eq_err, slack.eq_rhs)).tolist())
+        block_ok, block = (x.tolist() for x in _schur_blocks(slack.upper, slack.H, slack.W, tol))
     records += [status("terminal_zero", N, j, margin) for j, margin in enumerate(zero, 1)]
-    inequality = eig_margin(slack.gap[1:])[1].tolist()
-    equality = iter((-rel_deviation(slack.eq_err, slack.eq_rhs)).tolist())
-    block_ok, block = (x.tolist() for x in _schur_blocks(slack.upper, slack.H, slack.W, tol))
     for j, k in enumerate(range(t, N)):
         if k > t:
             records.append(status("inequality", k, 0, inequality[j - 1]))
@@ -327,6 +332,10 @@ def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
                         for i in range(1, min(k - t, d))]
         records.append(ConstraintStatus(kind="block", k=k, i=None, margin=block[j],
                                         satisfied=block_ok[j]))
+    broken = [c for c in records if not np.isfinite(c.margin)]
+    if broken:
+        c = min(broken, key=lambda c: c.k)
+        raise ConsistencyError(f"numerical breakdown: non-finite {c.kind} margin at k={c.k}")
     feasible = all(c.satisfied for c in records)
     return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
 
@@ -388,10 +397,8 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         )
 
     n, m, N, d = cand.n, problem.m, cand.N, cand.d
-    steps = range(t, N)
-    aux = _backward(problem, t, dict(zip(steps, slack.gap)), dict(zip(steps, slack.W)),
-                    slack.terminal, pinv_rtol, S=dict(zip(steps, slack.H)),
-                    delta=dict(zip(steps[1:], slack.upper[1:])))
+    aux = _backward(problem, t, slack.gap, slack.W, slack.terminal, pinv_rtol,
+                    S=slack.H, delta=slack.upper)
 
     with np.errstate(all="ignore"):
         P = _StackedBlocks(t, N, d, n, symmetrize(cand.P.buffer + aux.P.buffer))
@@ -403,15 +410,15 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         # W/H recomputed from P (the defining sums), cross-checked against the
         # auxiliary quantities, which must coincide.
         W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
-        for j, k in enumerate(steps):
+        for j, k in enumerate(range(t, N)):
             W[j], H[j] = _wh_from_stack(problem, P.stacks[k + 1], k, problem.R[k])
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise ConsistencyError(
             f"numerical breakdown: non-finite W/H at k={t + int(np.argmin(finite))}"
         )
-    dW = rel_deviation(W - np.stack(aux.W), W)
-    dH = rel_deviation(H - np.stack(aux.H), H)
+    dW = rel_deviation(W - aux.W, W)
+    dH = rel_deviation(H - aux.H, H)
     bound = max(tol, 100 * _CONSTRUCT_CONSISTENCY_TOL)
     psd = eig_margin(W)[1] >= -bound
     Wdag = pinv(W, pinv_rtol)
@@ -431,9 +438,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         raise ConsistencyError(
             f"constructed H_{k} leaves the range of W_{k} (residual {rr[j]:.3e})"
         )
-    K = -Wdag @ H
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P,
-                           W=tuple(W), H=tuple(H), K=tuple(K))
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=-Wdag @ H)
 
 
 # ---------------------------------------------------------------------------
@@ -448,27 +453,27 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
     Region corrections add E[(E_{l-d} X)^T Delta_l (E_{l-d} X)] with Delta_l
     the block upper-left entry, for every l >= max(k, t+1). Feasibility of
     the candidate makes this cost nonnegative for every admissible control.
+    Every weight is read from the candidate's slack pass.
     """
+    _check_anchor(cand, problem, t)
     if not t <= k <= cand.N - 1:
         raise ValidationError(f"start time {k} outside [{t}, {cand.N - 1}]")
+    slack = _slack(cand, problem)
     traj = rollout(problem, tree, xi, u, start=k)
     total = 0.0
     for ell in range(k, cand.N):
+        j = ell - t
         X = traj.states.at(ell)
         u_coarse = traj.control_at(ell)
-        Wt, Ht = _wh_from_stack(problem, cand.P.stacks[ell + 1], ell, problem.R[ell])
-        Qt = state_gap(cand, problem, ell)
-        total += float(np.mean(quadratic_rows(X, Qt)))
-        hx = X @ Ht.T
+        total += float(np.mean(quadratic_rows(X, slack.gap[j])))
+        hx = X @ slack.H[j].T
         s = measurable_level(t, cand.d, ell)
         u_full = expand(u_coarse, ell - s)
         total += 2.0 * float(np.mean(np.sum(hx * u_full, axis=1)))
-        total += float(np.mean(quadratic_rows(u_coarse, Wt)))
+        total += float(np.mean(quadratic_rows(u_coarse, slack.W[j])))
         if ell >= t + 1:
-            delta = correction_matrix(cand, problem, ell)
             ex = block_mean(X, ell - s)
-            total += float(np.mean(quadratic_rows(ex, delta)))
+            total += float(np.mean(quadratic_rows(ex, slack.upper[j])))
     XN = traj.states.at(cand.N)
-    G_aux = problem.G - cand.P_at(0, cand.N)
-    total += float(np.mean(quadratic_rows(XN, G_aux)))
+    total += float(np.mean(quadratic_rows(XN, slack.terminal)))
     return total

@@ -49,14 +49,14 @@ def measurable_level(t: int, d: int, k: int) -> int:
     return max(t, k - d)
 
 
-def _matseq(seq, name: str) -> tuple[np.ndarray, ...]:
-    """One conversion for a sequence of equally shaped matrices. Anything
-    else (ragged, scalar or malformed) is converted matrix by matrix, so that
-    validate() can name each misshapen matrix by its index."""
+def _matseq(seq, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
+    """A sequence of equally shaped matrices as one (steps, rows, cols) float
+    stack. Anything else (ragged, scalar or malformed) is converted matrix by
+    matrix, so that validate() can name each misshapen matrix by its index."""
     try:
         stacked = np.asarray(seq, dtype=float)
         if stacked.ndim == 3:
-            return tuple(stacked)
+            return stacked
     except (TypeError, ValueError):
         pass
     try:
@@ -73,18 +73,23 @@ class ProblemData:
     k = 0..N-1. Cost: sum of X^T Q_k X + u^T R_k u plus terminal X_N^T G X_N.
     The controller acting at time k only knows the noise up to time k-d.
     No definiteness is assumed of Q, R, G.
+
+    Each per-step sequence A..R is stored as one float stack, A[k] being the
+    matrix of time k (A has shape (N, n, n)). A ragged sequence is kept
+    matrix by matrix, and validate() rejects it naming each misshapen
+    matrix; so a validated problem holds stacks only.
     """
 
     n: int
     m: int
     N: int
     d: int
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
-    C: tuple[np.ndarray, ...]
-    D: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
-    R: tuple[np.ndarray, ...]
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     G: np.ndarray
 
     def __init__(self, n, m, N, d, A, B, C, D, Q, R, G):
@@ -122,12 +127,14 @@ def validate(problem: ProblemData) -> list[str]:
         if len(seq) != N:
             msgs.append(f"{name} must have length N={N}, got {len(seq)}")
             continue
-        shaped = [M for M in seq if M.shape == want]
-        finite = iter(np.isfinite(np.stack(shaped)).all(axis=(1, 2)).tolist() if shaped else [])
+        if isinstance(seq, np.ndarray) and seq.shape[1:] == want:
+            bad = np.flatnonzero(~np.isfinite(seq).all(axis=(1, 2))).tolist()
+            msgs += [f"{name}[{k}] contains non-finite entries" for k in bad]
+            continue
         for k, M in enumerate(seq):
             if M.shape != want:
                 msgs.append(f"{name}[{k}] must have shape {want}, got {M.shape}")
-            elif not next(finite):
+            elif not np.isfinite(M).all():
                 msgs.append(f"{name}[{k}] contains non-finite entries")
     if problem.G.shape != (n, n):
         msgs.append(f"G must have shape {(n, n)}, got {problem.G.shape}")
@@ -139,7 +146,7 @@ def validate(problem: ProblemData) -> list[str]:
     def _asym(M: np.ndarray):
         return rel_deviation(M - np.swapaxes(M, -1, -2), M) > _ASYM_TOL
 
-    q_asym, r_asym = _asym(np.stack(problem.Q)), _asym(np.stack(problem.R))
+    q_asym, r_asym = _asym(problem.Q), _asym(problem.R)
     for k in np.flatnonzero(q_asym | r_asym).tolist():
         if q_asym[k]:
             msgs.append(f"Q[{k}] is not symmetric")
@@ -154,6 +161,13 @@ def ensure_valid(problem: ProblemData) -> None:
     msgs = validate(problem)
     if msgs:
         raise ValidationError("invalid problem: " + "; ".join(msgs))
+
+
+def _check_solve_args(problem: ProblemData, t: int) -> None:
+    """ensure_valid, and an initial time t with at least one step to go."""
+    ensure_valid(problem)
+    if not 0 <= t <= problem.N - 1:
+        raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
 
 
 # ---------------------------------------------------------------------------

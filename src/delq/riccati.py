@@ -34,6 +34,12 @@ lookup, rather than holding one array object per pair (about 10^5 of them at
 N = 1000, d = 100). Reading an undefined pair is an error rather than a
 silent zero, since zero-filling would mask indexing mistakes in the
 piecewise structure.
+
+Every per-step sequence is one stack indexed by the step j = k - t: the
+kernel's inputs Q, R, S and delta, and the W/H/K of every solution, which
+the passes write in place into (N - t, ., .) arrays. A caller hands the
+kernel problem.Q[t:] and problem.R[t:], or the auxiliary problem's stacks,
+as they are.
 """
 from __future__ import annotations
 
@@ -44,7 +50,7 @@ import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import PINV_RTOL, PSD_TOL, _pinv, eig_margin, pinv, range_residual, symmetrize
-from .model import FeedbackPolicy, ProblemData, ensure_valid
+from .model import FeedbackPolicy, ProblemData, _check_solve_args
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
 SOLVABLE_ALL_PAIRS = "SolvableAllPairs"
@@ -68,7 +74,8 @@ class RiccatiSolution:
 
     P maps (i, k) to a symmetric n x n matrix for the defined pairs only
     (at d = 0 that is P^(0) alone), as a dict or a read-only mapping; W/H/K
-    are indexed by k - t for k = t..N-1. `single_region` marks the variant
+    are (N - t, m, m), (N - t, m, n) and (N - t, m, n) stacks whose row j
+    belongs to time k = t + j. `single_region` marks the variant
     that carries every index 0..d at every time (solve_riccati_bar); the
     piecewise form tops out at min(k - t, d).
     """
@@ -79,9 +86,9 @@ class RiccatiSolution:
     n: int
     m: int
     P: Mapping[tuple[int, int], np.ndarray]
-    W: tuple[np.ndarray, ...]
-    H: tuple[np.ndarray, ...]
-    K: tuple[np.ndarray, ...]
+    W: np.ndarray
+    H: np.ndarray
+    K: np.ndarray
     single_region: bool = False
 
     def top_index(self, k: int) -> int:
@@ -190,24 +197,19 @@ class _StackedBlocks(Mapping):
         return len(self.buffer)
 
 
-def _check_solve_args(problem: ProblemData, t: int) -> None:
-    ensure_valid(problem)
-    if not 0 <= t <= problem.N - 1:
-        raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
-
-
 def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
               pinv_rtol: float, S=None, delta=None) -> RiccatiSolution:
     """The piecewise backward pass (see module docstring) with per-step state
-    weight Q[k], control weight R[k] and terminal weight G.
+    weight Q[j], control weight R[j] and terminal weight G, where step
+    j = k - t (so Q and R hold N - t matrices, like W, H and K).
 
-    Optional per-step terms: a cross weight S[k] added last to H_k, and a
-    correction delta[k] added to the top index for k > t. The terminal
-    weight is symmetrized here. A non-finite symmetrized terminal weight,
-    non-finite W/H (or a non-finite P^(0)_t) raise ConsistencyError naming
-    the step.
+    Optional per-step terms: a cross weight S[j] added last to H_k, and a
+    correction delta[j] added to the top index for k > t (delta[0] is not
+    read). The terminal weight is symmetrized here. A non-finite symmetrized
+    terminal weight, non-finite W/H (or a non-finite P^(0)_t) raise
+    ConsistencyError naming the step.
     """
-    n, N, d = problem.n, problem.N, problem.d
+    n, m, N, d = problem.n, problem.m, problem.N, problem.d
     # The stacks of times N, N-1, ..., t are consecutive slices of one buffer.
     # With one allocation per step, interleaved with the step's temporaries,
     # the peak memory of a process running many solves varied from one
@@ -217,9 +219,7 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     Pn = stacks[N]
     Pn.fill(0.0)
 
-    W: list[np.ndarray] = [np.empty(0)] * (N - t)
-    H: list[np.ndarray] = [np.empty(0)] * (N - t)
-    K: list[np.ndarray] = [np.empty(0)] * (N - t)
+    W, H, K = np.empty((N - t, m, m)), np.empty((N - t, m, n)), np.empty((N - t, m, n))
     with np.errstate(all="ignore"):
         Pn[0] = symmetrize(G)
         if not np.isfinite(Pn[0]).all():
@@ -227,18 +227,19 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
                 f"numerical breakdown: non-finite symmetrized terminal weight at k={N}"
             )
         for k in range(N - 1, t - 1, -1):
+            j = k - t
             A, C = problem.A[k], problem.C[k]
-            Wk, Hk = _wh_from_stack(problem, Pn, k, R[k])
+            Wk, Hk = _wh_from_stack(problem, Pn, k, R[j])
             if S is not None:
-                Hk = Hk + S[k]
+                Hk = Hk + S[j]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
                 raise ConsistencyError(f"numerical breakdown: non-finite W/H at k={k}")
             Wdag = _pinv(Wk, pinv_rtol)
             fold = symmetrize(Hk.T @ Wdag @ Hk)
-            W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
+            W[j], H[j], K[j] = Wk, Hk, -Wdag @ Hk
 
             nxt = Pn[0] + Pn[1] if d else Pn[0]
-            state_part = Q[k] + A.T @ nxt @ A + C.T @ Pn[0] @ C
+            state_part = Q[j] + A.T @ nxt @ A + C.T @ Pn[0] @ C
             r = min(k - t, d)
             Pk = stacks[k]
             if r == 0:
@@ -248,24 +249,23 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
                 if r > 1:
                     Pk[1:r] = symmetrize(A.T @ Pn[2:r + 1] @ A)
                 if r == d:
-                    top = -fold if delta is None else delta[k] - fold
+                    top = -fold if delta is None else delta[j] - fold
                 else:
                     top = A.T @ Pn[r + 1] @ A
-                    top = (top if delta is None else delta[k] + top) - fold
+                    top = (top if delta is None else delta[j] + top) - fold
                 Pk[r] = symmetrize(top)
             Pn = Pk
     if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=blocks,
-                           W=tuple(W), H=tuple(H), K=tuple(K))
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=blocks, W=W, H=H, K=K)
 
 
 def solve_riccati(problem: ProblemData, t: int,
                   pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
     """Backward pass of the piecewise-coupled recursion (see module docstring)."""
     _check_solve_args(problem, t)
-    return _backward(problem, t, problem.Q, problem.R, problem.G, pinv_rtol)
+    return _backward(problem, t, problem.Q[t:], problem.R[t:], problem.G, pinv_rtol)
 
 
 def solve_riccati_bar(problem: ProblemData, t: int,
@@ -278,14 +278,12 @@ def solve_riccati_bar(problem: ProblemData, t: int,
         return solve_riccati(problem, t, pinv_rtol)
     _check_solve_args(problem, t)
 
-    n, N, d = problem.n, problem.N, problem.d
+    n, m, N, d = problem.n, problem.m, problem.N, problem.d
     P: dict[tuple[int, int], np.ndarray] = {(0, N): symmetrize(problem.G)}
     for j in range(1, d + 1):
         P[(j, N)] = np.zeros((n, n))
 
-    W: list[np.ndarray] = [np.empty(0)] * (N - t)
-    H: list[np.ndarray] = [np.empty(0)] * (N - t)
-    K: list[np.ndarray] = [np.empty(0)] * (N - t)
+    W, H, K = np.empty((N - t, m, m)), np.empty((N - t, m, n)), np.empty((N - t, m, n))
     for k in range(N - 1, t - 1, -1):
         A, C, Q = problem.A[k], problem.C[k], problem.Q[k]
         Wk, Hk = _wh_from_next(problem, P, k, d, problem.R[k])
@@ -299,8 +297,7 @@ def solve_riccati_bar(problem: ProblemData, t: int,
             P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
         P[(d, k)] = symmetrize(-(Hk.T @ Wdag @ Hk))
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
-                           W=tuple(W), H=tuple(H), K=tuple(K),
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
                            single_region=True)
 
 
@@ -336,9 +333,8 @@ def classify(sol: RiccatiSolution, tol: float = PSD_TOL) -> SolvabilityReport:
     decide; all steps are graded in one stacked eig_margin and one stacked
     range_residual.
     """
-    W, H = np.stack(sol.W), np.stack(sol.H)
-    lam, margin = eig_margin(W)
-    resid = range_residual(H, W)
+    lam, margin = eig_margin(sol.W)
+    resid = range_residual(sol.H, sol.W)
     steps = tuple(StepEvidence(k=sol.t + j, w_min_eig=lam_j, range_residual=resid_j)
                   for j, (lam_j, resid_j) in enumerate(zip(lam.tolist(), resid.tolist())))
     all_psd = bool(np.all(margin >= -tol))
@@ -409,9 +405,9 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
         "d": sol.d,
         "N": sol.N,
         "P": _blocks_to_dict(sol.P),
-        "W": [M.tolist() for M in sol.W],
-        "H": [M.tolist() for M in sol.H],
-        "K": [M.tolist() for M in sol.K],
+        "W": sol.W.tolist(),
+        "H": sol.H.tolist(),
+        "K": sol.K.tolist(),
         "classification": report.classification,
     }
 
@@ -420,15 +416,13 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
     try:
         t, d, N = int(data["t"]), int(data["d"]), int(data["N"])
         P = _blocks_from_dict(data["P"])
-        W = tuple(np.asarray(M, dtype=float) for M in data["W"])
-        H = tuple(np.asarray(M, dtype=float) for M in data["H"])
-        K = tuple(np.asarray(M, dtype=float) for M in data["K"])
+        W, H, K = (np.asarray(data[name], dtype=float) for name in "WHK")
         classification = str(data["classification"])
         n = P[(0, N)].shape[0]
-        m = W[0].shape[0] if W else 0
         if not len(W) == len(H) == len(K) == N - t:
             raise ValueError(f"W, H and K must hold N - t = {N - t} matrices each")
-        if any(M.shape != (m, m) for M in W) or any(M.shape != (m, n) for M in H + K):
+        m = W.shape[-1]
+        if W.shape != (N - t, m, m) or not H.shape == K.shape == (N - t, m, n):
             raise ValueError(f"W must hold {m}x{m} matrices, H and K {m}x{n} ones")
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc

@@ -40,6 +40,7 @@ from .model import (
     Policy,
     ProblemData,
     ScenarioTree,
+    _check_solve_args,
     block_mean,
     build_tree,
     ensure_valid,
@@ -256,9 +257,7 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     the mean coincide with the exact expectation. Memory is O(MC_CHUNK),
     whatever the sample count: the noise is drawn and reduced chunk by chunk.
     """
-    ensure_valid(problem)
-    if not 0 <= t <= problem.N - 1:
-        raise ValidationError(f"t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
+    _check_solve_args(problem, t)
     if samples < 2:
         raise ValidationError(f"need at least 2 samples, got {samples}")
     noise_label = _normalize_noise(noise)

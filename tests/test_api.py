@@ -43,3 +43,17 @@ def test_linalg_alone_turns_matrices_into_verdicts():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_per_step_sequences_stay_stacks():
+    """Problem data, solutions and the backward kernel's inputs share one
+    format, a (steps, ., .) stack: no module re-stacks a W/H/K/Q/R sequence
+    or re-keys one into a dict by time."""
+    pattern = re.compile(r"np\.stack\([^)]*\.[WHKQR]\b|dict\(zip\(")
+    offenders = [
+        f"{path.name}:{lineno}: {line.strip()}"
+        for path in sorted(pathlib.Path(delq.__file__).parent.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []

@@ -329,6 +329,30 @@ def test_overflowing_terminal_weight_is_a_numerical_breakdown(tmp_path):
             assert bad not in proc.stderr, (argv, proc.stderr)
 
 
+def test_overflowing_terminal_gap_is_a_numerical_breakdown(tmp_path):
+    """G = 1e308 makes the terminal gap G - P~^(0)_N of the zero candidate
+    finite but its symmetrization infinite: check and construct exit 4
+    naming k = N in either format, with no RuntimeWarning (turned into an
+    error here) and no NaN margin on stdout."""
+    one, zero = [[[1.0]]] * 2, [[[0.0]]] * 2
+    path = tmp_path / "terminal-gap.json"
+    path.write_text(json.dumps({
+        "n": 1, "m": 1, "N": 2, "d": 1, "A": one, "B": one, "C": zero, "D": zero,
+        "Q": one, "R": one, "G": [[1e308]],
+    }))
+    src = os.path.dirname(os.path.dirname(delq.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="error::RuntimeWarning")
+    for sub in ("check", "construct"):
+        for fmt in ("human", "json"):
+            proc = subprocess.run([sys.executable, "-m", "delq", "lmei", sub, "--zero",
+                                   "--problem", str(path), "--format", fmt],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == EXIT_INCONSISTENT, (sub, fmt, proc.stderr)
+            assert proc.stderr == ("consistency failure: numerical breakdown: non-finite "
+                                   "candidate slack at k=2\n"), (sub, fmt)
+            assert proc.stdout == "", (sub, fmt)
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda P: P.__setitem__("0,1", [[1e308]]),
      "non-finite symmetrized candidate P~^(0) at k=1"),

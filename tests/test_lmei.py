@@ -426,12 +426,11 @@ def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
             f"{worst.kind} at k={worst.k} (margin {worst.margin:.3e})"
         )
     n, N, d = cand.n, cand.N, cand.d
-    Q_aux = {k: state_gap(cand, problem, k) for k in range(t, N)}
-    W_cand, H_cand = {}, {}
-    for k in range(t, N):
-        W_cand[k], H_cand[k] = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d),
-                                             problem.R[k])
-    delta = {k: correction_matrix(cand, problem, k) for k in range(t + 1, N)}
+    # the kernel's per-step inputs, indexed by step k - t (delta[0] is unused)
+    Q_aux = [state_gap(cand, problem, k) for k in range(t, N)]
+    W_cand, H_cand = zip(*(_wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+                           for k in range(t, N)))
+    delta = [None] + [correction_matrix(cand, problem, k) for k in range(t + 1, N)]
     G_aux = symmetrize(problem.G - cand.P_at(0, N))
     aux = lmei._backward(problem, t, Q_aux, W_cand, G_aux, pinv_rtol, S=H_cand,
                          delta=delta)
@@ -608,6 +607,25 @@ def test_overflowing_slack_is_a_numerical_breakdown():
     entries[(0, 3)] = np.array([[-8e307]])
     with pytest.raises(ConsistencyError, match=r"non-finite candidate slack at k=3$"):
         check_membership(make_candidate(big_g, 0, entries), big_g, 0)
+
+
+def test_overflowing_margin_is_a_numerical_breakdown():
+    """Finite slack can still have an eigenvalue beyond the float range:
+    P~^(0)_1 = 7e307 * ones(3, 3) gives the inequality at k = 1 the
+    eigenvalue 1 - 2.1e308, whose margin -inf / inf is NaN. No NaN margin
+    reaches a report; check and construct name the step instead."""
+    n = 3
+    eye, zero = np.eye(n), np.zeros((n, n))
+    problem = ProblemData(n=n, m=1, N=2, d=1, A=[zero, eye],
+                          B=[np.zeros((n, 1)), np.ones((n, 1))], C=[zero, zero],
+                          D=[np.zeros((n, 1))] * 2, Q=[eye, eye], R=[[[1.0]]] * 2, G=eye)
+    entries = dict(zero_candidate(problem, 0).P)
+    entries[(0, 1)] = np.full((n, n), 7e307)
+    cand = make_candidate(problem, 0, entries)
+    for fn in (check_membership, construct_from_candidate):
+        with pytest.raises(ConsistencyError,
+                           match=r"numerical breakdown: non-finite inequality margin at k=1$"):
+            fn(cand, problem, 0)
 
 
 def test_overflowing_construction_is_a_numerical_breakdown(monkeypatch):

@@ -20,6 +20,8 @@ from delq import (
     is_pd,
     is_psd,
     optimal_value,
+    problem_from_dict,
+    problem_to_dict,
     range_residual,
     recompute_wh,
     solution_from_dict,
@@ -187,11 +189,34 @@ def test_stored_matrices_are_exactly_symmetric():
 
 
 # ---------------------------------------------------------------------------
+# One data format: per-step sequences are (steps, ., .) stacks
+
+def test_problems_and_solutions_hold_stacks():
+    """A loaded problem holds A..R as (N, ., .) float arrays, and every
+    producer of a solution returns W/H/K as (N - t, ., .) arrays."""
+    problem = nonneg_problem(4, n=2, m=1, horizon=5, d=2)
+    loaded = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+    n, m, N = loaded.n, loaded.m, loaded.N
+    shapes = {"A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m), "Q": (n, n), "R": (m, m)}
+    for name, shape in shapes.items():
+        seq = getattr(loaded, name)
+        assert isinstance(seq, np.ndarray) and seq.dtype == float, name
+        assert seq.shape == (N,) + shape, name
+    t = 1
+    for sol in (solve_riccati(loaded, t), solve_riccati_bar(loaded, t),
+                lmei.construct_from_candidate(lmei.zero_candidate(loaded, t), loaded, t)):
+        for name, shape in (("W", (m, m)), ("H", (m, n)), ("K", (m, n))):
+            stack = getattr(sol, name)
+            assert isinstance(stack, np.ndarray) and stack.shape == (N - t,) + shape, name
+
+
+# ---------------------------------------------------------------------------
 # The stacked kernel against a plain per-index loop
 
 def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
     """The backward pass as one matrix per (i, k) and one product per index:
-    the arithmetic the stacked kernel must reproduce bit for bit."""
+    the arithmetic the stacked kernel must reproduce bit for bit. Q, R, S
+    and delta are indexed by step k - t, as the kernel's are."""
     n, N, d = problem.n, problem.N, problem.d
     P = {(0, N): symmetrize(G)}
     for j in range(1, min(N - t, d) + 1):
@@ -204,15 +229,15 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
             for i in range(min(k + 1 - t, d) + 1):
                 Psum = Psum + P[(i, k + 1)]
             P0 = P[(0, k + 1)]
-            Wk = symmetrize(R[k] + B.T @ Psum @ B + D.T @ P0 @ D)
+            Wk = symmetrize(R[k - t] + B.T @ Psum @ B + D.T @ P0 @ D)
             Hk = B.T @ Psum @ A + D.T @ P0 @ C
             if S is not None:
-                Hk = Hk + S[k]
+                Hk = Hk + S[k - t]
             Wdag = pinv(Wk, pinv_rtol)
             fold = symmetrize(Hk.T @ Wdag @ Hk)
             W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
             nxt = P[(0, k + 1)] + P[(1, k + 1)] if d else P[(0, k + 1)]
-            state_part = Q[k] + A.T @ nxt @ A + C.T @ P[(0, k + 1)] @ C
+            state_part = Q[k - t] + A.T @ nxt @ A + C.T @ P[(0, k + 1)] @ C
             r = min(k - t, d)
             if r == 0:
                 P[(0, k)] = symmetrize(state_part - fold)
@@ -221,10 +246,10 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
             for i in range(1, r):
                 P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
             if r == d:
-                top = -fold if delta is None else delta[k] - fold
+                top = -fold if delta is None else delta[k - t] - fold
             else:
                 top = A.T @ P[(r + 1, k + 1)] @ A
-                top = (top if delta is None else delta[k] + top) - fold
+                top = (top if delta is None else delta[k - t] + top) - fold
             P[(r, k)] = symmetrize(top)
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
                            W=tuple(W), H=tuple(H), K=tuple(K))
@@ -278,7 +303,7 @@ def test_stacked_kernel_matches_per_index_loop():
     cases = list(_kernel_cases())
     assert any(t > 0 for _, t in cases)
     for problem, t in cases:
-        want = _reference_backward(problem, t, problem.Q, problem.R, problem.G,
+        want = _reference_backward(problem, t, problem.Q[t:], problem.R[t:], problem.G,
                                    PINV_RTOL)
         _assert_identical(solve_riccati(problem, t), want)
 
