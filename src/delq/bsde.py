@@ -68,17 +68,18 @@ def _driver_values(tree: ScenarioTree, driver, n: int) -> list[np.ndarray]:
     return vals
 
 
-def solve_bsde(tree: ScenarioTree, problem: ProblemData, terminal,
+def solve_bsde(t: int, problem: ProblemData, terminal,
                driver=None) -> AdaptedProcess:
     """Solve V_k = A_k^T E_k[V_{k+1}] + C_k^T E_k[V_{k+1} w_k] + driver_k
-    backward from V_N = terminal.
+    backward from V_N = terminal, on the tree of times t..N that build_tree
+    makes here from (t, problem.N), under the DELQ_DEPTH_CAP depth cap.
 
-    On the binary tree E_k[.] is the mean of the two children and
-    E_k[. w_k] their signed half-difference, both exact. `terminal` is one
-    row per leaf (a single row is broadcast); `driver` covers t..N-1 at full
-    resolution, or None for zero.
+    E_k[.] is the mean of the two children and E_k[. w_k] their signed
+    half-difference, both exact. `terminal` is one row per leaf (a single
+    row is broadcast); `driver` covers t..N-1 at full resolution, or None.
     """
-    t, N, n = tree.start, tree.end, problem.n
+    tree = build_tree(t, problem.N)
+    N, n = tree.end, problem.n
     eta = np.atleast_2d(np.asarray(terminal, dtype=float))
     if eta.shape == (1, n) and tree.n_nodes(N) > 1:
         eta = np.tile(eta, (tree.n_nodes(N), 1))
@@ -102,13 +103,12 @@ def solve_bsde(tree: ScenarioTree, problem: ProblemData, terminal,
 # ---------------------------------------------------------------------------
 # System operators and adjoints
 
-def _adjoint_controls(problem: ProblemData, tree: ScenarioTree,
-                      V: AdaptedProcess) -> tuple[np.ndarray, ...]:
+def _adjoint_controls(problem: ProblemData, V: AdaptedProcess) -> tuple[np.ndarray, ...]:
     """The control-space projections B_k^T E_s[V_{k+1}] + D_k^T E_s[V_{k+1} w_k]
-    at information level s = max(t, k-d), one coarse array per k."""
-    t = tree.start
+    at information level s = max(t, k-d), t = V.first, one coarse array per k."""
+    t = V.first
     out = []
-    for k in range(t, tree.end):
+    for k in range(t, problem.N):
         s = measurable_level(t, problem.d, k)
         Vn = V.at(k + 1)
         ev = block_mean(Vn, k + 1 - s)
@@ -117,7 +117,7 @@ def _adjoint_controls(problem: ProblemData, tree: ScenarioTree,
     return tuple(out)
 
 
-def apply_operators(tree: ScenarioTree, problem: ProblemData, t: int,
+def apply_operators(problem: ProblemData, t: int,
                     x=None, u: Policy | None = None, xi=None, eta=None) -> dict:
     """Evaluate the four system operators and/or their adjoints.
 
@@ -126,27 +126,26 @@ def apply_operators(tree: ScenarioTree, problem: ProblemData, t: int,
     Adjoint (from a state-process xi and/or terminal eta): the initial
     covector and the coarse control-space process, i.e. the adjoints of
     those two maps applied to xi, and of x -> X_N and u -> X_N applied to
-    eta.
+    eta. Each rollout and backward solve builds the tree of times t..N
+    itself, under the DELQ_DEPTH_CAP depth cap.
     """
-    if tree.start != t:
-        raise ValidationError(f"tree is rooted at {tree.start}, not {t}")
     out: dict = {}
     if x is not None:
-        traj = rollout(problem, tree, x, zero_policy(problem, tree.start))
+        traj = rollout(problem, t, x, zero_policy(problem, t))
         out["homogeneous_states"] = traj.states
-        out["homogeneous_terminal"] = traj.states.at(tree.end)
+        out["homogeneous_terminal"] = traj.states.at(problem.N)
     if u is not None:
-        traj = rollout(problem, tree, np.zeros(problem.n), u)
+        traj = rollout(problem, t, np.zeros(problem.n), u)
         out["forced_states"] = traj.states
-        out["forced_terminal"] = traj.states.at(tree.end)
+        out["forced_terminal"] = traj.states.at(problem.N)
     if xi is not None:
-        V = solve_bsde(tree, problem, terminal=np.zeros(problem.n), driver=xi)
-        out["state_adjoint"] = V.at(tree.start)[0]
-        out["control_adjoint"] = _adjoint_controls(problem, tree, V)
+        V = solve_bsde(t, problem, terminal=np.zeros(problem.n), driver=xi)
+        out["state_adjoint"] = V.at(t)[0]
+        out["control_adjoint"] = _adjoint_controls(problem, V)
     if eta is not None:
-        V = solve_bsde(tree, problem, terminal=eta, driver=None)
-        out["terminal_state_adjoint"] = V.at(tree.start)[0]
-        out["terminal_control_adjoint"] = _adjoint_controls(problem, tree, V)
+        V = solve_bsde(t, problem, terminal=eta, driver=None)
+        out["terminal_state_adjoint"] = V.at(t)[0]
+        out["terminal_control_adjoint"] = _adjoint_controls(problem, V)
     return out
 
 
@@ -235,9 +234,7 @@ class QuadraticForm:
         return float(vec @ self.M @ vec + 2.0 * (self.b @ vec) + self.c)
 
 
-def assemble_quadratic(problem: ProblemData, t: int, x,
-                       tree: ScenarioTree | None = None,
-                       dim_cap: int = STACKED_DIM_CAP) -> QuadraticForm:
+def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
     """Materialize the cost as an explicit quadratic form.
 
     Every atom's subtree runs the same dynamics, so the zero-state response
@@ -251,14 +248,11 @@ def assemble_quadratic(problem: ProblemData, t: int, x,
     """
     _check_solve_args(problem, t)
     layout = StackedControlLayout.build(problem, t)
-    if layout.size > dim_cap:
+    if layout.size > STACKED_DIM_CAP:
         raise ResourceLimitError(
-            f"stacked-control dimension {layout.size} exceeds cap {dim_cap}"
+            f"stacked-control dimension {layout.size} exceeds cap {STACKED_DIM_CAP}"
         )
-    if tree is None:
-        tree = build_tree(t, problem.N)
-    elif tree.start != t or tree.end != problem.N:
-        raise ValidationError("tree must span t..N")
+    tree = build_tree(t, problem.N)
 
     n, m, dim = problem.n, problem.m, layout.size
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -351,36 +345,30 @@ def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
     return OracleOutcome(bounded=True, value=value, minimizer=minimizer, reason="")
 
 
-def oracle_cost(problem: ProblemData, t: int, x, vec,
-                tree: ScenarioTree | None = None) -> float:
+def oracle_cost(problem: ProblemData, t: int, x, vec) -> float:
     """Exact cost of a stacked control vector (direct simulation)."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
     layout = StackedControlLayout.build(problem, t)
     policy = layout.unstack(vec)
-    return trajectory_cost(problem, rollout(problem, tree, x, policy))
+    return trajectory_cost(problem, rollout(problem, t, x, policy))
 
 
 # ---------------------------------------------------------------------------
 # First-order optimality and decoupling
 
-def _costate(problem: ProblemData, tree: ScenarioTree, traj: Trajectory) -> AdaptedProcess:
+def _costate(problem: ProblemData, traj: Trajectory) -> AdaptedProcess:
     """Backward costate driven by Q_k X_k with terminal G X_N."""
-    driver = [traj.states.at(k) @ problem.Q[k] for k in range(tree.start, tree.end)]
-    terminal = traj.states.at(tree.end) @ problem.G
-    return solve_bsde(tree, problem, terminal=terminal, driver=driver)
+    driver = [traj.states.at(k) @ problem.Q[k] for k in range(traj.first, problem.N)]
+    terminal = traj.states.at(problem.N) @ problem.G
+    return solve_bsde(traj.first, problem, terminal=terminal, driver=driver)
 
 
-def stationary_residual(problem: ProblemData, t: int, x, u: Policy,
-                        tree: ScenarioTree | None = None) -> float:
+def stationary_residual(problem: ProblemData, t: int, x, u: Policy) -> float:
     """Max norm over times and information atoms of the first-order condition
     R_k u_k + B_k^T E_{k-d}[Z_{k+1}] + D_k^T E_{k-d}[Z_{k+1} w_k], where Z is
     the costate of the trajectory under u. Zero (to tolerance) iff u is a
     stationary point of the cost."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
-    traj = rollout(problem, tree, x, u)
-    adjoint = _adjoint_controls(problem, tree, _costate(problem, tree, traj))
+    traj = rollout(problem, t, x, u)
+    adjoint = _adjoint_controls(problem, _costate(problem, traj))
     worst = 0.0
     for k in range(t, problem.N):
         rows = traj.control_at(k) @ problem.R[k] + adjoint[k - t]
@@ -388,15 +376,12 @@ def stationary_residual(problem: ProblemData, t: int, x, u: Policy,
     return worst
 
 
-def decoupling_residual(problem: ProblemData, t: int, x, sol,
-                        tree: ScenarioTree | None = None) -> float:
+def decoupling_residual(problem: ProblemData, t: int, x, sol) -> float:
     """On the optimal trajectory, max deviation of the costate Z_k from the
     layered representation sum_i P^(i)_k E_{k-i}[X_k] (indices 0..min(k-t,d))."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
     policy = FeedbackPolicy(t=sol.t, d=sol.d, gains=sol.K)
-    traj = rollout(problem, tree, x, policy)
-    Z = _costate(problem, tree, traj)
+    traj = rollout(problem, t, x, policy)
+    Z = _costate(problem, traj)
     worst = 0.0
     for k in range(t, problem.N + 1):
         X = traj.states.at(k)
@@ -422,14 +407,12 @@ class FixedPairCheck:
     samples: int
 
 
-def fixed_pair_check(problem: ProblemData, t: int, x, sol,
-                     tree: ScenarioTree | None = None, samples: int = 200,
+def fixed_pair_check(problem: ProblemData, t: int, x, sol, samples: int = 200,
                      seed: int = 0, tol: float = PSD_TOL) -> FixedPairCheck:
     """Probe whether H_k E_{k-d}[X_k] stays in Ran(W_k) along closed-loop
     trajectories fed by random extra inputs (the quantifier runs over all
     admissible inputs, so sampling can only falsify)."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
+    build_tree(t, problem.N)  # the sweeps below enumerate its nodes
     sufficient = bool(np.all(range_residual(sol.H, sol.W) <= tol))
     projectors = np.eye(problem.m) - sol.W @ pinv(sol.W)
     rng = np.random.default_rng(seed)
@@ -452,15 +435,14 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol,
 
 
 def first_variation_inner(problem: ProblemData, t: int, traj: Trajectory,
-                          Z: AdaptedProcess, v: OpenLoopPolicy,
-                          tree: ScenarioTree) -> float:
+                          Z: AdaptedProcess, v: OpenLoopPolicy) -> float:
     """sum_k E[(R_k u_k + B_k^T Z_{k+1} + D_k^T Z_{k+1} w_k)^T v_k]: the
     first-order term in the cost expansion around u in direction v."""
     total = 0.0
     for k in range(t, problem.N):
         s = measurable_level(t, problem.d, k)
         Zn = Z.at(k + 1)
-        w = tree.step_noise(k)
+        w = Z.tree.step_noise(k)
         grad = (
             expand(traj.control_at(k) @ problem.R[k], k + 1 - s)
             + Zn @ problem.B[k]
@@ -472,20 +454,17 @@ def first_variation_inner(problem: ProblemData, t: int, traj: Trajectory,
 
 
 def cost_difference_residual(problem: ProblemData, t: int, x,
-                             u: OpenLoopPolicy, v: OpenLoopPolicy, lam: float,
-                             tree: ScenarioTree | None = None) -> float:
+                             u: OpenLoopPolicy, v: OpenLoopPolicy, lam: float) -> float:
     """Absolute defect of the exact second-order expansion
     J(t,x;u+lam*v) - J(t,x;u) = lam^2 J(t,0;v) + 2 lam <gradient, v>."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
-    traj_u = rollout(problem, tree, x, u)
-    Z = _costate(problem, tree, traj_u)
+    traj_u = rollout(problem, t, x, u)
+    Z = _costate(problem, traj_u)
     shifted = OpenLoopPolicy(
         t=t, d=problem.d,
         controls=[a + lam * b for a, b in zip(u.controls, v.controls, strict=True)],
     )
-    lhs = trajectory_cost(problem, rollout(problem, tree, x, shifted)) \
+    lhs = trajectory_cost(problem, rollout(problem, t, x, shifted)) \
         - trajectory_cost(problem, traj_u)
-    rhs = lam * lam * trajectory_cost(problem, rollout(problem, tree, np.zeros(problem.n), v)) \
-        + 2.0 * lam * first_variation_inner(problem, t, traj_u, Z, v, tree)
+    rhs = lam * lam * trajectory_cost(problem, rollout(problem, t, np.zeros(problem.n), v)) \
+        + 2.0 * lam * first_variation_inner(problem, t, traj_u, Z, v)
     return abs(lhs - rhs)

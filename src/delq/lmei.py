@@ -53,8 +53,8 @@ from .linalg import (
     rel_deviation,
     symmetrize,
 )
-from .model import ProblemData, ScenarioTree, _check_solve_args, block_mean, expand, \
-    measurable_level, quadratic_rows, rollout
+from .model import ProblemData, _check_solve_args, block_mean, expand, measurable_level, \
+    quadratic_rows, rollout
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
     RiccatiSolution,
@@ -63,6 +63,7 @@ from .riccati import (
     _blocks_from_dict,
     _blocks_to_dict,
     _StackedBlocks,
+    _key_mismatch,
     _stacked_keys,
     _wh_from_stack,
     classify,
@@ -149,16 +150,9 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
     if misshapen:
         raise ValidationError(misshapen)
     layout = _stacked_keys(t, N, d)
-    want, have = set(layout), set(keys)
-    if have != want:
-        missing = sorted(want - have)
-        extra = sorted(have - want)
-        parts = []
-        if missing:
-            parts.append(f"missing entries {missing[:6]}{'...' if len(missing) > 6 else ''}")
-        if extra:
-            parts.append(f"unexpected entries {extra[:6]}{'...' if len(extra) > 6 else ''}")
-        raise ValidationError("candidate index structure is wrong: " + "; ".join(parts))
+    mismatch = _key_mismatch(set(layout), set(keys))
+    if mismatch:
+        raise ValidationError(f"candidate index structure is wrong: {mismatch}")
     position = {key: j for j, key in enumerate(keys)}
     return _candidate(problem, t, stack[[position[key] for key in layout]])
 
@@ -445,7 +439,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
 # Auxiliary cost (used to validate the construction empirically)
 
 def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
-                   xi, u, tree: ScenarioTree) -> float:
+                   xi, u) -> float:
     """Exact tree evaluation of the auxiliary cost from (k, xi) under u.
 
     Common part: state weight = relaxed-recursion slack, cross term
@@ -459,7 +453,7 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
     if not t <= k <= cand.N - 1:
         raise ValidationError(f"start time {k} outside [{t}, {cand.N - 1}]")
     slack = _slack(cand, problem)
-    traj = rollout(problem, tree, xi, u, start=k)
+    traj = rollout(problem, t, xi, u, start=k)
     total = 0.0
     for ell in range(k, cand.N):
         j = ell - t

@@ -224,17 +224,9 @@ class ScenarioTree:
     start: int
     end: int
 
-    @property
-    def depth(self) -> int:
-        return self.end - self.start
-
     def n_nodes(self, k: int) -> int:
         self._check_time(k)
         return 1 << (k - self.start)
-
-    def probability(self, k: int) -> float:
-        """Probability of each single node at time k (uniform)."""
-        return 1.0 / self.n_nodes(k)
 
     def noise_path(self, k: int, node: int) -> np.ndarray:
         """Realized (w_start, ..., w_{k-1}) leading to the given node."""
@@ -255,11 +247,12 @@ class ScenarioTree:
             raise ValidationError(f"time {k} outside tree range [{self.start}, {self.end}]")
 
 
-def build_tree(t: int, N: int, cap: int | None = None) -> ScenarioTree:
-    """Tree for the noise between times t and N (2^(N-t) leaves)."""
-    if t > N:
-        raise ValidationError(f"tree start {t} exceeds end {N}")
-    limit = depth_cap() if cap is None else cap
+def build_tree(t: int, N: int) -> ScenarioTree:
+    """Tree for the noise between times t and N (2^(N-t) leaves). Every route
+    that enumerates a tree builds it here from (t, N), under the DELQ_DEPTH_CAP depth cap."""
+    if not 0 <= t <= N:
+        raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N = {N}")
+    limit = depth_cap()
     if N - t > limit:
         raise ResourceLimitError(
             f"tree depth {N - t} exceeds cap {limit} (set {DEPTH_CAP_ENV} to raise it)"
@@ -372,10 +365,9 @@ class Trajectory:
         return self.controls[k - self.first]
 
 
-def policy_control(policy: Policy, problem: ProblemData, tree: ScenarioTree,
+def policy_control(policy: Policy, problem: ProblemData, t: int,
                    k: int, state_values: np.ndarray) -> np.ndarray:
     """Coarse control at time k (one row per information atom)."""
-    t = tree.start
     s = measurable_level(t, problem.d, k)
     if isinstance(policy, FeedbackPolicy):
         if not policy.t <= k < policy.t + len(policy.gains):
@@ -404,31 +396,29 @@ def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.
     return nxt
 
 
-def rollout(problem: ProblemData, tree: ScenarioTree, x, policy: Policy,
+def rollout(problem: ProblemData, t: int, x, policy: Policy,
             start: int | None = None) -> Trajectory:
-    """Run the dynamics on the tree from `start` (default: the root).
+    """Run the dynamics from `start` (default t) on the tree of times t..N,
+    which build_tree makes here from (t, problem.N), under the DELQ_DEPTH_CAP depth cap.
 
     The initial vector is placed on every node at time `start`; controls are
     evaluated at their information level and broadcast to the nodes they act
-    on. For start > root, controls at times k with max(t, k-d) < start are
-    coarser than the state resolution, exactly as the delayed information
-    pattern dictates.
+    on. For start > t, controls at times k with max(t, k-d) < start are
+    coarser than the state resolution, as the delayed information dictates.
     """
-    t = tree.start
+    tree = build_tree(t, problem.N)
     start = t if start is None else start
     if not t <= start <= tree.end:
         raise ValidationError(f"start {start} outside tree range")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (problem.n,):
         raise ValidationError(f"initial state must have length {problem.n}, got {x.shape}")
-    if tree.end != problem.N:
-        raise ValidationError("tree end must equal the problem horizon N")
 
     X = np.tile(x, (tree.n_nodes(start), 1))
     states = [X]
     controls: list[np.ndarray] = []
     for k in range(start, problem.N):
-        u = policy_control(policy, problem, tree, k, X)
+        u = policy_control(policy, problem, t, k, X)
         controls.append(u)
         X = tree_step(problem, k, X, expand(u, k - measurable_level(t, problem.d, k)))
         states.append(X)

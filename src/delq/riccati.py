@@ -49,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, _pinv, eig_margin, pinv, range_residual, symmetrize
+from .linalg import PINV_RTOL, PSD_TOL, _is_symmetric, _pinv, eig_margin, pinv, range_residual, \
+    symmetrize
 from .model import FeedbackPolicy, ProblemData, _check_solve_args
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
@@ -163,6 +164,16 @@ def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np
 def _stacked_keys(t: int, N: int, d: int) -> list[tuple[int, int]]:
     """The (i, k) of the rows of _StackedBlocks' buffer, in order."""
     return [(i, k) for k in range(N, t - 1, -1) for i in range(min(k - t, d) + 1)]
+
+
+def _key_mismatch(want: set, have: set) -> str:
+    """The pairs of `want` missing from `have`, then those beyond it; "" if none."""
+    parts = []
+    for label, keys in (("missing", want - have), ("unexpected", have - want)):
+        keys = sorted(keys)
+        if keys:
+            parts.append(f"{label} entries {keys[:6]}{'...' if len(keys) > 6 else ''}")
+    return "; ".join(parts)
 
 
 class _StackedBlocks(Mapping):
@@ -424,9 +435,18 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
         m = W.shape[-1]
         if W.shape != (N - t, m, m) or not H.shape == K.shape == (N - t, m, n):
             raise ValueError(f"W must hold {m}x{m} matrices, H and K {m}x{n} ones")
+        # Only the single-region variant carries P^(d) at the initial time.
+        single = d >= 1 and (d, t) in P
+        layout = [(i, k) for k in range(t, N + 1) for i in range(d + 1)] if single \
+            else _stacked_keys(t, N, d)
+        mismatch = _key_mismatch(set(layout), set(P))
+        if mismatch:
+            raise ValueError(f"P index structure is wrong: {mismatch}")
+        for key in layout:
+            if P[key].shape != (n, n) or not _is_symmetric(P[key]):
+                raise ValueError(f"P entry {key} is not a symmetric {n}x{n} matrix")
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
-    # Only the single-region variant carries P^(d) at the initial time.
     sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
-                          single_region=d >= 1 and (d, t) in P)
+                          single_region=single)
     return sol, classification

@@ -39,7 +39,6 @@ from .model import (
     OpenLoopPolicy,
     Policy,
     ProblemData,
-    ScenarioTree,
     _check_solve_args,
     block_mean,
     build_tree,
@@ -82,18 +81,14 @@ class EvaluationResult:
         }
 
 
-def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
-               tree: ScenarioTree | None = None) -> EvaluationResult:
-    """Exact expected cost: probability-weighted sum over all 2^(N-t) paths."""
+def exact_cost(problem: ProblemData, t: int, x, policy: Policy) -> EvaluationResult:
+    """Exact expected cost: probability-weighted sum over all 2^(N-t) paths of
+    the tree rollout builds, under the DELQ_DEPTH_CAP depth cap (0 <= t <= N; x^T G x at N)."""
     ensure_valid(problem)
-    if tree is None:
-        tree = build_tree(t, problem.N)
-    elif tree.start != t or tree.end != problem.N:
-        raise ValidationError("tree must span t..N")
-    traj = rollout(problem, tree, x, policy)
+    traj = rollout(problem, t, x, policy)
     return EvaluationResult(
         mean=trajectory_cost(problem, traj), std_error=0.0,
-        samples=tree.n_nodes(problem.N), mode=EXACT, noise=RADEMACHER, seed=None,
+        samples=1 << (problem.N - t), mode=EXACT, noise=RADEMACHER, seed=None,
     )
 
 
@@ -352,9 +347,7 @@ def predictor(problem: ProblemData, t: int, x, gains, k: int, noises=()) -> np.n
 # ---------------------------------------------------------------------------
 # Cost-decomposition cross-checks
 
-def cost_decomposition_check(problem: ProblemData, t: int, u: Policy,
-                             tree: ScenarioTree | None = None,
-                             sol=None) -> float:
+def cost_decomposition_check(problem: ProblemData, t: int, u: Policy, sol=None) -> float:
     """Absolute defect of the zero-initial-state cost decomposition
 
     J(t,0;u) = sum_k E[(E_{k-d}X0)^T H^T W^+ H (E_{k-d}X0)
@@ -364,11 +357,9 @@ def cost_decomposition_check(problem: ProblemData, t: int, u: Policy,
     or range condition needed). Both sides evaluated exactly on the tree."""
     from .riccati import solve_riccati
 
-    if tree is None:
-        tree = build_tree(t, problem.N)
     if sol is None:
         sol = solve_riccati(problem, t)
-    traj = rollout(problem, tree, np.zeros(problem.n), u)
+    traj = rollout(problem, t, np.zeros(problem.n), u)
     lhs = trajectory_cost(problem, traj)
 
     rhs = 0.0
@@ -384,14 +375,12 @@ def cost_decomposition_check(problem: ProblemData, t: int, u: Policy,
     return abs(lhs - rhs)
 
 
-def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol,
-                   tree: ScenarioTree | None = None) -> OpenLoopPolicy:
+def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol) -> OpenLoopPolicy:
     """The control-shift map: v_k = u_k - W_k^+ H_k E_{k-d}[X_k], where X is
     the trajectory of the closed-loop-plus-input system driven by u. The map
     is onto the admissible set, and under the solvable classifications the
     cost of v decomposes as x^T P^(0)_t x + sum E[u^T W u]."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
+    build_tree(t, problem.N)  # the sweep below enumerates its nodes
     if isinstance(u, FeedbackPolicy):
         raise ValidationError("shifted_policy expects explicit (open-loop) controls")
     x = np.asarray(x, dtype=float).reshape(-1)
@@ -409,15 +398,12 @@ def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol,
 
 
 def completion_of_squares_residual(problem: ProblemData, t: int, x,
-                                   u: OpenLoopPolicy, sol,
-                                   tree: ScenarioTree | None = None) -> float:
+                                   u: OpenLoopPolicy, sol) -> float:
     """|J(t,x;v^u) - (x^T P^(0)_t x + sum_k E[u_k^T W_k u_k])| for the
     shifted control v^u; zero (to tolerance) whenever every H_k lies in the
     range of W_k."""
-    if tree is None:
-        tree = build_tree(t, problem.N)
-    v = shifted_policy(problem, t, x, u, sol, tree)
-    lhs = trajectory_cost(problem, rollout(problem, tree, x, v))
+    v = shifted_policy(problem, t, x, u, sol)
+    lhs = trajectory_cost(problem, rollout(problem, t, x, v))
     x = np.asarray(x, dtype=float).reshape(-1)
     rhs = float(x @ sol.P_at(0, t) @ x)
     for k in range(t, problem.N):

@@ -10,13 +10,11 @@ every criterion's measured numbers.
 import time
 
 import numpy as np
-import pytest
 
 from delq import (
     SOLVABLE_ALL_PAIRS,
     apply_operators,
     assemble_quadratic,
-    build_tree,
     certificate_from_riccati,
     classify,
     construct_from_candidate,
@@ -139,7 +137,6 @@ def test_criterion_5_identity_suites():
     worst_bound = np.inf
     instances = _population()[:20]
     for seed, problem, t, sol in instances:
-        tree = build_tree(t, problem.N)
         cand = certificate_from_riccati(sol, problem)
         rng = np.random.default_rng(seed + 30_000)
         for _ in range(100):
@@ -147,17 +144,17 @@ def test_criterion_5_identity_suites():
             x = rng.normal(size=problem.n)
 
             worst_decomp = max(worst_decomp,
-                               cost_decomposition_check(problem, t, u, tree, sol))
+                               cost_decomposition_check(problem, t, u, sol))
 
             v = random_open_loop(problem, t, rng)
             lam = float(rng.normal())
             worst_diff = max(worst_diff,
-                             cost_difference_residual(problem, t, x, u, v, lam, tree))
+                             cost_difference_residual(problem, t, x, u, v, lam))
 
-            xi = [rng.normal(size=(tree.n_nodes(k), problem.n))
+            xi = [rng.normal(size=(1 << (k - t), problem.n))
                   for k in range(t, problem.N)]
-            eta = rng.normal(size=(tree.n_nodes(problem.N), problem.n))
-            out = apply_operators(tree, problem, t, x=x, u=u, xi=xi, eta=eta)
+            eta = rng.normal(size=(1 << (problem.N - t), problem.n))
+            out = apply_operators(problem, t, x=x, u=u, xi=xi, eta=eta)
             homog = [out["homogeneous_states"].at(k) for k in range(t, problem.N)]
             forced = [out["forced_states"].at(k) for k in range(t, problem.N)]
             pairs = [
@@ -176,7 +173,7 @@ def test_criterion_5_identity_suites():
 
             k = int(rng.integers(t, problem.N))
             xi0 = rng.normal(size=problem.n)
-            J = trajectory_cost(problem, rollout(problem, tree, xi0, u, start=k))
+            J = trajectory_cost(problem, rollout(problem, t, xi0, u, start=k))
             bound = float(xi0 @ sum(cand.P_at(i, k)
                                     for i in range(cand.top_index(k) + 1)) @ xi0)
             worst_bound = min(worst_bound, J - bound)

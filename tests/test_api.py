@@ -1,8 +1,13 @@
 import importlib
+import inspect
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import delq
+from delq.model import DEPTH_CAP_ENV
 
 #: Public helpers that were removed because nothing in the package used them
 #: (FEAS_TOL folded into PSD_TOL, which it always equalled; the one-call
@@ -57,3 +62,40 @@ def test_per_step_sequences_stay_stacks():
         if pattern.search(line)
     ]
     assert offenders == []
+
+
+def test_no_route_takes_a_tree_or_a_cap():
+    """(t, N) fix the scenario tree, and the depth and dimension caps are
+    module settings: no public function takes either as an argument."""
+    offenders = []
+    for mod in ("model", "riccati", "lmei", "bsde", "simulate"):
+        module = importlib.import_module(f"delq.{mod}")
+        for name, func in inspect.getmembers(module, inspect.isfunction):
+            if func.__module__ == module.__name__ and not name.startswith("_"):
+                params = set(inspect.signature(func).parameters)
+                offenders += [f"{mod}.{name}({p})" for p in params & {"tree", "dim_cap", "cap"}]
+    assert offenders == []
+
+
+_ROUTES = {
+    "exact_cost": lambda p, sol: delq.exact_cost(p, 0, [1.0], delq.zero_policy(p, 0)),
+    "assemble_quadratic": lambda p, sol: delq.assemble_quadratic(p, 0, [1.0]),
+    "rollout": lambda p, sol: delq.rollout(p, 0, [1.0], delq.zero_policy(p, 0)),
+    "solve_bsde": lambda p, sol: delq.solve_bsde(0, p, terminal=[[0.0]]),
+    "oracle_cost": lambda p, sol: delq.oracle_cost(p, 0, [1.0], np.zeros(p.N * p.m)),
+    "auxiliary_cost": lambda p, sol: delq.auxiliary_cost(
+        delq.zero_candidate(p, 0), p, 0, 0, [1.0], delq.zero_policy(p, 0)),
+    "shifted_policy": lambda p, sol: delq.shifted_policy(
+        p, 0, [1.0], delq.zero_policy(p, 0), sol),
+    "fixed_pair_check": lambda p, sol: delq.fixed_pair_check(p, 0, [1.0], sol, samples=1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_depth_cap_holds_on_every_enumerating_route(route, scalar, scalar_solution,
+                                                    monkeypatch):
+    # scalar: N = 3 and d = 2, so every control is deterministic and the
+    # stacked dimension is N * m
+    monkeypatch.setenv(DEPTH_CAP_ENV, "2")
+    with pytest.raises(delq.ResourceLimitError, match="tree depth 3 exceeds cap 2"):
+        _ROUTES[route](scalar, scalar_solution)

@@ -50,36 +50,33 @@ def test_bsde_recovers_noise_from_terminal():
     # V_0 = A E[w_0] + C E[w_0 * w_0] = C: the half-difference channel
     prob = _scalar_system(A=1.0, C=1.0, N=1)
     tree = build_tree(0, 1)
-    V = solve_bsde(tree, prob, terminal=tree.step_noise(0)[:, None])
+    V = solve_bsde(0, prob, terminal=tree.step_noise(0)[:, None])
     np.testing.assert_allclose(V.at(0), [[1.0]])
     np.testing.assert_allclose(V.at(1)[:, 0], tree.step_noise(0))
 
 
 def test_bsde_accumulates_driver():
     prob = _scalar_system(A=1.0, C=0.0, N=2)
-    tree = build_tree(0, 2)
-    driver = [np.ones((tree.n_nodes(k), 1)) for k in range(2)]
-    V = solve_bsde(tree, prob, terminal=[[0.0]], driver=driver)
+    driver = [np.ones((1 << k, 1)) for k in range(2)]
+    V = solve_bsde(0, prob, terminal=[[0.0]], driver=driver)
     np.testing.assert_allclose(V.at(0), [[2.0]])
     np.testing.assert_allclose(V.at(1), np.ones((2, 1)))
 
 
 def test_bsde_broadcasts_terminal_row():
     prob = _scalar_system(A=0.5, C=0.0, N=3)
-    tree = build_tree(0, 3)
-    V = solve_bsde(tree, prob, terminal=[[8.0]])
+    V = solve_bsde(0, prob, terminal=[[8.0]])
     np.testing.assert_allclose(V.at(0), [[1.0]])  # 8 * 0.5^3
 
 
 def test_bsde_rejects_bad_shapes():
     prob = _scalar_system(A=1.0, C=0.0, N=2)
-    tree = build_tree(0, 2)
     with pytest.raises(ValidationError, match="terminal"):
-        solve_bsde(tree, prob, terminal=np.ones((3, 1)))
+        solve_bsde(0, prob, terminal=np.ones((3, 1)))
     with pytest.raises(ValidationError, match="driver"):
-        solve_bsde(tree, prob, terminal=[[0.0]], driver=[np.ones((1, 1))])
+        solve_bsde(0, prob, terminal=[[0.0]], driver=[np.ones((1, 1))])
     with pytest.raises(ValidationError, match="shape"):
-        solve_bsde(tree, prob, terminal=[[0.0]],
+        solve_bsde(0, prob, terminal=[[0.0]],
                    driver=[np.ones((1, 1)), np.ones((3, 1))])
 
 
@@ -89,15 +86,14 @@ def test_bsde_rejects_bad_shapes():
 @pytest.mark.parametrize("seed", range(10))
 def test_all_four_operator_pairs_are_adjoint(seed):
     problem, t = draw_mixed(seed)
-    tree = build_tree(t, problem.N)
     rng = np.random.default_rng(seed + 1000)
     x = rng.normal(size=problem.n)
     u = random_open_loop(problem, t, rng)
-    xi = [rng.normal(size=(tree.n_nodes(k), problem.n))
+    xi = [rng.normal(size=(1 << (k - t), problem.n))
           for k in range(t, problem.N)]
-    eta = rng.normal(size=(tree.n_nodes(problem.N), problem.n))
+    eta = rng.normal(size=(1 << (problem.N - t), problem.n))
 
-    out = apply_operators(tree, problem, t, x=x, u=u, xi=xi, eta=eta)
+    out = apply_operators(problem, t, x=x, u=u, xi=xi, eta=eta)
     homog = [out["homogeneous_states"].at(k) for k in range(t, problem.N)]
     forced = [out["forced_states"].at(k) for k in range(t, problem.N)]
 
@@ -149,13 +145,12 @@ def test_layout_matches_information_atoms():
 @pytest.mark.parametrize("seed", range(6))
 def test_quadratic_form_reproduces_simulated_cost(seed):
     problem, t = draw_mixed(seed)
-    tree = build_tree(t, problem.N)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=problem.n)
-    q = assemble_quadratic(problem, t, x, tree)
+    q = assemble_quadratic(problem, t, x)
     for _ in range(20):
         u = random_open_loop(problem, t, rng)
-        direct = trajectory_cost(problem, rollout(problem, tree, x, u))
+        direct = trajectory_cost(problem, rollout(problem, t, x, u))
         assert abs(q.evaluate(q.layout.stack(u)) - direct) \
             <= 1e-10 * max(1.0, abs(direct))
 
@@ -240,9 +235,10 @@ def test_assembly_memory_is_bounded_by_the_matrix():
     assert peak <= 3 * 8 * dim * dim
 
 
-def test_assemble_quadratic_enforces_dimension_cap(scalar):
-    with pytest.raises(ResourceLimitError, match="exceeds cap"):
-        assemble_quadratic(scalar, 0, [1.0], dim_cap=2)
+def test_assemble_quadratic_enforces_dimension_cap(scalar, monkeypatch):
+    monkeypatch.setattr("delq.bsde.STACKED_DIM_CAP", 2)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 2"):
+        assemble_quadratic(scalar, 0, [1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -272,7 +273,7 @@ def test_usage_errors(paths, capsys, tmp_path):
 
 
 def test_invalid_problem_data(paths, capsys, tmp_path):
-    data = json.loads(open(paths["scalar"]).read())
+    data = json.loads(pathlib.Path(paths["scalar"]).read_text())
     del data["G"]
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(data))

@@ -11,7 +11,6 @@ from delq import (
     UnsolvableError,
     ValidationError,
     auxiliary_cost,
-    build_tree,
     candidate_from_dict,
     candidate_to_dict,
     certificate_from_riccati,
@@ -284,13 +283,12 @@ def test_construct_refuses_infeasible_candidate(benchmark_problem_fixture):
 def test_auxiliary_cost_offsets_true_cost_by_candidate_value():
     for seed, problem, t, sol in uniquely_solvable_instances(4, start_seed=240):
         cand = certificate_from_riccati(sol, problem)
-        tree = build_tree(t, problem.N)
         rng = np.random.default_rng(seed)
         for k in range(t, problem.N):
             xi = rng.normal(size=problem.n)
             u = random_open_loop(problem, t, rng)
-            aux = auxiliary_cost(cand, problem, t, k, xi, u, tree)
-            J = trajectory_cost(problem, rollout(problem, tree, xi, u, start=k))
+            aux = auxiliary_cost(cand, problem, t, k, xi, u)
+            J = trajectory_cost(problem, rollout(problem, t, xi, u, start=k))
             offset = float(xi @ sum(cand.P_at(i, k)
                                     for i in range(cand.top_index(k) + 1)) @ xi)
             assert abs(aux - (J - offset)) <= 1e-10 * max(1.0, abs(J))
@@ -300,24 +298,22 @@ def test_auxiliary_cost_nonnegative_for_feasible_candidates():
     problem = nonneg_problem(21)
     cand = zero_candidate(problem, 0)
     assert check_membership(cand, problem, 0).feasible
-    tree = build_tree(0, problem.N)
     rng = np.random.default_rng(0)
     for k in range(problem.N):
         for _ in range(5):
             xi = rng.normal(size=problem.n)
             u = random_open_loop(problem, 0, rng)
-            assert auxiliary_cost(cand, problem, 0, k, xi, u, tree) >= -1e-9
+            assert auxiliary_cost(cand, problem, 0, k, xi, u) >= -1e-9
 
 
 def test_feasible_candidate_value_is_a_lower_bound():
     for seed, problem, t, sol in uniquely_solvable_instances(4, start_seed=260):
         cand = certificate_from_riccati(sol, problem)
-        tree = build_tree(t, problem.N)
         rng = np.random.default_rng(seed)
         for k in range(t, problem.N):
             xi = rng.normal(size=problem.n)
             u = random_open_loop(problem, t, rng)
-            J = trajectory_cost(problem, rollout(problem, tree, xi, u, start=k))
+            J = trajectory_cost(problem, rollout(problem, t, xi, u, start=k))
             bound = float(xi @ sum(cand.P_at(i, k)
                                    for i in range(cand.top_index(k) + 1)) @ xi)
             assert J >= bound - 1e-9
@@ -325,10 +321,9 @@ def test_feasible_candidate_value_is_a_lower_bound():
 
 def test_auxiliary_cost_validates_start_time(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
-    tree = build_tree(0, scalar.N)
     with pytest.raises(ValidationError, match="start time"):
         auxiliary_cost(cand, scalar, 0, scalar.N, np.ones(1),
-                       random_open_loop(scalar, 0, np.random.default_rng(0)), tree)
+                       random_open_loop(scalar, 0, np.random.default_rng(0)))
 
 
 # ---------------------------------------------------------------------------

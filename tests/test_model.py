@@ -41,9 +41,7 @@ from conftest import scalar_problem
 
 def test_tree_counting_and_probabilities():
     tree = build_tree(2, 5)
-    assert tree.depth == 3
     assert [tree.n_nodes(k) for k in range(2, 6)] == [1, 2, 4, 8]
-    assert tree.probability(5) == pytest.approx(1 / 8)
     with pytest.raises(ValidationError):
         tree.n_nodes(6)
 
@@ -219,13 +217,12 @@ def test_problem_from_dict_missing_fields():
 
 def test_policy_control_shape_enforcement():
     prob = scalar_problem()
-    tree = build_tree(0, prob.N)
     policy = OpenLoopPolicy(t=0, d=2, controls=[np.zeros((2, 1))] * 3)
     with pytest.raises(ValidationError, match="shape"):
-        policy_control(policy, prob, tree, 0, np.zeros((1, 1)))
+        policy_control(policy, prob, 0, 0, np.zeros((1, 1)))
     fb = FeedbackPolicy(t=0, d=2, gains=[np.zeros((1, 1))])
     with pytest.raises(ValidationError, match="gain"):
-        policy_control(fb, prob, tree, 2, np.zeros((4, 1)))
+        policy_control(fb, prob, 0, 2, np.zeros((4, 1)))
 
 
 def test_forward_simulate_pure_noise_state():
@@ -233,8 +230,7 @@ def test_forward_simulate_pure_noise_state():
     prob = ProblemData(n=1, m=1, N=1, d=1, A=[[[0.0]]], B=[[[0.0]]],
                        C=[[[1.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[0.0]]],
                        G=[[1.0]])
-    tree = build_tree(0, 1)
-    traj = rollout(prob, tree, [1.0], zero_policy(prob, 0), start=0)
+    traj = rollout(prob, 0, [1.0], zero_policy(prob, 0), start=0)
     assert np.array_equal(traj.states.at(1), [[1.0], [-1.0]])
     assert trajectory_cost(prob, traj) == pytest.approx(1.0)
 
@@ -242,9 +238,8 @@ def test_forward_simulate_pure_noise_state():
 def test_forward_simulate_deterministic_accumulation():
     # A = B = 1, C = D = 0: X_k = x + sum of controls so far.
     prob = scalar_problem()
-    tree = build_tree(0, prob.N)
     policy = OpenLoopPolicy(t=0, d=2, controls=[[[1.0]], [[2.0]], [[4.0]]])
-    traj = rollout(prob, tree, [1.0], policy, start=0)
+    traj = rollout(prob, 0, [1.0], policy, start=0)
     assert np.all(traj.states.at(1) == 2.0)
     assert np.all(traj.states.at(2) == 4.0)
     assert np.all(traj.states.at(3) == 8.0)
@@ -254,9 +249,8 @@ def test_forward_simulate_deterministic_accumulation():
 
 def test_rollout_from_interior_start_uses_coarse_controls():
     prob = scalar_problem()
-    tree = build_tree(0, prob.N)
     policy = zero_policy(prob, 0, start=1)
-    traj = rollout(prob, tree, [1.0], policy, start=1)
+    traj = rollout(prob, 0, [1.0], policy, start=1)
     assert traj.first == 1
     assert traj.states.at(1).shape == (2, 1)
     # control at time 2 is measurable at level 0 -> single atom even though
@@ -281,14 +275,12 @@ def test_zero_policy_and_random_open_loop_shapes():
 
 def test_trajectory_cost_zero_policy_zero_state():
     prob = scalar_problem()
-    tree = build_tree(0, prob.N)
-    traj = rollout(prob, tree, [0.0], zero_policy(prob, 0))
+    traj = rollout(prob, 0, [0.0], zero_policy(prob, 0))
     assert trajectory_cost(prob, traj) == 0.0
 
 
 def test_trajectory_cost_zero_policy_unit_state():
     # with u = 0, C = D = 0 the state stays at 1; only G contributes
     prob = scalar_problem()
-    tree = build_tree(0, prob.N)
-    traj = rollout(prob, tree, [1.0], zero_policy(prob, 0))
+    traj = rollout(prob, 0, [1.0], zero_policy(prob, 0))
     assert trajectory_cost(prob, traj) == pytest.approx(1.0)

@@ -40,7 +40,6 @@ from conftest import (
     nonneg_problem,
     notconvex_problem,
     range_deficient_problem,
-    scalar_problem,
     sym_with_eigs,
     uniquely_solvable_instances,
 )
@@ -538,6 +537,29 @@ def test_solution_from_dict_rejects_malformed():
         solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"0,1": [[1.0]]},
                             "W": [[[1.0]]], "H": [[[1.0, 2.0]]], "K": [[[1.0]]],
                             "classification": "x"})
+
+
+@pytest.mark.parametrize("defect, message", [
+    (lambda P: P.pop("1,3"), r"missing entries \[\(1, 3\)\]$"),
+    (lambda P: P.update({"7,9": P["0,4"]}), r"unexpected entries \[\(7, 9\)\]$"),
+    (lambda P: P.update({"0,4": [[1.0, 2.0], [0.0, 1.0]]}),
+     r"P entry \(0, 4\) is not a symmetric 2x2 matrix"),
+    (lambda P: P.update({"2,3": [[1.0]]}), r"P entry \(2, 3\) is not a symmetric 2x2 matrix"),
+], ids=["missing", "unexpected", "asymmetric", "misshapen"])
+def test_solution_from_dict_checks_the_structure_of_P(benchmark_solution, defect, message):
+    data = json.loads(json.dumps(solution_to_dict(benchmark_solution)))
+    defect(data["P"])
+    with pytest.raises(ValidationError, match="malformed solution JSON: .*" + message):
+        solution_from_dict(data)
+
+
+def test_solution_from_dict_checks_the_single_region_layout():
+    problem = _long_delay_problem(8, 2, 12, 3)
+    data = json.loads(json.dumps(solution_to_dict(solve_riccati_bar(problem, 2))))
+    assert solution_from_dict(data)[0].single_region
+    del data["P"]["3,5"]
+    with pytest.raises(ValidationError, match=r"missing entries \[\(3, 5\)\]$"):
+        solution_from_dict(data)
 
 
 # ---------------------------------------------------------------------------

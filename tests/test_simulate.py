@@ -6,7 +6,6 @@ import pytest
 
 from delq import (
     FeedbackPolicy,
-    OpenLoopPolicy,
     ProblemData,
     ValidationError,
     build_tree,
@@ -47,9 +46,15 @@ def test_exact_cost_of_scalar_policies(scalar, scalar_solution):
     assert best.mean == pytest.approx(0.25, abs=1e-12)
 
 
-def test_exact_cost_checks_tree_span(scalar):
-    with pytest.raises(ValidationError, match="span"):
-        exact_cost(scalar, 0, [1.0], zero_policy(scalar, 0), tree=build_tree(0, 2))
+def test_exact_cost_checks_initial_time(scalar):
+    # t < 0 would read A[-1], the last step, and add a spurious tree level
+    with pytest.raises(ValidationError, match=r"initial time t=-1 must satisfy 0 <= t <= N = 3"):
+        exact_cost(scalar, -1, [1.0], zero_policy(scalar, -1))
+    with pytest.raises(ValidationError, match="initial time t=4"):
+        exact_cost(scalar, 4, [1.0], zero_policy(scalar, 4))
+    # t = N has no control left: the cost is x^T G x on the single path
+    terminal = exact_cost(scalar, scalar.N, [2.0], zero_policy(scalar, scalar.N))
+    assert terminal.mean == 4.0 * scalar.G[0, 0] and terminal.samples == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -312,7 +317,7 @@ def test_predictor_agrees_with_tree_conditional_mean(seed):
     tree = build_tree(t, problem.N)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=problem.n)
-    traj = rollout(problem, tree, x, feedback_policy(sol))
+    traj = rollout(problem, t, x, feedback_policy(sol))
     for k in range(t, problem.N + 1):
         s = measurable_level(t, problem.d, k)
         expected = block_mean(traj.states.at(k), k - s)
