@@ -5,11 +5,19 @@ Under the two-point noise the admissible control set is a finite-dimensional
 Euclidean space (one m-vector per information atom per time), so the cost is
 literally a quadratic form J(t,x;u) = u^T M u + 2 b^T u + c over stacked
 control coordinates. This module materializes that form from one zero-state
-response pattern per (time, control component), minimizes it from one
+response pattern per (time, control component), as per-time tables that
+every information atom of a time shares. It minimizes the form by block
+elimination on those tables in reverse time order, which creates no fill
+on the information tree (Liu's elimination tree): one m x m pivot per time
+level, all graded in one stacked call. When a pivot is not confidently
+positive definite (a negative or near-singular one, graded against the
+gray band of ``linalg``), the form falls back to the dense route, one
 symmetric eigendecomposition of M (boundedness verdict, minimizer and
-value), and provides the backward-equation machinery (adjoint operators,
-first-order stationarity residual, decoupling residual) used to cross-check
-the Riccati route. Everything here is exact up to floating point — no sampling.
+value), so every Unbounded verdict comes from the dense M. The module also
+provides the backward-equation machinery (adjoint operators, first-order
+stationarity residual, decoupling residual) used to cross-check the
+Riccati route. Neither oracle route reads the recursion's W, H or P.
+Everything here is exact up to floating point — no sampling.
 """
 from __future__ import annotations
 
@@ -18,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, _eigh_solve, pinv, range_residual, rel_deviation, \
-    symmetrize
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .linalg import PINV_RTOL, PSD_TOL, _confident_pivots, _eigh_solve, _spd_inverse, pinv, \
+    range_residual, rel_deviation, scale_floor, symmetrize
 from .model import (
     AdaptedProcess,
     FeedbackPolicy,
@@ -30,6 +38,7 @@ from .model import (
     ScenarioTree,
     Trajectory,
     _check_solve_args,
+    _check_state,
     block_mean,
     build_tree,
     expand,
@@ -40,8 +49,9 @@ from .model import (
     zero_policy,
 )
 
-#: Default cap on the stacked-control dimension: it bounds M's dim^2 memory
-#: and the O(dim^3) eigh of the oracle.
+#: Default cap on the stacked-control dimension: it bounds the dense
+#: fallback of the oracle, M's dim^2 memory and its O(dim^3) eigh. The
+#: elimination itself needs neither.
 STACKED_DIM_CAP = 4096
 
 
@@ -220,31 +230,66 @@ class StackedControlLayout:
         return OpenLoopPolicy(t=self.t, d=self.d, controls=controls)
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
-    """J(t,x;u) = u^T M u + 2 b^T u + c over stacked control coordinates."""
+    """J(t,x;u) = u^T M u + 2 b^T u + c over stacked control coordinates.
 
-    M: np.ndarray
-    b: np.ndarray
-    c: float
-    layout: StackedControlLayout
+    An assembled form keeps M as its per-time `tables`: tables[j2] is the
+    flat concatenation, over j1 = 0..j2, of the (m, a2/a1, m) coupling
+    between the controls of one atom of time j1 (rows) and those of the
+    a2/a1 atoms of time j2 beneath it, one table shared by every atom of j1;
+    the last one (j1 = j2) is the diagonal block, R included. The dense M is
+    built from them on first access. A hand-built form passes M itself and
+    no tables.
+    """
+
+    def __init__(self, *, b: np.ndarray, c: float, layout: StackedControlLayout,
+                 M: np.ndarray | None = None,
+                 tables: tuple[np.ndarray, ...] | None = None):
+        self.b, self.c, self.layout, self.tables = b, c, layout, tables
+        self._M = M
+
+    @property
+    def M(self) -> np.ndarray:
+        if self._M is None:
+            self._M = _dense_matrix(self.tables, self.layout)
+        return self._M
 
     def evaluate(self, vec) -> float:
         vec = np.asarray(vec, dtype=float).reshape(-1)
         return float(vec @ self.M @ vec + 2.0 * (self.b @ vec) + self.c)
 
 
+def _dense_matrix(tables: tuple[np.ndarray, ...], layout: StackedControlLayout) -> np.ndarray:
+    """M from the tables: each fills M along the ancestor diagonal (disjoint
+    subtrees never meet), and the lower block triangle mirrors the upper."""
+    m, atoms, offsets = layout.m, layout.atoms, layout.offsets
+    M = np.zeros((layout.size, layout.size))
+    for j2, (a2, off2) in enumerate(zip(atoms, offsets)):
+        pos = 0
+        for j1 in range(j2 + 1):
+            a1, off1 = atoms[j1], offsets[j1]
+            span = a2 // a1 * m     # time j2's columns under one atom of j1
+            table = tables[j2][pos:pos + m * span].reshape(m, span)
+            pos += m * span
+            r = off1 + np.arange(a1 * m).reshape(a1, m, 1)
+            cols = off2 + np.arange(a1 * span).reshape(a1, 1, span)
+            M[r, cols] = table
+            if j1 < j2:
+                M[cols.swapaxes(1, 2), r.swapaxes(1, 2)] = table.T
+    return M
+
+
 def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
-    """Materialize the cost as an explicit quadratic form.
+    """Materialize the cost as an explicit quadratic form, held as tables.
 
     Every atom's subtree runs the same dynamics, so the zero-state response
     to basis control (time j, atom a, component i) is one pattern per
     (j, i), placed on a's subtree. One sweep steps the response to x and the
     patterns together; per time and acted time j2, one Gram product against
     j2's weighted pattern accumulates b's j2 segment and, per j1 <= j2, a
-    table over the position of j2's atom inside j1's. The tables fill M
-    along the ancestor diagonal (disjoint subtrees never meet), R joins the
-    diagonal ones, and the lower block triangle mirrors the upper.
+    table over the position of j2's atom inside j1's (``QuadraticForm``);
+    R joins the diagonal ones. A form with a non-finite entry (finite data
+    that overflowed) raises ConsistencyError.
     """
     _check_solve_args(problem, t)
     layout = StackedControlLayout.build(problem, t)
@@ -254,10 +299,8 @@ def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
         )
     tree = build_tree(t, problem.N)
 
-    n, m, dim = problem.n, problem.m, layout.size
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (n,):
-        raise ValidationError(f"initial state must have length {n}, got {x.shape}")
+    n, m = problem.n, problem.m
+    x = _check_state(x, n)
 
     atoms = layout.atoms
     # acc[j2]: b's j2 segment, then a table per j1 <= j2
@@ -266,41 +309,33 @@ def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
     c = 0.0
     Z = x[None, :]      # response to x, then one pattern per acted time
     ends = [1]          # row end of each
-    for j in range(problem.N - t + 1):
-        k = t + j
-        ZW = Z @ symmetrize(problem.Q[k] if k < problem.N else problem.G)
-        prob = 1.0 / tree.n_nodes(k)
-        c += prob * float(np.sum(ZW[:ends[0]] * Z[:ends[0]]))
-        for j2 in range(j):
-            lo, hi = ends[j2], ends[j2 + 1]
-            width = (hi - lo) // m * n
-            acc[j2] += prob * (Z[:hi].reshape(-1, width) @ ZW[lo:hi].reshape(m, width).T)
-        if k == problem.N:
-            break
-        rows = tree.n_nodes(k) // atoms[j]   # time k's pattern, zero state
-        U = np.zeros((ends[-1] + m * rows, m))
-        U[ends[-1]:] = np.repeat(np.eye(m), rows, axis=0)
-        Z = tree_step(problem, k, np.concatenate([Z, np.zeros((m * rows, n))]), U)
-        ends = [2 * e for e in ends] + [2 * len(U)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(problem.N - t + 1):
+            k = t + j
+            ZW = Z @ symmetrize(problem.Q[k] if k < problem.N else problem.G)
+            prob = 1.0 / tree.n_nodes(k)
+            c += prob * float(np.sum(ZW[:ends[0]] * Z[:ends[0]]))
+            for j2 in range(j):
+                lo, hi = ends[j2], ends[j2 + 1]
+                width = (hi - lo) // m * n
+                acc[j2] += prob * (Z[:hi].reshape(-1, width) @ ZW[lo:hi].reshape(m, width).T)
+            if k == problem.N:
+                break
+            rows = tree.n_nodes(k) // atoms[j]   # time k's pattern, zero state
+            U = np.zeros((ends[-1] + m * rows, m))
+            U[ends[-1]:] = np.repeat(np.eye(m), rows, axis=0)
+            Z = tree_step(problem, k, np.concatenate([Z, np.zeros((m * rows, n))]), U)
+            ends = [2 * e for e in ends] + [2 * len(U)]
 
-    M = np.zeros((dim, dim))
-    b = np.empty(dim)
-    for j2, (a2, off2) in enumerate(zip(atoms, layout.offsets)):
-        b[off2:off2 + a2 * m] = acc[j2][:a2].ravel()
-        row = a2
-        for j1 in range(j2 + 1):
-            a1, off1 = atoms[j1], layout.offsets[j1]
-            span = a2 // a1 * m     # time j2's columns under one atom of j1
-            table = acc[j2][row:row + span].reshape(m, span)
-            row += span
-            r = off1 + np.arange(a1 * m).reshape(a1, m, 1)
-            cols = off2 + np.arange(a1 * span).reshape(a1, 1, span)
-            if j1 == j2:
-                M[r, cols] = symmetrize(table + problem.R[t + j2] / a2)
-            else:
-                M[r, cols] = table
-                M[cols.swapaxes(1, 2), r.swapaxes(1, 2)] = table.T
-    return QuadraticForm(M=M, b=b, c=c, layout=layout)
+        b = np.concatenate([acc[j][:a].ravel() for j, a in enumerate(atoms)])
+        tables = tuple(acc[j][a:].ravel() for j, a in enumerate(atoms))
+        for j, table in enumerate(tables):
+            diag = table[-m * m:].reshape(m, m)
+            diag[...] = symmetrize(diag + problem.R[t + j] / atoms[j])
+    if not (np.isfinite(c) and np.all(np.isfinite(b))
+            and all(np.all(np.isfinite(table)) for table in tables)):
+        raise ConsistencyError("numerical breakdown: non-finite oracle form")
+    return QuadraticForm(b=b, c=c, layout=layout, tables=tables)
 
 
 @dataclass(frozen=True)
@@ -317,6 +352,62 @@ class OracleOutcome:
         return "Bounded" if self.bounded else "Unbounded"
 
 
+def _eliminate(q: QuadraticForm, psd_tol: float) -> tuple[float, np.ndarray] | None:
+    """(min value, minimizer) of an assembled form by block elimination in
+    reverse time order, or None when a pivot is not confidently positive
+    definite.
+
+    A latest-time atom couples only to its ancestors, which already couple
+    to each other, so eliminating the times from last to first creates no
+    fill (Liu's elimination tree). The atoms of one time are disjoint
+    subtrees that share their tables, so a time level has a single m x m
+    pivot, and its Schur update of every ancestor table is one product
+    that sums over the siblings; only b is per atom. The pivots are graded
+    together at the form's scale_floor (``linalg._confident_pivots``); the
+    value is c - sum of b_L^T P_L^{-1} b_L over the eliminated levels, and
+    the minimizer comes from back-substitution, earliest time first.
+    """
+    layout, m = q.layout, q.layout.m
+    atoms = layout.atoms
+    tabs = [table.copy() for table in q.tables]
+    b = [q.b[off:off + a * m].reshape(a, m).copy()
+         for a, off in zip(atoms, layout.offsets)]
+    c = q.c
+    pivots = np.empty((len(atoms), m, m))
+    inverses = [np.empty(0)] * len(atoms)
+    for L in range(len(atoms) - 1, -1, -1):
+        pivots[L] = symmetrize(tabs[L][-m * m:].reshape(m, m))
+        Pinv = _spd_inverse(pivots[L])
+        if Pinv is None:
+            return None
+        inverses[L] = Pinv
+        y = b[L] @ Pinv
+        c -= float(np.sum(b[L] * y))
+        scaled = (tabs[L][:-m * m].reshape(-1, m) @ Pinv).ravel()
+        pos = 0
+        for j in range(L):      # tables T_{j1,L} for j1 <= j fold into tabs[j]
+            width = atoms[L] // atoms[j] * m
+            end = pos + m * width
+            tabs[j] -= (tabs[L][:end].reshape(-1, width)
+                        @ scaled[pos:end].reshape(m, width).T).ravel()
+            b[j] -= y.reshape(atoms[j], width) @ tabs[L][pos:end].reshape(m, width).T
+            pos = end
+    if not _confident_pivots(pivots, max(scale_floor(table) for table in q.tables),
+                             psd_tol):
+        return None
+    u: list[np.ndarray] = []
+    for L, aL in enumerate(atoms):
+        rhs = b[L]
+        pos = 0
+        for j in range(L):
+            width = aL // atoms[j] * m
+            end = pos + m * width
+            rhs = rhs + (u[j] @ tabs[L][pos:end].reshape(m, width)).reshape(aL, m)
+            pos = end
+        u.append(-(rhs @ inverses[L]))
+    return c, np.concatenate([v.ravel() for v in u])
+
+
 def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
                     pinv_rtol: float = PINV_RTOL) -> OracleOutcome:
     """Global infimum of u^T M u + 2 b^T u + c.
@@ -324,24 +415,37 @@ def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
     Bounded with value c - b^T M^+ b at minimizer -M^+ b iff M is PSD and b
     lies in the range of M; otherwise the form runs to minus infinity along
     a negative eigenvector or along kernel directions with linear descent.
-    All of it comes from one eigendecomposition of M (``linalg._eigh_solve``):
-    the eigen margin against `psd_tol` first, then the component of b in
-    the kernel (eigenvalues with |lambda| ≤ pinv_rtol * max|lambda|) against
-    `psd_tol`, then M^+ b on the kept spectrum.
+
+    An assembled form is first minimized by block elimination on its tables
+    (``_eliminate``): when every level pivot is positive definite beyond the
+    gray band of `psd_tol`, M is positive definite and the form is Bounded,
+    with no dense M. Any other form (a negative or near-singular pivot, or
+    a hand-built form with no tables) goes to the dense route, one
+    eigendecomposition of M (``linalg._eigh_solve``): the eigen margin
+    against `psd_tol` first, then the component of b in the kernel
+    (eigenvalues with |lambda| ≤ pinv_rtol * max|lambda|) against `psd_tol`,
+    then M^+ b on the kept spectrum. A Bounded answer that is not finite
+    (finite data that overflowed) raises ConsistencyError.
     """
-    lam, margin, resid, Mdag_b = _eigh_solve(q.M, q.b, pinv_rtol)
-    if margin < -psd_tol:
-        return OracleOutcome(
-            bounded=False, value=None, minimizer=None,
-            reason=f"quadratic term has negative eigenvalue {lam:.3e}",
-        )
-    if resid > psd_tol:
-        return OracleOutcome(
-            bounded=False, value=None, minimizer=None,
-            reason="linear term has a component outside the range of the quadratic term",
-        )
-    minimizer = -Mdag_b
-    value = q.c - float(q.b @ Mdag_b)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        solved = None if q.tables is None else _eliminate(q, psd_tol)
+        if solved is None:
+            lam, margin, resid, Mdag_b = _eigh_solve(q.M, q.b, pinv_rtol)
+            if margin < -psd_tol:
+                return OracleOutcome(
+                    bounded=False, value=None, minimizer=None,
+                    reason=f"quadratic term has negative eigenvalue {lam:.3e}",
+                )
+            if resid > psd_tol:
+                return OracleOutcome(
+                    bounded=False, value=None, minimizer=None,
+                    reason="linear term has a component outside the range of the "
+                           "quadratic term",
+                )
+            solved = q.c - float(q.b @ Mdag_b), -Mdag_b
+    value, minimizer = solved
+    if not (np.isfinite(value) and np.all(np.isfinite(minimizer))):
+        raise ConsistencyError("numerical breakdown: non-finite oracle minimum")
     return OracleOutcome(bounded=True, value=value, minimizer=minimizer, reason="")
 
 

@@ -3,7 +3,9 @@ into a numerical verdict.
 
 SVD pseudo-inverse with a relative cutoff, (semi)definiteness tests, the
 range-inclusion residual, the extended Schur block test (two independent
-routes) and, for the quadratic oracle, all of these from one symmetric
+routes) and, for the quadratic oracle, the inverse and the stacked grade
+of its elimination pivots (``_spd_inverse``, ``_confident_pivots``) and
+the dense fallback that takes every verdict from one symmetric
 eigendecomposition (``_eigh_solve``). Every verdict is scaled by one floor,
 ``scale_floor(X) = max(1, max|X|)``, through ``eig_margin`` (lambda_min,
 and lambda_min over the floor of the spectrum) and ``rel_deviation``
@@ -35,6 +37,12 @@ Tolerances (value: where used; why):
   fixed-pair probe (``--psd-tol``); above rounding, below the margin of a
   genuinely indefinite step. The Schur test grades lambda_min(S - H^T W^+ H)
   over the assembled block's scale_floor, as the direct route does.
+- ``_GRAY_BAND`` 100 (times the margin tolerance): a margin within
+  100 * tol of the threshold is not a confident verdict. The Schur test
+  re-tests both routes at 100 * tol before it calls a split an error; the
+  oracle's elimination keeps its answer only when every pivot's
+  lambda_min over the form's scale_floor exceeds 100 * ``--psd-tol``, and
+  otherwise hands the form to the dense ``_eigh_solve``.
 - ``_SYM_CHECK_TOL`` 1e-8: symmetry of matrix arguments here and of
   ``lmei`` candidates, which are computed or read back from JSON.
 - ``model._ASYM_TOL`` 1e-9: symmetry of the problem weights Q, R, G.
@@ -42,8 +50,9 @@ Tolerances (value: where used; why):
   solution's W/H from its auxiliary recursion, two passes apart; 100x it
   bounds the PSD and range checks of the constructed W_k.
 - CLI ``oracle --tol`` 1e-6: oracle minimum vs recursion value, relative to
-  ``scale_floor(value)``; the oracle solves a dense system of dimension up
-  to a few thousand.
+  ``scale_floor(value)``; the oracle's value comes from a block elimination
+  over up to a few thousand stacked controls (or from the dense fallback),
+  whose rounding grows with the form's conditioning.
 """
 from __future__ import annotations
 
@@ -54,6 +63,7 @@ from .errors import ConsistencyError, ValidationError
 PINV_RTOL = 1e-12
 PSD_TOL = 1e-9
 _SYM_CHECK_TOL = 1e-8
+_GRAY_BAND = 100.0
 
 
 def _as_matrix(M, name: str, stack: bool = False) -> np.ndarray:
@@ -194,6 +204,24 @@ def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, 
     return lam, margin, resid, solve
 
 
+def _spd_inverse(P: np.ndarray) -> np.ndarray | None:
+    """P^{-1} for a finite symmetric P that a Cholesky factorization
+    accepts (numerically positive definite), else None. A None is a sure
+    non-confident pivot; an inverse still has to pass ``_confident_pivots``."""
+    try:
+        np.linalg.cholesky(P)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(P)
+
+
+def _confident_pivots(P: np.ndarray, scale: float, tol: float) -> bool:
+    """True iff every pivot of the stack P (levels, m, m) has
+    lambda_min / scale above the gray band _GRAY_BAND * tol, graded in one
+    stacked call; `scale` is the form's scale_floor."""
+    return bool(np.all(np.linalg.eigvalsh(P)[:, 0] / scale > _GRAY_BAND * tol))
+
+
 def _schur_block(S, H, W, tol: float) -> tuple[bool, float]:
     """schur_block_psd's verdict and the relative eig_margin of the
     assembled block (the direct route's number)."""
@@ -231,7 +259,7 @@ def _schur_blocks(S: np.ndarray, H: np.ndarray, W: np.ndarray,
     direct, triple = margin >= -tol, _triple(tol)
     # Mathematically equivalent routes can straddle the threshold when a
     # margin sits at the boundary; only a confident split is an error.
-    split = (direct != triple) & ~((margin >= -100.0 * tol) & _triple(100.0 * tol))
+    split = (direct != triple) & ~((margin >= -_GRAY_BAND * tol) & _triple(_GRAY_BAND * tol))
     if split.any():
         j = int(np.argmax(split))
         raise ConsistencyError(

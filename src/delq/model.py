@@ -170,6 +170,17 @@ def _check_solve_args(problem: ProblemData, t: int) -> None:
         raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N-1 = {problem.N - 1}")
 
 
+def _check_state(x, n: int) -> np.ndarray:
+    """x as a length-n float vector with finite entries: the one check of an
+    initial state."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (n,):
+        raise ValidationError(f"initial state must have length {n}, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("initial state contains non-finite entries")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip (schema consumed by the CLI)
 
@@ -410,9 +421,7 @@ def rollout(problem: ProblemData, t: int, x, policy: Policy,
     start = t if start is None else start
     if not t <= start <= tree.end:
         raise ValidationError(f"start {start} outside tree range")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (problem.n,):
-        raise ValidationError(f"initial state must have length {problem.n}, got {x.shape}")
+    x = _check_state(x, problem.n)
 
     X = np.tile(x, (tree.n_nodes(start), 1))
     states = [X]

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .linalg import PINV_RTOL, PSD_TOL, _is_symmetric, _pinv, eig_margin, pinv, range_residual, \
     symmetrize
-from .model import FeedbackPolicy, ProblemData, _check_solve_args
+from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
 SOLVABLE_ALL_PAIRS = "SolvableAllPairs"
@@ -364,7 +364,8 @@ def optimal_value(sol: RiccatiSolution, k: int, xi,
                   report: SolvabilityReport | None = None,
                   tol: float = PSD_TOL) -> float:
     """xi^T (sum of defined P^(i)_k) xi — the best achievable cost from
-    (k, xi). Refuses when the classification does not guarantee solvability."""
+    (k, xi). Refuses when the classification does not guarantee solvability;
+    a value that overflows raises ConsistencyError."""
     if not sol.t <= k <= sol.N - 1:
         raise ValidationError(f"time {k} outside [{sol.t}, {sol.N - 1}]")
     if report is None:
@@ -374,10 +375,12 @@ def optimal_value(sol: RiccatiSolution, k: int, xi,
             f"optimal value undefined: classification is {report.classification}"
             + (f" ({report.note})" if report.note else "")
         )
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (sol.n,):
-        raise ValidationError(f"state must have length {sol.n}, got {xi.shape}")
-    return float(xi @ sol.P_sum(k) @ xi)
+    xi = _check_state(xi, sol.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(xi @ sol.P_sum(k) @ xi)
+    if not np.isfinite(value):
+        raise ConsistencyError(f"numerical breakdown: non-finite value at k={k}")
+    return value
 
 
 def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:

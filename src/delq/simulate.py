@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .linalg import pinv
 from .model import (
     FeedbackPolicy,
@@ -40,6 +40,7 @@ from .model import (
     Policy,
     ProblemData,
     _check_solve_args,
+    _check_state,
     block_mean,
     build_tree,
     ensure_valid,
@@ -83,13 +84,25 @@ class EvaluationResult:
 
 def exact_cost(problem: ProblemData, t: int, x, policy: Policy) -> EvaluationResult:
     """Exact expected cost: probability-weighted sum over all 2^(N-t) paths of
-    the tree rollout builds, under the DELQ_DEPTH_CAP depth cap (0 <= t <= N; x^T G x at N)."""
+    the tree rollout builds, under the DELQ_DEPTH_CAP depth cap (0 <= t <= N; x^T G x at N).
+    A cost that overflows raises ConsistencyError."""
     ensure_valid(problem)
-    traj = rollout(problem, t, x, policy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = trajectory_cost(problem, rollout(problem, t, x, policy))
+    _check_finite(mean, 0.0)
     return EvaluationResult(
-        mean=trajectory_cost(problem, traj), std_error=0.0,
+        mean=mean, std_error=0.0,
         samples=1 << (problem.N - t), mode=EXACT, noise=RADEMACHER, seed=None,
     )
+
+
+def _check_finite(mean: float, std_error: float) -> None:
+    """Raise ConsistencyError for a simulated mean or standard error that
+    finite data overflowed to a non-finite number."""
+    if not np.isfinite(mean):
+        raise ConsistencyError("numerical breakdown: non-finite simulated mean")
+    if not np.isfinite(std_error):
+        raise ConsistencyError("numerical breakdown: non-finite simulated standard error")
 
 
 def _normalize_noise(noise: str) -> str:
@@ -104,14 +117,21 @@ def _noise_chunks(noise: str, samples: int, steps: int, seed: int):
 
     All chunks come in order from one counter-based generator keyed by the
     seed; the generator carries its state between draws, so the rows are
-    exactly those of one (samples, steps) draw from the same key."""
+    exactly those of one (samples, steps) draw from the same key. Every
+    chunk is drawn into the leading rows of one buffer, so a chunk is
+    valid only until the next one is drawn: the float noise of a run
+    takes one chunk of memory whatever the heap did before. A Rademacher
+    chunk is 1 - 2 * (integers drawn as before), computed in place."""
     rng = np.random.Generator(np.random.Philox(key=seed))
+    buf = np.empty((min(MC_CHUNK, samples), steps))
     for lo in range(0, samples, MC_CHUNK):
-        shape = (min(MC_CHUNK, samples - lo), steps)
+        chunk = buf[:min(MC_CHUNK, samples - lo)]
         if noise == RADEMACHER:
-            yield 1.0 - 2.0 * rng.integers(0, 2, size=shape)
+            np.multiply(rng.integers(0, 2, size=chunk.shape), -2.0, out=chunk)
+            chunk += 1.0
         else:
-            yield rng.standard_normal(shape)
+            rng.standard_normal(out=chunk)
+        yield chunk
 
 
 def _enumerated_chunks(steps: int):
@@ -257,9 +277,7 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
         raise ValidationError(f"need at least 2 samples, got {samples}")
     noise_label = _normalize_noise(noise)
     steps = problem.N - t
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (problem.n,):
-        raise ValidationError(f"initial state must have length {problem.n}")
+    x = _check_state(x, problem.n)
     if not isinstance(policy, FeedbackPolicy) and noise_label != RADEMACHER:
         raise ValidationError(
             "open-loop controls are indexed by tree atoms; only "
@@ -280,22 +298,23 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     # Chunk means and squared deviations merged in chunk order (Chan, Golub
     # & LeVeque's pairwise update), so no per-sample array outlives a chunk.
     # With one chunk this is the plain two-pass mean and deviation sum.
+    # A chunk is reduced before the generator draws the next one into the
+    # same buffer, so only one noise chunk is alive at a time.
     operands = _step_operands(problem, t, policy)
     count, mean, m2 = 0, 0.0, 0.0
-    for block in chunks:
-        costs = _chunk_costs(problem, t, x, policy, block, operands)
-        # Release the chunk before the generator draws the next one, so that
-        # only one noise chunk is alive at a time.
-        del block
-        rows = costs.shape[0]
-        chunk_mean = float(np.sum(costs) / rows)
-        centered = costs - chunk_mean
-        delta = chunk_mean - mean
-        m2 += float(np.sum(centered * centered)) \
-            + delta * delta * (count * rows / (count + rows))
-        count += rows
-        mean += delta * (rows / count)
-    std_error = float(np.sqrt(m2 / (samples - 1) / samples))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in chunks:
+            costs = _chunk_costs(problem, t, x, policy, block, operands)
+            rows = costs.shape[0]
+            chunk_mean = float(np.sum(costs) / rows)
+            centered = costs - chunk_mean
+            delta = chunk_mean - mean
+            m2 += float(np.sum(centered * centered)) \
+                + delta * delta * (count * rows / (count + rows))
+            count += rows
+            mean += delta * (rows / count)
+        std_error = float(np.sqrt(m2 / (samples - 1) / samples))
+    _check_finite(mean, std_error)
     return EvaluationResult(mean=mean, std_error=std_error, samples=samples,
                             mode=MONTE_CARLO, noise=noise_label, seed=seed)
 

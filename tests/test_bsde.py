@@ -29,6 +29,7 @@ from delq import (
     terminal_inner,
     trajectory_cost,
 )
+from delq.bsde import _eliminate
 from delq.linalg import PSD_TOL, eig_margin, pinv, range_residual, scale_floor, symmetrize
 from delq.model import measurable_level, random_open_loop, tree_step
 
@@ -212,17 +213,24 @@ def test_pattern_sweep_matches_dense_reference():
         assert abs(q.c - c) <= 1e-13 * scale_floor(c), seed
 
 
-def test_assembly_memory_is_bounded_by_the_matrix():
-    """The assembly holds M and small per-time patterns, never a response
-    per basis control: its traced peak stays within 3 copies of M."""
+def _dim_1026_problem():
+    """n = 3, m = 2, N = 11, d = 2 with positive definite weights: a stacked
+    dimension of 1026."""
     n, m, N, d = 3, 2, 11, 2
     rng = np.random.default_rng(5)
-    problem = ProblemData(n=n, m=m, N=N, d=d,
-                          A=[rng.normal(scale=0.5, size=(n, n)) for _ in range(N)],
-                          B=[rng.normal(size=(n, m)) for _ in range(N)],
-                          C=[rng.normal(scale=0.3, size=(n, n)) for _ in range(N)],
-                          D=[rng.normal(scale=0.3, size=(n, m)) for _ in range(N)],
-                          Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
+    return ProblemData(n=n, m=m, N=N, d=d,
+                       A=[rng.normal(scale=0.5, size=(n, n)) for _ in range(N)],
+                       B=[rng.normal(size=(n, m)) for _ in range(N)],
+                       C=[rng.normal(scale=0.3, size=(n, n)) for _ in range(N)],
+                       D=[rng.normal(scale=0.3, size=(n, m)) for _ in range(N)],
+                       Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
+
+
+def test_assembly_memory_is_bounded_by_the_matrix():
+    """The assembly holds its tables and small per-time patterns, never a
+    response per basis control: its traced peak stays within 3 copies of M."""
+    problem = _dim_1026_problem()
+    n = problem.n
     dim = StackedControlLayout.build(problem, 0).size
     assert dim == 1026
     tracemalloc.start()
@@ -339,15 +347,15 @@ def test_oracle_matches_three_decomposition_route():
     assert statuses == {"Bounded", "Unbounded"}
 
 
-def test_oracle_decomposes_its_matrix_once(monkeypatch):
-    problem, t = draw_mixed(3)
-    q = assemble_quadratic(problem, t, np.ones(problem.n))
-    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+def _count_decompositions(monkeypatch):
+    """Count eigh, eigvalsh and svd calls, recording each call's argument
+    shape."""
+    calls = {"eigh": [], "eigvalsh": [], "svd": []}
 
     def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+        def wrapper(a, *args, **kwargs):
+            calls[name].append(np.shape(a))
+            return fn(a, *args, **kwargs)
         return wrapper
 
     # np.linalg.pinv calls svd through numpy's own module, so patch both.
@@ -355,8 +363,64 @@ def test_oracle_decomposes_its_matrix_once(monkeypatch):
         if module is not None:
             for name in calls:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_oracle_eliminates_a_confident_form_without_a_dense_decomposition(monkeypatch):
+    """A confidently positive definite form is answered by the elimination:
+    no eigh, no svd, and one eigvalsh of the stacked m x m level pivots. A
+    not-convex form falls back to exactly one eigh of the dense M."""
+    problem, t = draw_mixed(3)
+    q = assemble_quadratic(problem, t, np.ones(problem.n))
+    levels, m = len(q.layout.atoms), problem.m
+    calls = _count_decompositions(monkeypatch)
     assert oracle_minimize(q).bounded
-    assert calls == {"eigh": 1, "eigvalsh": 0, "svd": 0}
+    assert calls == {"eigh": [], "eigvalsh": [(levels, m, m)], "svd": []}
+    assert q.layout.size != m   # so no pivot is itself dim x dim
+
+    problem, t = draw_mixed(51)
+    q = assemble_quadratic(problem, t, np.ones(problem.n))
+    for name in calls:
+        calls[name].clear()
+    out = oracle_minimize(q)
+    assert not out.bounded and "negative eigenvalue" in out.reason
+    assert calls["eigh"] == [(q.layout.size, q.layout.size)]
+    assert calls["svd"] == []
+
+
+def test_elimination_matches_the_dense_route():
+    """The elimination and the dense eigh route (the same form handed over
+    as M alone) give identical statuses and reasons, and values and
+    minimizers within 1e-13 of their scale_floor; both routes are taken."""
+    routes = set()
+    for seed, problem, t in _parity_cases():
+        x = np.random.default_rng(seed + 900).normal(size=problem.n)
+        q = assemble_quadratic(problem, t, x)
+        out = oracle_minimize(q)
+        dense = oracle_minimize(QuadraticForm(M=q.M, b=q.b, c=q.c, layout=q.layout))
+        routes.add(_eliminate(q, PSD_TOL) is not None)
+        assert (out.status, out.reason) == (dense.status, dense.reason), seed
+        if out.bounded:
+            assert abs(out.value - dense.value) <= 1e-13 * scale_floor(dense.value), seed
+            assert np.max(np.abs(out.minimizer - dense.minimizer)) \
+                <= 1e-13 * scale_floor(dense.minimizer), seed
+    assert routes == {True, False}
+
+
+def test_oracle_memory_stays_below_one_dense_matrix():
+    """Assembly and minimization of a positive definite form at dimension
+    1026 never build the dense M: their traced peak stays below one copy."""
+    problem = _dim_1026_problem()
+    tracemalloc.start()
+    try:
+        q = assemble_quadratic(problem, 0, np.ones(problem.n))
+        out = oracle_minimize(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = q.layout.size
+    assert dim == 1026 and out.bounded
+    assert peak < 8 * dim * dim
 
 
 def test_oracle_agrees_with_backward_pass_on_scalar(scalar, scalar_solution):

@@ -307,6 +307,32 @@ def test_overflow_in_recursion_is_a_numerical_breakdown(tmp_path):
             assert bad not in proc.stderr, (argv, proc.stderr)
 
 
+def test_initial_state_is_checked_once_and_overflow_is_a_breakdown(paths):
+    """On the benchmark instance a non-finite initial state is invalid input
+    (exit 2) with one message on every command that takes --x, and a finite
+    one whose cost overflows (x = 1e200) ends in exit 4 naming what became
+    non-finite, never in a NaN printed with exit 0. Run in a fresh
+    interpreter so stderr is exactly what a user sees."""
+    src = os.path.dirname(os.path.dirname(delq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cases = [(cmd, x, EXIT_INVALID, "invalid input: initial state contains non-finite entries")
+             for cmd in (["oracle"], ["value"], ["simulate"], ["simulate", "--samples", "10"])
+             for x in ("nan,1", "1,inf")]
+    cases += [(["oracle"], "1e200,1", EXIT_INCONSISTENT, "non-finite oracle form"),
+              (["value"], "1e200,1", EXIT_INCONSISTENT, "non-finite value at k=0"),
+              (["simulate"], "1e200,1", EXIT_INCONSISTENT, "non-finite simulated mean"),
+              (["simulate", "--samples", "10", "--noise", "gaussian"], "1e200,1",
+               EXIT_INCONSISTENT, "non-finite simulated mean")]
+    for argv, x, code, message in cases:
+        proc = subprocess.run([sys.executable, "-m", "delq", *argv, f"--x={x}", "--format",
+                               "json", "--problem", paths["benchmark"]],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, ""), (argv, x, proc.stdout, proc.stderr)
+        if code == EXIT_INCONSISTENT:
+            message = f"consistency failure: numerical breakdown: {message}"
+        assert proc.stderr == message + "\n", (argv, x, proc.stderr)
+
+
 def test_overflowing_terminal_weight_is_a_numerical_breakdown(tmp_path):
     """A finite terminal weight G = 1e308 overflows its symmetrization
     (G + G^T)/2: every command that solves the recursion exits 4 naming the

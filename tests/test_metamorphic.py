@@ -14,9 +14,11 @@ from delq import (
     PSD_TOL,
     SOLVABLE_ALL_PAIRS,
     ProblemData,
+    assemble_quadratic,
     check_membership,
     classify,
     optimal_value,
+    oracle_minimize,
     solve_riccati,
     zero_candidate,
 )
@@ -80,11 +82,11 @@ def _near_threshold(margin):
 @given(seed=SEEDS)
 def test_orthogonal_change_of_state_coordinates_keeps_every_verdict(seed):
     """(A, B, C, D, Q, G) -> (TAT', TB, TCT', TD, TQT', TGT') with T
-    orthogonal: the classification, every zero-candidate constraint verdict
-    and the optimal value at T x are those of the original problem, except
-    for a verdict whose margin moved and sits at a threshold (the zero
-    candidate's equalities and its blocks after t are exact zeros either
-    way)."""
+    orthogonal: the classification, the oracle's status, every
+    zero-candidate constraint verdict, and the optimal value and oracle
+    minimum at T x are those of the original problem, except for a verdict
+    whose margin moved and sits at a threshold (the zero candidate's
+    equalities and its blocks after t are exact zeros either way)."""
     problem, t = draw_mixed(seed)
     rng = np.random.default_rng(seed)
     T = np.linalg.qr(rng.normal(size=(problem.n, problem.n)))[0]
@@ -92,12 +94,17 @@ def test_orthogonal_change_of_state_coordinates_keeps_every_verdict(seed):
     rotated = _rotated(problem, T)
     sol, rot_sol = solve_riccati(problem, t), solve_riccati(rotated, t)
     report, rot_report = classify(sol), classify(rot_sol)
+    oracle = oracle_minimize(assemble_quadratic(problem, t, x))
+    rot_oracle = oracle_minimize(assemble_quadratic(rotated, t, T @ x))
     if not any(_near_threshold(margin) for margin in eig_margin(sol.W)[1].tolist()):
         assert rot_report.classification == report.classification
+        assert rot_oracle.status == oracle.status
     if report.at_least(SOLVABLE_ALL_PAIRS) and rot_report.at_least(SOLVABLE_ALL_PAIRS):
         value = optimal_value(sol, t, x, report)
         assert abs(optimal_value(rot_sol, t, T @ x, rot_report) - value) \
             <= 1e-12 * scale_floor(value)
+    if oracle.bounded and rot_oracle.bounded:
+        assert abs(rot_oracle.value - oracle.value) <= 1e-12 * scale_floor(oracle.value)
 
     lmei = check_membership(zero_candidate(problem, t), problem, t)
     rot_lmei = check_membership(zero_candidate(rotated, t), rotated, t)

@@ -212,7 +212,13 @@ def test_noise_chunks_match_one_up_front_draw(noise, steps):
             block = 1.0 - 2.0 * rng.integers(0, 2, size=(samples, steps)).astype(float)
         else:
             block = rng.standard_normal((samples, steps))
-        chunks = list(_noise_chunks(noise, samples, steps, 5))
+        # Each chunk is a view of one reused buffer, valid until the next
+        # draw, so it is copied before the generator moves on.
+        chunks, buffers = [], set()
+        for c in _noise_chunks(noise, samples, steps, 5):
+            chunks.append(c.copy())
+            buffers.add(id(c.base))
+        assert len(buffers) == 1
         assert all(c.shape[0] <= MC_CHUNK for c in chunks)
         assert np.array_equal(np.vstack(chunks), block), samples
 
