@@ -9,15 +9,13 @@ response pattern per (time, control component), as per-time tables that
 every information atom of a time shares. It minimizes the form by block
 elimination on those tables in reverse time order, which creates no fill
 on the information tree (Liu's elimination tree): one m x m pivot per time
-level, all graded in one stacked call. When a pivot is not confidently
-positive definite (a negative or near-singular one, graded against the
-gray band of ``linalg``), the form falls back to the dense route, one
-symmetric eigendecomposition of M (boundedness verdict, minimizer and
-value), so every Unbounded verdict comes from the dense M. The module also
-provides the backward-equation machinery (adjoint operators, first-order
-stationarity residual, decoupling residual) used to cross-check the
-Riccati route. Neither oracle route reads the recursion's W, H or P.
-Everything here is exact up to floating point — no sampling.
+level, and M itself is never formed. Each pivot decides its level by the
+extended Schur lemma (Albert 1969): it must be PSD, and the rows coupling
+it to earlier levels and the level's linear term must lie in its range.
+The module also provides the backward-equation machinery (adjoint
+operators, first-order stationarity residual, decoupling residual) used to
+cross-check the Riccati route. The oracle never reads the recursion's W, H
+or P. Everything here is exact up to floating point — no sampling.
 """
 from __future__ import annotations
 
@@ -26,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .linalg import PINV_RTOL, PSD_TOL, _confident_pivots, _eigh_solve, _spd_inverse, pinv, \
-    range_residual, rel_deviation, scale_floor, symmetrize
+from .errors import ConsistencyError, ValidationError
+from .linalg import PINV_RTOL, PSD_TOL, _pivot_pinv, pinv, range_residual, rel_deviation, \
+    scale_floor, symmetrize
 from .model import (
     AdaptedProcess,
     FeedbackPolicy,
@@ -48,11 +46,6 @@ from .model import (
     tree_step,
     zero_policy,
 )
-
-#: Default cap on the stacked-control dimension: it bounds the dense
-#: fallback of the oracle, M's dim^2 memory and its O(dim^3) eigh. The
-#: elimination itself needs neither.
-STACKED_DIM_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -230,53 +223,30 @@ class StackedControlLayout:
         return OpenLoopPolicy(t=self.t, d=self.d, controls=controls)
 
 
+@dataclass(frozen=True)
 class QuadraticForm:
-    """J(t,x;u) = u^T M u + 2 b^T u + c over stacked control coordinates.
-
-    An assembled form keeps M as its per-time `tables`: tables[j2] is the
-    flat concatenation, over j1 = 0..j2, of the (m, a2/a1, m) coupling
-    between the controls of one atom of time j1 (rows) and those of the
-    a2/a1 atoms of time j2 beneath it, one table shared by every atom of j1;
-    the last one (j1 = j2) is the diagonal block, R included. The dense M is
-    built from them on first access. A hand-built form passes M itself and
-    no tables.
+    """J(t,x;u) = u^T M u + 2 b^T u + c over stacked control coordinates,
+    with M kept as its per-time `tables`: tables[j2] is the flat
+    concatenation, over j1 = 0..j2, of the (m, a2/a1, m) coupling between
+    the controls of one atom of time j1 (rows) and those of the a2/a1 atoms
+    of time j2 beneath it, one table shared by every atom of j1; the last
+    one (j1 = j2) is the diagonal block, R included. A b of the wrong length
+    or a non-finite b or table is refused.
     """
 
-    def __init__(self, *, b: np.ndarray, c: float, layout: StackedControlLayout,
-                 M: np.ndarray | None = None,
-                 tables: tuple[np.ndarray, ...] | None = None):
-        self.b, self.c, self.layout, self.tables = b, c, layout, tables
-        self._M = M
+    b: np.ndarray
+    c: float
+    layout: StackedControlLayout
+    tables: tuple[np.ndarray, ...]
 
-    @property
-    def M(self) -> np.ndarray:
-        if self._M is None:
-            self._M = _dense_matrix(self.tables, self.layout)
-        return self._M
-
-    def evaluate(self, vec) -> float:
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        return float(vec @ self.M @ vec + 2.0 * (self.b @ vec) + self.c)
-
-
-def _dense_matrix(tables: tuple[np.ndarray, ...], layout: StackedControlLayout) -> np.ndarray:
-    """M from the tables: each fills M along the ancestor diagonal (disjoint
-    subtrees never meet), and the lower block triangle mirrors the upper."""
-    m, atoms, offsets = layout.m, layout.atoms, layout.offsets
-    M = np.zeros((layout.size, layout.size))
-    for j2, (a2, off2) in enumerate(zip(atoms, offsets)):
-        pos = 0
-        for j1 in range(j2 + 1):
-            a1, off1 = atoms[j1], offsets[j1]
-            span = a2 // a1 * m     # time j2's columns under one atom of j1
-            table = tables[j2][pos:pos + m * span].reshape(m, span)
-            pos += m * span
-            r = off1 + np.arange(a1 * m).reshape(a1, m, 1)
-            cols = off2 + np.arange(a1 * span).reshape(a1, 1, span)
-            M[r, cols] = table
-            if j1 < j2:
-                M[cols.swapaxes(1, 2), r.swapaxes(1, 2)] = table.T
-    return M
+    def __post_init__(self):
+        if np.shape(self.b) != (self.layout.size,):
+            raise ValidationError(
+                f"b has length {np.size(self.b)}, M has {self.layout.size} rows")
+        if not all(np.all(np.isfinite(table)) for table in self.tables):
+            raise ValidationError("M contains non-finite entries")
+        if not np.all(np.isfinite(self.b)):
+            raise ValidationError("b contains non-finite entries")
 
 
 def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
@@ -293,10 +263,6 @@ def assemble_quadratic(problem: ProblemData, t: int, x) -> QuadraticForm:
     """
     _check_solve_args(problem, t)
     layout = StackedControlLayout.build(problem, t)
-    if layout.size > STACKED_DIM_CAP:
-        raise ResourceLimitError(
-            f"stacked-control dimension {layout.size} exceeds cap {STACKED_DIM_CAP}"
-        )
     tree = build_tree(t, problem.N)
 
     n, m = problem.n, problem.m
@@ -352,38 +318,55 @@ class OracleOutcome:
         return "Bounded" if self.bounded else "Unbounded"
 
 
-def _eliminate(q: QuadraticForm, psd_tol: float) -> tuple[float, np.ndarray] | None:
-    """(min value, minimizer) of an assembled form by block elimination in
-    reverse time order, or None when a pivot is not confidently positive
-    definite.
+def _eliminate(q: QuadraticForm, psd_tol: float, pinv_rtol: float) -> OracleOutcome:
+    """Minimize a form by block elimination in reverse time order.
 
     A latest-time atom couples only to its ancestors, which already couple
     to each other, so eliminating the times from last to first creates no
     fill (Liu's elimination tree). The atoms of one time are disjoint
     subtrees that share their tables, so a time level has a single m x m
-    pivot, and its Schur update of every ancestor table is one product
-    that sums over the siblings; only b is per atom. The pivots are graded
-    together at the form's scale_floor (``linalg._confident_pivots``); the
-    value is c - sum of b_L^T P_L^{-1} b_L over the eliminated levels, and
-    the minimizer comes from back-substitution, earliest time first.
+    pivot P, and its Schur update of every ancestor table is one product
+    that sums over the siblings; only b is per atom. By the extended Schur
+    lemma the form is bounded iff at every level P is PSD and the coupling
+    rows and the level's b lie in Ran(P); the update then uses P^+. Each
+    pivot is graded at the form's scale_floor (``linalg._pivot_pinv``). The
+    value is c - sum of b_L^T P_L^+ b_L over the levels, and the minimizer
+    comes from back-substitution, earliest time first.
     """
     layout, m = q.layout, q.layout.m
     atoms = layout.atoms
+    scale = max(scale_floor(table) for table in q.tables)
+    b_scale = scale_floor(q.b)
     tabs = [table.copy() for table in q.tables]
     b = [q.b[off:off + a * m].reshape(a, m).copy()
          for a, off in zip(atoms, layout.offsets)]
     c = q.c
-    pivots = np.empty((len(atoms), m, m))
     inverses = [np.empty(0)] * len(atoms)
+    outside = None      # latest time whose linear term leaves the range
     for L in range(len(atoms) - 1, -1, -1):
-        pivots[L] = symmetrize(tabs[L][-m * m:].reshape(m, m))
-        Pinv = _spd_inverse(pivots[L])
-        if Pinv is None:
-            return None
+        k = layout.t + L
+        P = tabs[L][-m * m:].reshape(m, m)
+        coupling = tabs[L][:-m * m].reshape(-1, m)
+        # a verdict reads only finite numbers: the pivot always, and the
+        # coupling rows and b when the pivot has a kernel
+        if not np.isfinite(P).all():
+            raise ConsistencyError(f"numerical breakdown: non-finite oracle pivot at k={k}")
+        lam, kernel, Pinv = _pivot_pinv(P, scale, pinv_rtol)
+        if kernel is not None and not (np.isfinite(coupling).all() and np.isfinite(b[L]).all()):
+            raise ConsistencyError(f"numerical breakdown: non-finite oracle pivot at k={k}")
+        if lam < -psd_tol * scale or kernel is not None \
+                and np.max(np.abs(coupling @ kernel), initial=0.0) > psd_tol * scale:
+            return OracleOutcome(
+                bounded=False, value=None, minimizer=None,
+                reason=f"quadratic term has negative eigenvalue {lam:.3e} at k={k}",
+            )
+        if kernel is not None and outside is None \
+                and np.max(np.abs(b[L] @ kernel)) > psd_tol * b_scale:
+            outside = k
         inverses[L] = Pinv
         y = b[L] @ Pinv
         c -= float(np.sum(b[L] * y))
-        scaled = (tabs[L][:-m * m].reshape(-1, m) @ Pinv).ravel()
+        scaled = (coupling @ Pinv).ravel()
         pos = 0
         for j in range(L):      # tables T_{j1,L} for j1 <= j fold into tabs[j]
             width = atoms[L] // atoms[j] * m
@@ -392,9 +375,12 @@ def _eliminate(q: QuadraticForm, psd_tol: float) -> tuple[float, np.ndarray] | N
                         @ scaled[pos:end].reshape(m, width).T).ravel()
             b[j] -= y.reshape(atoms[j], width) @ tabs[L][pos:end].reshape(m, width).T
             pos = end
-    if not _confident_pivots(pivots, max(scale_floor(table) for table in q.tables),
-                             psd_tol):
-        return None
+    if outside is not None:
+        return OracleOutcome(
+            bounded=False, value=None, minimizer=None,
+            reason="linear term has a component outside the range of the "
+                   f"quadratic term at k={outside}",
+        )
     u: list[np.ndarray] = []
     for L, aL in enumerate(atoms):
         rhs = b[L]
@@ -405,48 +391,38 @@ def _eliminate(q: QuadraticForm, psd_tol: float) -> tuple[float, np.ndarray] | N
             rhs = rhs + (u[j] @ tabs[L][pos:end].reshape(m, width)).reshape(aL, m)
             pos = end
         u.append(-(rhs @ inverses[L]))
-    return c, np.concatenate([v.ravel() for v in u])
+    return OracleOutcome(bounded=True, value=c,
+                         minimizer=np.concatenate([v.ravel() for v in u]), reason="")
 
 
 def oracle_minimize(q: QuadraticForm, psd_tol: float = PSD_TOL,
                     pinv_rtol: float = PINV_RTOL) -> OracleOutcome:
-    """Global infimum of u^T M u + 2 b^T u + c.
+    """Global infimum of u^T M u + 2 b^T u + c, by block elimination on the
+    form's tables (``_eliminate``); M itself is never formed.
 
-    Bounded with value c - b^T M^+ b at minimizer -M^+ b iff M is PSD and b
-    lies in the range of M; otherwise the form runs to minus infinity along
-    a negative eigenvector or along kernel directions with linear descent.
-
-    An assembled form is first minimized by block elimination on its tables
-    (``_eliminate``): when every level pivot is positive definite beyond the
-    gray band of `psd_tol`, M is positive definite and the form is Bounded,
-    with no dense M. Any other form (a negative or near-singular pivot, or
-    a hand-built form with no tables) goes to the dense route, one
-    eigendecomposition of M (``linalg._eigh_solve``): the eigen margin
-    against `psd_tol` first, then the component of b in the kernel
-    (eigenvalues with |lambda| ≤ pinv_rtol * max|lambda|) against `psd_tol`,
-    then M^+ b on the kept spectrum. A Bounded answer that is not finite
-    (finite data that overflowed) raises ConsistencyError.
+    Bounded iff M is PSD and b lies in the range of M; otherwise the form
+    runs to minus infinity along a negative direction or along kernel
+    directions with linear descent. Eliminating the levels latest first,
+    one eigh of each m x m pivot P gives the verdict at its time k:
+    lambda_min(P) < -psd_tol * scale, or a coupling row with a component
+    above psd_tol * scale in P's kernel (eigenvalues ≤ pinv_rtol * scale),
+    makes M not PSD, and the reason is "quadratic term has negative
+    eigenvalue {lambda_min(P)} at k={k}" (near zero in the coupling case);
+    `scale` is the form's scale_floor. When M is PSD but some level's b has
+    a kernel component above psd_tol * scale_floor(b), the reason is
+    "linear term has a component outside the range of the quadratic term
+    at k={k}", at the latest such k. A Bounded value is c - b^T M^+ b. Its
+    minimizer, from the per-level pseudo-inverses, solves M u = -b; when M
+    is singular it need not be the least-norm -M^+ b. A non-finite pivot
+    (finite data that overflowed in the elimination) or a non-finite
+    Bounded answer raises ConsistencyError.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        solved = None if q.tables is None else _eliminate(q, psd_tol)
-        if solved is None:
-            lam, margin, resid, Mdag_b = _eigh_solve(q.M, q.b, pinv_rtol)
-            if margin < -psd_tol:
-                return OracleOutcome(
-                    bounded=False, value=None, minimizer=None,
-                    reason=f"quadratic term has negative eigenvalue {lam:.3e}",
-                )
-            if resid > psd_tol:
-                return OracleOutcome(
-                    bounded=False, value=None, minimizer=None,
-                    reason="linear term has a component outside the range of the "
-                           "quadratic term",
-                )
-            solved = q.c - float(q.b @ Mdag_b), -Mdag_b
-    value, minimizer = solved
-    if not (np.isfinite(value) and np.all(np.isfinite(minimizer))):
+        outcome = _eliminate(q, psd_tol, pinv_rtol)
+    if outcome.bounded and not (np.isfinite(outcome.value)
+                                and np.all(np.isfinite(outcome.minimizer))):
         raise ConsistencyError("numerical breakdown: non-finite oracle minimum")
-    return OracleOutcome(bounded=True, value=value, minimizer=minimizer, reason="")
+    return outcome
 
 
 def oracle_cost(problem: ProblemData, t: int, x, vec) -> float:
@@ -520,7 +496,7 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol, samples: int = 200,
     sufficient = bool(np.all(range_residual(sol.H, sol.W) <= tol))
     projectors = np.eye(problem.m) - sol.W @ pinv(sol.W)
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _check_state(x, problem.n)
     worst = 0.0
     for _ in range(samples):
         extra = [rng.standard_normal((1 << (measurable_level(t, problem.d, k) - t),

@@ -16,7 +16,8 @@ class ValidationError(DelqError, ValueError):
 
 
 class ResourceLimitError(DelqError, ValueError):
-    """A configured resource cap (tree depth, stacked dimension) would be
+    """The configured tree-depth cap (``DELQ_DEPTH_CAP``), which bounds every
+    route that enumerates the scenario tree, the oracle included, would be
     exceeded."""
 
 

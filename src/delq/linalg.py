@@ -3,10 +3,9 @@ into a numerical verdict.
 
 SVD pseudo-inverse with a relative cutoff, (semi)definiteness tests, the
 range-inclusion residual, the extended Schur block test (two independent
-routes) and, for the quadratic oracle, the inverse and the stacked grade
-of its elimination pivots (``_spd_inverse``, ``_confident_pivots``) and
-the dense fallback that takes every verdict from one symmetric
-eigendecomposition (``_eigh_solve``). Every verdict is scaled by one floor,
+routes) and, for the quadratic oracle, the spectrum, kernel and
+pseudo-inverse of each m x m elimination pivot from one symmetric
+eigendecomposition (``_pivot_pinv``). Every verdict is scaled by one floor,
 ``scale_floor(X) = max(1, max|X|)``, through ``eig_margin`` (lambda_min,
 and lambda_min over the floor of the spectrum) and ``rel_deviation``
 (max|err| over the floor of a reference). Below scale 1 the floor makes a
@@ -26,23 +25,24 @@ Tolerances (value: where used; why):
 
 - ``PINV_RTOL`` 1e-12: ``pinv`` cutoff as a fraction of sigma_max, so of
   every W^+ and range residual (``--pinv-tol``); it drops only directions
-  that rounding left nonzero. The oracle's ``_eigh_solve`` applies it to
-  the spectrum of the symmetric M, whose singular values are |lambda|: it
-  keeps |lambda| > rtol * max|lambda|, and its range test is the
-  kernel-component residual max|V_ker V_ker^T b| / scale_floor(b), equal
-  to ``range_residual(b, M)`` in exact arithmetic.
+  that rounding left nonzero. The oracle's elimination applies it to each
+  pivot's eigenvalues at the form's scale_floor (max |table entry|, floored
+  at 1): those at or below rtol * scale span the pivot's kernel and are
+  left out of its pseudo-inverse (``_pivot_pinv``).
 - ``PSD_TOL`` 1e-9: margin tolerance of every semidefinite, range and
   equality verdict: ``classify``, ``is_psd``/``is_pd``, the Schur block
   test, the ``lmei`` constraints, the oracle's boundedness test and the
   fixed-pair probe (``--psd-tol``); above rounding, below the margin of a
   genuinely indefinite step. The Schur test grades lambda_min(S - H^T W^+ H)
-  over the assembled block's scale_floor, as the direct route does.
+  over the assembled block's scale_floor, as the direct route does. The
+  oracle calls a form Unbounded at the latest pivot whose lambda_min is
+  below -tol * scale, or whose coupling rows have a kernel component above
+  tol * scale (the quadratic term is then not PSD); otherwise at the latest
+  pivot where the linear term's kernel component exceeds
+  tol * scale_floor(b).
 - ``_GRAY_BAND`` 100 (times the margin tolerance): a margin within
   100 * tol of the threshold is not a confident verdict. The Schur test
-  re-tests both routes at 100 * tol before it calls a split an error; the
-  oracle's elimination keeps its answer only when every pivot's
-  lambda_min over the form's scale_floor exceeds 100 * ``--psd-tol``, and
-  otherwise hands the form to the dense ``_eigh_solve``.
+  re-tests both routes at 100 * tol before it calls a split an error.
 - ``_SYM_CHECK_TOL`` 1e-8: symmetry of matrix arguments here and of
   ``lmei`` candidates, which are computed or read back from JSON.
 - ``model._ASYM_TOL`` 1e-9: symmetry of the problem weights Q, R, G.
@@ -51,8 +51,8 @@ Tolerances (value: where used; why):
   bounds the PSD and range checks of the constructed W_k.
 - CLI ``oracle --tol`` 1e-6: oracle minimum vs recursion value, relative to
   ``scale_floor(value)``; the oracle's value comes from a block elimination
-  over up to a few thousand stacked controls (or from the dense fallback),
-  whose rounding grows with the form's conditioning.
+  over the stacked controls, whose rounding grows with the form's
+  conditioning.
 """
 from __future__ import annotations
 
@@ -177,49 +177,19 @@ def _range_residual(N: np.ndarray, L: np.ndarray, Ldag: np.ndarray):
     return rel_deviation(L @ Ldag @ N - N, N)
 
 
-def _eigh_solve(M, b, rel_tol: float = PINV_RTOL) -> tuple[float, float, float, np.ndarray]:
-    """(lambda_min, eig margin, range residual of b, M^+ b) from one eigh of
-    symmetrize(M), for the quadratic oracle. An exactly symmetric M is its
-    own symmetric part, so it goes to eigh as it is: no dim x dim temporary,
-    and no overflow of M + M^T for entries near the float maximum.
-
-    The margin is eig_margin's. For a symmetric matrix the singular values
-    are |lambda|, so the kept spectrum |lambda| > rel_tol * max|lambda| is
-    ``pinv``'s. The range residual is max|V_ker V_ker^T b| / scale_floor(b),
-    the component of b in the numerical kernel, and M^+ b is
-    V_keep diag(1/lambda) V_keep^T b.
-    """
-    M = _as_matrix(M, "M")
-    b = _as_matrix(np.reshape(b, (-1, 1)), "b")[:, 0]
-    if b.shape[0] != M.shape[0]:
-        raise ValidationError(f"b has length {b.shape[0]}, M has {M.shape[0]} rows")
-    vals, V = np.linalg.eigh(M if np.array_equal(M, M.T) else symmetrize(M))
-    lam = float(vals[0])
-    margin = lam / float(_floor(vals, None))
-    mags = np.abs(vals)
-    keep = mags > rel_tol * np.max(mags)
-    coef = V.T @ b
-    resid = rel_deviation(V @ np.where(keep, 0.0, coef), b)
-    solve = V @ np.divide(coef, vals, out=np.zeros_like(coef), where=keep)
-    return lam, margin, resid, solve
-
-
-def _spd_inverse(P: np.ndarray) -> np.ndarray | None:
-    """P^{-1} for a finite symmetric P that a Cholesky factorization
-    accepts (numerically positive definite), else None. A None is a sure
-    non-confident pivot; an inverse still has to pass ``_confident_pivots``."""
-    try:
-        np.linalg.cholesky(P)
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.inv(P)
-
-
-def _confident_pivots(P: np.ndarray, scale: float, tol: float) -> bool:
-    """True iff every pivot of the stack P (levels, m, m) has
-    lambda_min / scale above the gray band _GRAY_BAND * tol, graded in one
-    stacked call; `scale` is the form's scale_floor."""
-    return bool(np.all(np.linalg.eigvalsh(P)[:, 0] / scale > _GRAY_BAND * tol))
+def _pivot_pinv(P: np.ndarray, scale: float,
+                rel_tol: float = PINV_RTOL) -> tuple[float, np.ndarray | None, np.ndarray]:
+    """(lambda_min, kernel projector, pseudo-inverse) of one finite m x m
+    pivot of the oracle's elimination, from one eigh of symmetrize(P).
+    Eigenvalues at or below rel_tol * scale (the form's scale_floor), tiny
+    negative ones included, span the kernel (projector None when it is
+    empty) and are dropped from the pseudo-inverse. An exactly symmetric P
+    is its own symmetric part, so it goes to eigh as it is: no overflow of
+    P + P^T for entries near the float maximum."""
+    vals, V = np.linalg.eigh(P if (P == P.T).all() else symmetrize(P))
+    r = int(np.count_nonzero(vals <= rel_tol * scale))    # eigh sorts ascending
+    kernel, kept = V[:, :r], V[:, r:]
+    return float(vals[0]), kernel @ kernel.T if r else None, (kept / vals[r:]) @ kept.T
 
 
 def _schur_block(S, H, W, tol: float) -> tuple[bool, float]:

@@ -337,7 +337,7 @@ def predictor(problem: ProblemData, t: int, x, gains, k: int, noises=()) -> np.n
             f"got {noises.shape[0]}"
         )
     gains = [np.asarray(K, dtype=float) for K in gains]
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _check_state(x, problem.n)
 
     states = {t: x}
     controls: dict[int, np.ndarray] = {}
@@ -402,7 +402,7 @@ def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol) -> OpenLoopP
     build_tree(t, problem.N)  # the sweep below enumerates its nodes
     if isinstance(u, FeedbackPolicy):
         raise ValidationError("shifted_policy expects explicit (open-loop) controls")
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = _check_state(x, problem.n)
     # v_k is also the total control applied along the driven trajectory, so
     # the sweep is a plain rollout that records v as it goes.
     X = np.tile(x, (1, 1))
@@ -421,9 +421,9 @@ def completion_of_squares_residual(problem: ProblemData, t: int, x,
     """|J(t,x;v^u) - (x^T P^(0)_t x + sum_k E[u_k^T W_k u_k])| for the
     shifted control v^u; zero (to tolerance) whenever every H_k lies in the
     range of W_k."""
+    x = _check_state(x, problem.n)
     v = shifted_policy(problem, t, x, u, sol)
     lhs = trajectory_cost(problem, rollout(problem, t, x, v))
-    x = np.asarray(x, dtype=float).reshape(-1)
     rhs = float(x @ sol.P_at(0, t) @ x)
     for k in range(t, problem.N):
         uk = u.controls[k - u.start]

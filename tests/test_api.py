@@ -11,12 +11,13 @@ from delq.model import DEPTH_CAP_ENV
 
 #: Public helpers that were removed because nothing in the package used them
 #: (FEAS_TOL folded into PSD_TOL, which it always equalled; the one-call
-#: operator wrappers inlined into apply_operators).
+#: operator wrappers inlined into apply_operators; STACKED_DIM_CAP bounded
+#: the oracle's dense fallback, and the depth cap bounds the elimination).
 REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
            "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh",
            "FEAS_TOL", "state_response", "control_response", "adjoint_state",
            "adjoint_control", "adjoint_terminal_state", "adjoint_terminal_control",
-           "cond_expect", "open_loop_from_values")
+           "cond_expect", "open_loop_from_values", "STACKED_DIM_CAP")
 
 
 def test_every_exported_name_resolves():
@@ -65,8 +66,8 @@ def test_per_step_sequences_stay_stacks():
 
 
 def test_no_route_takes_a_tree_or_a_cap():
-    """(t, N) fix the scenario tree, and the depth and dimension caps are
-    module settings: no public function takes either as an argument."""
+    """(t, N) fix the scenario tree, and the depth cap is a module
+    setting: no public function takes either as an argument."""
     offenders = []
     for mod in ("model", "riccati", "lmei", "bsde", "simulate"):
         module = importlib.import_module(f"delq.{mod}")

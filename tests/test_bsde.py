@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -6,18 +9,20 @@ import pytest
 
 from delq import (
     OpenLoopPolicy,
+    ConsistencyError,
     ProblemData,
     QuadraticForm,
-    ResourceLimitError,
     StackedControlLayout,
     ValidationError,
     apply_operators,
     assemble_quadratic,
     build_tree,
+    classify,
     cost_difference_residual,
     decoupling_residual,
     feedback_policy,
     fixed_pair_check,
+    load_problem,
     optimal_value,
     oracle_cost,
     oracle_minimize,
@@ -29,11 +34,17 @@ from delq import (
     terminal_inner,
     trajectory_cost,
 )
-from delq.bsde import _eliminate
-from delq.linalg import PSD_TOL, eig_margin, pinv, range_residual, scale_floor, symmetrize
+from delq.linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, rel_deviation, \
+    scale_floor, symmetrize
 from delq.model import measurable_level, random_open_loop, tree_step
 
-from conftest import draw_mixed, range_deficient_problem, uniquely_solvable_instances
+from conftest import (
+    draw_mixed,
+    nonneg_problem,
+    notconvex_problem,
+    range_deficient_problem,
+    uniquely_solvable_instances,
+)
 
 
 def _scalar_system(A, C, N):
@@ -143,16 +154,57 @@ def test_layout_matches_information_atoms():
     assert layout.size == sum(a * problem.m for a in layout.atoms)
 
 
+def _dense_matrix(q):
+    """M from the form's tables: each fills M along the ancestor diagonal
+    (disjoint subtrees never meet), and the lower block triangle mirrors
+    the upper."""
+    layout = q.layout
+    m, atoms, offsets = layout.m, layout.atoms, layout.offsets
+    M = np.zeros((layout.size, layout.size))
+    for j2, (a2, off2) in enumerate(zip(atoms, offsets)):
+        pos = 0
+        for j1 in range(j2 + 1):
+            a1, off1 = atoms[j1], offsets[j1]
+            span = a2 // a1 * m     # time j2's columns under one atom of j1
+            table = q.tables[j2][pos:pos + m * span].reshape(m, span)
+            pos += m * span
+            r = off1 + np.arange(a1 * m).reshape(a1, m, 1)
+            cols = off2 + np.arange(a1 * span).reshape(a1, 1, span)
+            M[r, cols] = table
+            if j1 < j2:
+                M[cols.swapaxes(1, 2), r.swapaxes(1, 2)] = table.T
+    return M
+
+
+def _dense_oracle(q):
+    """The dense reference: one eigh of M gives the status (Bounded, or the
+    Unbounded reason's kind), and for a bounded form the value and the
+    least-norm minimizer -M^+ b, together with M and its spectrum."""
+    M = _dense_matrix(q)
+    vals, V = np.linalg.eigh(M)
+    if vals[0] / scale_floor(vals) < -PSD_TOL:
+        return "negative eigenvalue", None, None, M, vals
+    mags = np.abs(vals)
+    keep = mags > PINV_RTOL * np.max(mags)
+    coef = V.T @ q.b
+    if rel_deviation(V @ np.where(keep, 0.0, coef), q.b) > PSD_TOL:
+        return "outside the range", None, None, M, vals
+    solve = V @ np.divide(coef, vals, out=np.zeros_like(coef), where=keep)
+    return "Bounded", q.c - float(q.b @ solve), -solve, M, vals
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_quadratic_form_reproduces_simulated_cost(seed):
     problem, t = draw_mixed(seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=problem.n)
     q = assemble_quadratic(problem, t, x)
+    M = _dense_matrix(q)
     for _ in range(20):
         u = random_open_loop(problem, t, rng)
         direct = trajectory_cost(problem, rollout(problem, t, x, u))
-        assert abs(q.evaluate(q.layout.stack(u)) - direct) \
+        vec = q.layout.stack(u)
+        assert abs(vec @ M @ vec + 2.0 * (q.b @ vec) + q.c - direct) \
             <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -207,15 +259,16 @@ def test_pattern_sweep_matches_dense_reference():
         x = np.random.default_rng(seed + 900).normal(size=problem.n)
         q = assemble_quadratic(problem, t, x)
         M, b, c = _dense_quadratic(problem, t, x)
-        assert np.array_equal(q.M, q.M.T), seed
-        assert np.max(np.abs(q.M - M)) <= 1e-13 * scale_floor(M), seed
+        qM = _dense_matrix(q)
+        assert np.array_equal(qM, qM.T), seed
+        assert np.max(np.abs(qM - M)) <= 1e-13 * scale_floor(M), seed
         assert np.max(np.abs(q.b - b)) <= 1e-13 * scale_floor(b), seed
         assert abs(q.c - c) <= 1e-13 * scale_floor(c), seed
 
 
-def _dim_1026_problem():
-    """n = 3, m = 2, N = 11, d = 2 with positive definite weights: a stacked
-    dimension of 1026."""
+def _dim_1026_problem(R=None):
+    """n = 3, m = 2, N = 11, d = 2 with positive definite weights (or the
+    given R stack): a stacked dimension of 1026."""
     n, m, N, d = 3, 2, 11, 2
     rng = np.random.default_rng(5)
     return ProblemData(n=n, m=m, N=N, d=d,
@@ -223,7 +276,8 @@ def _dim_1026_problem():
                        B=[rng.normal(size=(n, m)) for _ in range(N)],
                        C=[rng.normal(scale=0.3, size=(n, n)) for _ in range(N)],
                        D=[rng.normal(scale=0.3, size=(n, m)) for _ in range(N)],
-                       Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
+                       Q=[np.eye(n)] * N, R=[np.eye(m)] * N if R is None else R,
+                       G=np.eye(n))
 
 
 def test_assembly_memory_is_bounded_by_the_matrix():
@@ -239,26 +293,23 @@ def test_assembly_memory_is_bounded_by_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert q.M.shape == (dim, dim)
+    assert q.layout.size == dim and len(q.tables) == problem.N
     assert peak <= 3 * 8 * dim * dim
-
-
-def test_assemble_quadratic_enforces_dimension_cap(scalar, monkeypatch):
-    monkeypatch.setattr("delq.bsde.STACKED_DIM_CAP", 2)
-    with pytest.raises(ResourceLimitError, match="exceeds cap 2"):
-        assemble_quadratic(scalar, 0, [1.0])
 
 
 # ---------------------------------------------------------------------------
 # Oracle on hand-built forms
 
 def _form(M, b, c=0.0):
-    """A hand-built form over `len(b)` scalar controls, one per time."""
-    size = len(b)
+    """A hand-built form over `len(M)` scalar controls, one atom per time,
+    so every time couples to every earlier one: the chain tables
+    tables[j] = M[:j+1, j] (M's upper triangle)."""
+    M = np.asarray(M, dtype=float)
+    size = len(M)
     layout = StackedControlLayout(t=0, N=size, d=0, m=1, atoms=(1,) * size,
                                   offsets=tuple(range(size)), size=size)
-    return QuadraticForm(M=np.asarray(M, dtype=float), b=np.asarray(b, dtype=float),
-                         c=c, layout=layout)
+    return QuadraticForm(b=np.asarray(b, dtype=float), c=c, layout=layout,
+                         tables=tuple(M[:j + 1, j].copy() for j in range(size)))
 
 
 def test_oracle_minimizes_positive_definite_form():
@@ -292,12 +343,31 @@ def test_oracle_on_zero_and_one_by_one_forms():
 
     out = oracle_minimize(_form([[-2.0]], [0.0]))
     assert not out.bounded and out.reason == \
-        "quadratic term has negative eigenvalue -2.000e+00"
+        "quadratic term has negative eigenvalue -2.000e+00 at k=0"
 
     with pytest.raises(ValidationError, match="non-finite"):
         oracle_minimize(_form([[np.nan]], [0.0]))
+    with pytest.raises(ValidationError, match="non-finite"):
+        oracle_minimize(_form([[1.0]], [np.inf]))
     with pytest.raises(ValidationError, match="length 3"):
         oracle_minimize(_form(np.eye(2), np.zeros(3)))
+
+
+def test_oracle_reasons_name_the_pivot_time():
+    """The latest time whose pivot is negative, or whose coupling rows
+    leave the pivot's range, is named; a linear term outside the range is
+    named only when the quadratic term is PSD."""
+    out = oracle_minimize(_form(np.diag([-1.0, 1.0, -3.0, 1.0]), np.zeros(4)))
+    assert out.reason == "quadratic term has negative eigenvalue -3.000e+00 at k=2"
+    # a zero pivot at k=1 coupled to k=0: [[1, 1], [1, 0]] is indefinite
+    out = oracle_minimize(_form([[1.0, 1.0], [1.0, 0.0]], np.zeros(2)))
+    assert not out.bounded and out.reason.startswith("quadratic term has negative eigenvalue")
+    assert out.reason.endswith(" at k=1")
+    out = oracle_minimize(_form(np.diag([0.0, 1.0, 0.0]), [1.0, 0.0, 1.0]))
+    assert out.reason == ("linear term has a component outside the range of the "
+                          "quadratic term at k=2")
+    out = oracle_minimize(_form(np.diag([-1.0, 1.0, 0.0]), [0.0, 0.0, 1.0]))
+    assert out.reason == "quadratic term has negative eigenvalue -1.000e+00 at k=0"
 
 
 def test_oracle_on_singular_psd_form():
@@ -311,23 +381,44 @@ def test_oracle_on_singular_psd_form():
     out = oracle_minimize(_form(M, b, c=1.0))
     assert out.bounded
     assert out.value == pytest.approx(1.0 - y @ M @ y, abs=1e-12)
-    # -M^+ b: it solves M u = -b and has no kernel component
-    np.testing.assert_allclose(M @ out.minimizer, -b, atol=1e-12)
-    np.testing.assert_allclose(kernel.T @ out.minimizer, 0.0, atol=1e-12)
+    # the per-level pseudo-inverses solve M u = -b, and the form takes its
+    # value there, but u may have a kernel component (it is not -M^+ b)
+    u = out.minimizer
+    np.testing.assert_allclose(M @ u, -b, atol=1e-12)
+    assert u @ M @ u + 2.0 * (b @ u) + 1.0 == pytest.approx(out.value, abs=1e-12)
 
     out = oracle_minimize(_form(M, b + 1e-3 * kernel[:, 0], c=1.0))
     assert not out.bounded and "outside the range" in out.reason
+
+
+def test_oracle_chain_form_near_the_float_maximum():
+    """Entries near 1e308 stay finite: an exactly symmetric pivot goes to
+    eigh as it is. A Schur update that overflows is a numerical breakdown
+    that names the pivot's time."""
+    out = oracle_minimize(_form([[1e308, 0.0], [0.0, 1.0]], np.zeros(2), c=3.0))
+    assert out.bounded and out.value == 3.0
+    assert np.array_equal(out.minimizer, np.zeros(2))
+
+    # 1e308^2 / 1e297 overflows the k=0 pivot
+    with pytest.raises(ConsistencyError, match="non-finite oracle pivot at k=0"):
+        oracle_minimize(_form([[1.0, 1e308], [1e308, 1e297]], np.zeros(2)))
+    # eliminating k=2 leaves the k=1 pivot exactly zero (a kernel) but
+    # overflows its coupling to k=0, which the kernel test would then read
+    with pytest.raises(ConsistencyError, match="non-finite oracle pivot at k=1"):
+        oracle_minimize(_form([[1.0, 0.0, 1e308], [0.0, 5e303, 1e300],
+                               [1e308, 1e300, 2e296]], np.zeros(3)))
 
 
 def _three_decomposition_oracle(q):
     """The oracle as three separate decompositions of M: eigenvalues, the
     range residual through an SVD pseudo-inverse, and that pseudo-inverse
     again for the value."""
-    if eig_margin(q.M)[1] < -PSD_TOL:
+    M = _dense_matrix(q)
+    if eig_margin(M)[1] < -PSD_TOL:
         return "Unbounded", None
-    if range_residual(q.b[:, None], q.M) > PSD_TOL:
+    if range_residual(q.b[:, None], M) > PSD_TOL:
         return "Unbounded", None
-    return "Bounded", q.c - float(q.b @ pinv(q.M) @ q.b)
+    return "Bounded", q.c - float(q.b @ pinv(M) @ q.b)
 
 
 def test_oracle_matches_three_decomposition_route():
@@ -367,60 +458,116 @@ def _count_decompositions(monkeypatch):
 
 
 def test_oracle_eliminates_a_confident_form_without_a_dense_decomposition(monkeypatch):
-    """A confidently positive definite form is answered by the elimination:
-    no eigh, no svd, and one eigvalsh of the stacked m x m level pivots. A
-    not-convex form falls back to exactly one eigh of the dense M."""
-    problem, t = draw_mixed(3)
-    q = assemble_quadratic(problem, t, np.ones(problem.n))
-    levels, m = len(q.layout.atoms), problem.m
-    calls = _count_decompositions(monkeypatch)
-    assert oracle_minimize(q).bounded
-    assert calls == {"eigh": [], "eigvalsh": [(levels, m, m)], "svd": []}
-    assert q.layout.size != m   # so no pivot is itself dim x dim
-
-    problem, t = draw_mixed(51)
-    q = assemble_quadratic(problem, t, np.ones(problem.n))
-    for name in calls:
-        calls[name].clear()
-    out = oracle_minimize(q)
-    assert not out.bounded and "negative eigenvalue" in out.reason
-    assert calls["eigh"] == [(q.layout.size, q.layout.size)]
-    assert calls["svd"] == []
+    """Every form, positive definite or not convex, is answered by the
+    elimination: one eigh per level pivot, none larger than m x m, and no
+    eigvalsh or svd. The not-convex form stops at its first negative pivot."""
+    for seed, bounded in [(3, True), (51, False)]:
+        problem, t = draw_mixed(seed)
+        q = assemble_quadratic(problem, t, np.ones(problem.n))
+        levels, m = len(q.layout.atoms), problem.m
+        assert q.layout.size > m    # so no pivot is itself dim x dim
+        calls = _count_decompositions(monkeypatch)
+        out = oracle_minimize(q)
+        monkeypatch.undo()
+        assert out.bounded == bounded, seed
+        assert calls["eigvalsh"] == [] and calls["svd"] == [], seed
+        assert set(calls["eigh"]) == {(m, m)}, seed
+        assert len(calls["eigh"]) == levels if bounded else len(calls["eigh"]) < levels
 
 
-def test_elimination_matches_the_dense_route():
-    """The elimination and the dense eigh route (the same form handed over
-    as M alone) give identical statuses and reasons, and values and
-    minimizers within 1e-13 of their scale_floor; both routes are taken."""
-    routes = set()
+def _perfbench_workloads():
+    """The benchmark's workload generator, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tree_oracles(seeds, tmp_path):
+    """(name, problem, t, x) of every oracle command of the benchmark's
+    `tree` workload at the given seeds (stacked dimensions 130-1026)."""
+    workloads = _perfbench_workloads()
+    for seed in seeds:
+        workdir = tmp_path / f"tree-{seed}"
+        workdir.mkdir()
+        for command in workloads.build("tree", seed, str(workdir)):
+            if command.kind == "oracle":
+                yield (f"tree seed {seed} {pathlib.Path(command.problem).name}",
+                       load_problem(command.problem), 0, np.array(command.x))
+
+
+def _oracle_grid(tmp_path):
+    """(name, problem, t, x): the parity cases, the range-deficient problem
+    at five initial states, notconvex_problem 0-5, nonneg_problem
+    40000-40005 and the `tree` oracles of seeds 1-3."""
     for seed, problem, t in _parity_cases():
-        x = np.random.default_rng(seed + 900).normal(size=problem.n)
+        yield seed, problem, t, np.random.default_rng(seed + 900).normal(size=problem.n)
+    for x in (0.0, 1.0, -1.0, 0.5, -2.0):
+        yield f"range-deficient x={x}", range_deficient_problem(), 0, np.array([x])
+    for seed in range(6):
+        problem = notconvex_problem(seed)
+        yield f"notconvex {seed}", problem, 0, np.ones(problem.n)
+    for seed in range(40000, 40006):
+        problem = nonneg_problem(seed)
+        yield f"nonneg {seed}", problem, 0, np.ones(problem.n)
+    yield from _tree_oracles((1, 2, 3), tmp_path)
+
+
+def test_elimination_matches_the_dense_route(tmp_path):
+    """Against one eigh of the dense M: equal statuses and reason kinds;
+    Bounded values within 1e-13 of their scale_floor; minimizers within
+    1e-13 where M is nonsingular, and elsewhere a solution of M u = -b at
+    which the simulated cost is the value. The reasons name the latest
+    step whose W_k has a negative eigenvalue on every not-convex case."""
+    kinds, named = set(), 0
+    for name, problem, t, x in _oracle_grid(tmp_path):
         q = assemble_quadratic(problem, t, x)
         out = oracle_minimize(q)
-        dense = oracle_minimize(QuadraticForm(M=q.M, b=q.b, c=q.c, layout=q.layout))
-        routes.add(_eliminate(q, PSD_TOL) is not None)
-        assert (out.status, out.reason) == (dense.status, dense.reason), seed
-        if out.bounded:
-            assert abs(out.value - dense.value) <= 1e-13 * scale_floor(dense.value), seed
-            assert np.max(np.abs(out.minimizer - dense.minimizer)) \
-                <= 1e-13 * scale_floor(dense.minimizer), seed
-    assert routes == {True, False}
+        status, value, minimizer, M, vals = _dense_oracle(q)
+        kind = "Bounded" if out.bounded else next(
+            k for k in ("negative eigenvalue", "outside the range") if k in out.reason)
+        assert kind == status, name
+        kinds.add(kind)
+        report = classify(solve_riccati(problem, t))
+        if report.classification == "NotConvex":
+            latest = max(e.k for e in report.steps if e.w_min_eig < 0.0)
+            assert out.reason.endswith(f" at k={latest}"), name
+            named += 1
+        if not out.bounded:
+            continue
+        assert abs(out.value - value) <= 1e-13 * scale_floor(value), name
+        mags = np.abs(vals)
+        if np.min(mags) > PINV_RTOL * np.max(mags):
+            assert np.max(np.abs(out.minimizer - minimizer)) \
+                <= 1e-13 * scale_floor(minimizer), name
+        else:
+            assert np.max(np.abs(M @ out.minimizer + q.b)) \
+                <= 1e-13 * max(scale_floor(M), scale_floor(q.b)), name
+            cost = oracle_cost(problem, t, x, out.minimizer)
+            assert abs(cost - out.value) <= 1e-10 * scale_floor(out.value), name
+    assert kinds == {"Bounded", "negative eigenvalue", "outside the range"}
+    assert named >= 40
 
 
 def test_oracle_memory_stays_below_one_dense_matrix():
-    """Assembly and minimization of a positive definite form at dimension
-    1026 never build the dense M: their traced peak stays below one copy."""
-    problem = _dim_1026_problem()
-    tracemalloc.start()
-    try:
-        q = assemble_quadratic(problem, 0, np.ones(problem.n))
-        out = oracle_minimize(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    dim = q.layout.size
-    assert dim == 1026 and out.bounded
-    assert peak < 8 * dim * dim
+    """Assembly and minimization at dimension 1026, of a positive definite
+    form and of a not-convex one, never build the dense M: their traced
+    peak stays below one copy."""
+    R = [np.eye(2)] * 11
+    R[7] = -20.0 * np.eye(2)
+    for problem, bounded in [(_dim_1026_problem(), True), (_dim_1026_problem(R), False)]:
+        tracemalloc.start()
+        try:
+            q = assemble_quadratic(problem, 0, np.ones(problem.n))
+            out = oracle_minimize(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dim = q.layout.size
+        assert dim == 1026 and out.bounded == bounded
+        assert peak < 8 * dim * dim
 
 
 def test_oracle_agrees_with_backward_pass_on_scalar(scalar, scalar_solution):

@@ -134,18 +134,24 @@ def test_oracle_reports_unbounded_consistently(paths, capsys):
     assert payload["status"] == "Unbounded"
     assert payload["classification"] == "NotConvex"
     assert "negative eigenvalue" in payload["reason"]
+    assert payload["reason"].endswith(" at k=2")
 
 
-def test_oracle_dimension_cap_is_an_input_error(paths, capsys, tmp_path):
+def test_oracle_is_bounded_by_the_depth_cap_alone(capsys, tmp_path, monkeypatch):
+    """A stacked dimension of 32767 (N = 15, d = 0) is eliminated and
+    matches the recursion; only the tree-depth cap refuses it."""
     big = ProblemData(n=1, m=1, N=15, d=0,
                       A=[[[1.0]]] * 15, B=[[[1.0]]] * 15, C=[[[0.0]]] * 15,
                       D=[[[0.0]]] * 15, Q=[[[0.0]]] * 15, R=[[[1.0]]] * 15,
                       G=[[1.0]])
     path = str(tmp_path / "big.json")
     save_problem(big, path)
-    code = main(["oracle", "--problem", path, "--x", "1"])
-    assert code == EXIT_INVALID
-    assert "exceeds cap" in capsys.readouterr().err
+    code, payload = run_json(capsys, "oracle", "--problem", path, "--x", "1")
+    assert code == EXIT_OK and payload["status"] == "Bounded"
+    assert payload["difference"] <= 1e-6 * max(1.0, abs(payload["recursion_value"]))
+    monkeypatch.setenv("DELQ_DEPTH_CAP", "14")
+    assert main(["oracle", "--problem", path, "--x", "1"]) == EXIT_INVALID
+    assert "tree depth 15 exceeds cap" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

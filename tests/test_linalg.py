@@ -17,7 +17,7 @@ from delq import (
 )
 from delq import linalg
 from delq.linalg import (
-    _eigh_solve,
+    _pivot_pinv,
     _schur_block,
     _schur_blocks,
     eig_margin,
@@ -100,36 +100,41 @@ def _counting_symmetrize(monkeypatch):
     return calls
 
 
-def test_eigh_solve_takes_an_exactly_symmetric_matrix_as_it_is(monkeypatch):
-    rng = np.random.default_rng(3)
-    F = rng.normal(size=(6, 6))
-    M, b = F + F.T, rng.normal(size=6)
+def test_pivot_pinv_takes_an_exactly_symmetric_pivot_as_it_is(monkeypatch):
+    """P + P^T would overflow to inf near 1e308; the symmetric pivot goes to
+    eigh as it is, so its spectrum and pseudo-inverse stay finite."""
+    P = np.array([[1e308, 1e307], [1e307, 1e308]])
     calls = _counting_symmetrize(monkeypatch)
-    lam = _eigh_solve(M, b)[0]
+    lam, kernel, Pinv = _pivot_pinv(P, scale_floor(P))
     assert calls == []
-    assert lam == np.linalg.eigh(M)[0][0]
+    assert lam == np.linalg.eigh(P)[0][0] and np.isfinite(lam)
+    assert kernel is None
+    assert np.all(np.isfinite(Pinv)) and np.all(Pinv != 0.0)
 
 
-def test_eigh_solve_symmetrizes_a_nearly_symmetric_matrix(monkeypatch):
+def test_pivot_pinv_symmetrizes_a_nearly_symmetric_pivot(monkeypatch):
     rng = np.random.default_rng(4)
-    F = rng.normal(size=(5, 5))
-    M = F + F.T
-    M[0, 1] += 0.5 * _ASYM_TOL
-    b = rng.normal(size=5)
+    F = rng.normal(size=(3, 3))
+    P = F @ F.T + np.eye(3)
+    P[0, 1] += 0.5 * _ASYM_TOL
     calls = _counting_symmetrize(monkeypatch)
-    got = _eigh_solve(M, b)
+    got = _pivot_pinv(P, scale_floor(P))
     assert len(calls) == 1
-    want = _eigh_solve(symmetrize(M), b)
-    assert got[:3] == want[:3] and np.array_equal(got[3], want[3])
+    want = _pivot_pinv(symmetrize(P), scale_floor(P))
+    assert got[0] == want[0]
+    assert got[1] is None and want[1] is None and np.array_equal(got[2], want[2])
 
 
-def test_eigh_solve_huge_symmetric_entries_stay_finite():
-    """M + M^T would overflow to inf at 1e308; the symmetric M is used as
-    it is, so the spectrum stays finite."""
-    lam, margin, resid, solve = _eigh_solve(np.array([[1e308, 0.0], [0.0, 1.0]]),
-                                            np.zeros(2))
-    assert lam == 1.0 and margin == 1.0 / 1e308
-    assert resid == 0.0 and np.array_equal(solve, np.zeros(2))
+def test_pivot_pinv_splits_kernel_from_range():
+    """Eigenvalues at or below rel_tol * scale, tiny negative ones
+    included, span the kernel and are left out of the pseudo-inverse."""
+    basis = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+    P = symmetrize(basis @ np.diag([-2e-10, 1e-13, 4.0]) @ basis.T)
+    lam, kernel, Pinv = _pivot_pinv(P, 10.0)
+    assert lam == pytest.approx(-2e-10, rel=1e-4)
+    K = basis[:, :2] @ basis[:, :2].T
+    np.testing.assert_allclose(kernel, K, atol=1e-12)
+    np.testing.assert_allclose(Pinv, np.outer(basis[:, 2], basis[:, 2]) / 4.0, atol=1e-12)
 
 
 def test_psd_pd_frozen_examples():

@@ -13,6 +13,7 @@ from delq import (
     cost_decomposition_check,
     exact_cost,
     feedback_policy,
+    fixed_pair_check,
     monte_carlo_cost,
     optimal_value,
     predictor,
@@ -383,3 +384,22 @@ def test_completion_of_squares_on_benchmark(benchmark_problem_fixture,
     u = random_open_loop(benchmark_problem_fixture, 0, rng)
     assert completion_of_squares_residual(
         benchmark_problem_fixture, 0, [1.0, 0.0], u, benchmark_solution) <= 1e-8
+
+
+_STATE_ROUTES = {
+    "predictor": lambda p, sol, x: predictor(p, 0, x, sol.K, 1),
+    "shifted_policy": lambda p, sol, x: shifted_policy(p, 0, x, zero_policy(p, 0), sol),
+    "completion_of_squares_residual": lambda p, sol, x: completion_of_squares_residual(
+        p, 0, x, zero_policy(p, 0), sol),
+    "fixed_pair_check": lambda p, sol, x: fixed_pair_check(p, 0, x, sol, samples=1),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_STATE_ROUTES))
+def test_every_route_checks_its_initial_state(route, scalar, scalar_solution):
+    """A wrong-length or non-finite x is an input error, not numpy's
+    ValueError or a NaN result."""
+    with pytest.raises(ValidationError, match="must have length 1"):
+        _STATE_ROUTES[route](scalar, scalar_solution, [1.0, 2.0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        _STATE_ROUTES[route](scalar, scalar_solution, [np.nan])
