@@ -509,7 +509,7 @@ def fixed_pair_check(problem: ProblemData, t: int, x, sol, samples: int = 200,
             out_of_range = hx @ projectors[k - t].T
             worst = max(worst, rel_deviation(out_of_range, hx))
             u = ex @ sol.K[k - t].T + extra[k - t]
-            X = tree_step(problem, k, X, expand(u, k - s))
+            X = tree_step(problem, k, X, u)
     return FixedPairCheck(sufficient=sufficient, falsified=worst > tol,
                           worst_violation=worst, samples=samples)
 

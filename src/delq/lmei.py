@@ -53,8 +53,8 @@ from .linalg import (
     rel_deviation,
     symmetrize,
 )
-from .model import ProblemData, _check_solve_args, block_mean, expand, measurable_level, \
-    quadratic_rows, rollout
+from .model import ProblemData, _check_solve_args, block_mean, expand, expected_quadratic, \
+    measurable_level, rollout
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
     RiccatiSolution,
@@ -459,15 +459,15 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
         j = ell - t
         X = traj.states.at(ell)
         u_coarse = traj.control_at(ell)
-        total += float(np.mean(quadratic_rows(X, slack.gap[j])))
+        total += expected_quadratic(X, slack.gap[j])
         hx = X @ slack.H[j].T
         s = measurable_level(t, cand.d, ell)
         u_full = expand(u_coarse, ell - s)
         total += 2.0 * float(np.mean(np.sum(hx * u_full, axis=1)))
-        total += float(np.mean(quadratic_rows(u_coarse, slack.W[j])))
+        total += expected_quadratic(u_coarse, slack.W[j])
         if ell >= t + 1:
             ex = block_mean(X, ell - s)
-            total += float(np.mean(quadratic_rows(ex, slack.upper[j])))
+            total += expected_quadratic(ex, slack.upper[j])
     XN = traj.states.at(cand.N)
-    total += float(np.mean(quadratic_rows(XN, slack.terminal)))
+    total += expected_quadratic(XN, slack.terminal)
     return total

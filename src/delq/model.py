@@ -272,11 +272,20 @@ def build_tree(t: int, N: int) -> ScenarioTree:
 
 
 def block_mean(values: np.ndarray, levels: int) -> np.ndarray:
-    """Average consecutive blocks of 2^levels rows (condition down `levels` steps)."""
+    """Average consecutive blocks of 2^levels rows (condition down `levels`
+    steps). Node i has children 2i and 2i+1, so the descendants of one node
+    `levels` steps on are consecutive: row i of the result is the mean of
+    rows i 2^levels .. (i + 1) 2^levels - 1, the nodes of atom i.
+
+    One product: each block of rows, flattened to one row of 2^levels c
+    entries (c entries per row of `values`), times the stacked averaging
+    matrix of 2^levels copies of I_c / 2^levels."""
     if levels == 0:
         return values
     rows = values.shape[0] >> levels
-    return values.reshape(rows, 1 << levels, *values.shape[1:]).mean(axis=1)
+    blocks = values.reshape(rows, -1)
+    average = np.tile(np.eye(blocks.shape[1] >> levels) / (1 << levels), (1 << levels, 1))
+    return (blocks @ average).reshape(rows, *values.shape[1:])
 
 
 def expand(values: np.ndarray, levels: int) -> np.ndarray:
@@ -376,95 +385,141 @@ class Trajectory:
         return self.controls[k - self.first]
 
 
+def _check_policy(policy: Policy, problem: ProblemData, t: int, start: int) -> None:
+    """Raise ValidationError unless the policy acts at every time
+    start..N-1 of the tree of times t..N: a feedback policy with an (m, n)
+    gain, an open-loop one with a (2^(max(t, k-d) - t), m) control per
+    time k. The one policy check of every route that runs a policy."""
+    n, m, N = problem.n, problem.m, problem.N
+    if isinstance(policy, FeedbackPolicy):
+        for k in range(start, N):
+            if not policy.t <= k < policy.t + len(policy.gains):
+                raise ValidationError(f"policy has no gain for time {k}")
+            K = policy.gains[k - policy.t]
+            if K.shape != (m, n):
+                raise ValidationError(f"gain at time {k} must have shape {(m, n)}, got {K.shape}")
+        return
+    for k in range(start, N):
+        if not policy.start <= k < policy.start + len(policy.controls):
+            raise ValidationError(f"policy has no control for time {k}")
+        u = policy.controls[k - policy.start]
+        want = 1 << (measurable_level(t, problem.d, k) - t)
+        if u.shape != (want, m):
+            raise ValidationError(
+                f"control at time {k} must have shape {(want, m)}, got {u.shape}"
+            )
+
+
 def policy_control(policy: Policy, problem: ProblemData, t: int,
                    k: int, state_values: np.ndarray) -> np.ndarray:
-    """Coarse control at time k (one row per information atom)."""
-    s = measurable_level(t, problem.d, k)
+    """Coarse control at time k (one row per information atom) of a policy
+    that _check_policy accepted."""
     if isinstance(policy, FeedbackPolicy):
-        if not policy.t <= k < policy.t + len(policy.gains):
-            raise ValidationError(f"policy has no gain for time {k}")
-        K = policy.gains[k - policy.t]
-        return block_mean(state_values, k - s) @ K.T
-    if not policy.start <= k < policy.start + len(policy.controls):
-        raise ValidationError(f"policy has no control for time {k}")
-    u = policy.controls[k - policy.start]
-    want = 1 << (s - t)
-    if u.shape != (want, problem.m):
-        raise ValidationError(
-            f"control at time {k} must have shape {(want, problem.m)}, got {u.shape}"
-        )
-    return u
+        s = measurable_level(t, problem.d, k)
+        return block_mean(state_values, k - s) @ policy.gains[k - policy.t].T
+    return policy.controls[k - policy.start]
 
 
 def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States at time k+1 from node states X and full-resolution controls u
-    at time k: node i has children 2i (w_k = +1) and 2i+1 (w_k = -1)."""
-    drift = X @ problem.A[k].T + u @ problem.B[k].T
-    diff = X @ problem.C[k].T + u @ problem.D[k].T
-    nxt = np.empty((2 * X.shape[0], problem.n))
-    nxt[0::2] = drift + diff
-    nxt[1::2] = drift - diff
-    return nxt
+    """States at time k+1 from the node states X at time k, shape (rows, n),
+    and the controls u at time k, one row per information atom: an atom is
+    2^j consecutive nodes (rows = 2^j len(u)), and j = 0 is full resolution.
+    Node i has children 2i (w_k = +1) and 2i+1 (w_k = -1).
+
+    One product [A_k; C_k] X^T gives both state terms in column form; the
+    control terms u B_k^T and u D_k^T are formed once per atom and broadcast
+    over its nodes. Every entry is (X A_k^T + u B_k^T) ± (X C_k^T + u D_k^T),
+    bit for bit what the four products on full-resolution controls give."""
+    n, rows, atoms = problem.n, X.shape[0], u.shape[0]
+    S = np.concatenate([problem.A[k], problem.C[k]]) @ X.T
+    # numpy sends a one-row product through gemv or dot, which round unlike
+    # the multi-row product the atom's nodes get at full resolution: a single
+    # atom over several nodes is multiplied as two equal rows
+    lifted = expand(u, 1) if atoms == 1 < rows else u
+    drift, diff = S.reshape(2, n, atoms, rows // atoms)
+    drift += (lifted @ problem.B[k].T)[:atoms].T[:, :, None]
+    diff += (lifted @ problem.D[k].T)[:atoms].T[:, :, None]
+    nxt = np.empty((rows, 2, n))
+    np.add(S[:n], S[n:], out=nxt[:, 0].T)
+    np.subtract(S[:n], S[n:], out=nxt[:, 1].T)
+    return nxt.reshape(2 * rows, n)
 
 
-def rollout(problem: ProblemData, t: int, x, policy: Policy,
-            start: int | None = None) -> Trajectory:
+def _sweep(problem: ProblemData, t: int, x, policy: Policy, start: int | None = None):
     """Run the dynamics from `start` (default t) on the tree of times t..N,
-    which build_tree makes here from (t, problem.N), under the DELQ_DEPTH_CAP depth cap.
+    which build_tree makes here from (t, problem.N), under the DELQ_DEPTH_CAP
+    depth cap; yield (k, X_k, u_k) level by level, with u_N None.
 
     The initial vector is placed on every node at time `start`; controls are
     evaluated at their information level and broadcast to the nodes they act
     on. For start > t, controls at times k with max(t, k-d) < start are
     coarser than the state resolution, as the delayed information dictates.
-    """
+    A level is released once the next one is built, unless the caller keeps it."""
     tree = build_tree(t, problem.N)
     start = t if start is None else start
     if not t <= start <= tree.end:
         raise ValidationError(f"start {start} outside tree range")
     x = _check_state(x, problem.n)
-
+    _check_policy(policy, problem, t, start)
     X = np.tile(x, (tree.n_nodes(start), 1))
-    states = [X]
-    controls: list[np.ndarray] = []
     for k in range(start, problem.N):
         u = policy_control(policy, problem, t, k, X)
-        controls.append(u)
-        X = tree_step(problem, k, X, expand(u, k - measurable_level(t, problem.d, k)))
-        states.append(X)
+        yield k, X, u
+        X = tree_step(problem, k, X, u)
+    yield problem.N, X, None
+
+
+def rollout(problem: ProblemData, t: int, x, policy: Policy,
+            start: int | None = None) -> Trajectory:
+    """Every level of the sweep (``_sweep``) from `start` (default t) on the
+    tree of times t..N: the states at full resolution, the controls at their
+    information level."""
+    levels = list(_sweep(problem, t, x, policy, start))
+    tree = ScenarioTree(start=t, end=problem.N)  # the sweep built it, under the cap
     return Trajectory(
-        states=AdaptedProcess(tree=tree, first=start, values=tuple(states)),
-        controls=tuple(controls),
+        states=AdaptedProcess(tree=tree, first=levels[0][0],
+                              values=tuple(X for _, X, _ in levels)),
+        controls=tuple(u for _, _, u in levels[:-1]),
     )
 
 
-def quadratic_rows(X: np.ndarray, M: np.ndarray, columns: bool = False,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """x_i^T M x_i for every row x_i of X; the mean over rows is the
-    expectation of the quadratic form on a node (or sample) array.
-
-    With ``columns`` the x_i are the columns of X, an (n, rows) array, and
-    the form is a column sum of (M X) * X; ``out``, an array shaped like X,
-    then receives that product instead of a new array."""
-    if not columns:
-        return np.einsum("ij,ij->i", X @ M, X)
+def quadratic_columns(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x_i^T M x_i for every column x_i of X, an (n, rows) array: a column
+    sum of (M X) * X. ``out``, an array shaped like X, receives that product
+    instead of a new array."""
     MX = np.matmul(M, X, out=out)
     MX *= X
     return np.add.reduce(MX, axis=0)
+
+
+def expected_quadratic(X: np.ndarray, M: np.ndarray) -> float:
+    """E[x^T M x] over the rows x of X, each equally likely: the Gram form
+    sum((X^T X) * M) / rows, one product whatever the row count."""
+    return float(np.sum((X.T @ X) * M) / X.shape[0])
+
+
+def _levels_cost(problem: ProblemData, levels) -> float:
+    """Exact expected cost of the (k, X_k, u_k) levels of one sweep: X^T Q X
+    and u^T R u on every level, X^T G X on the last (u_N is None); each level
+    is reduced as it arrives."""
+    total = 0.0
+    for k, X, u in levels:
+        if u is None:
+            total += expected_quadratic(X, problem.G)
+        else:
+            total += expected_quadratic(X, problem.Q[k])
+            total += expected_quadratic(u, problem.R[k])
+    return total
 
 
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:
     """Exact expected cost of a simulated trajectory: the probability-weighted
     sum of X^T Q X and u^T R u over all nodes, plus the terminal X^T G X.
     Controls contribute at their own (coarse) resolution; states at full."""
-    total = 0.0
-    for k in range(traj.first, problem.N):
-        X = traj.states.at(k)
-        total += float(np.mean(quadratic_rows(X, problem.Q[k])))
-        u = traj.control_at(k)
-        total += float(np.mean(quadratic_rows(u, problem.R[k])))
-    XN = traj.states.at(problem.N)
-    total += float(np.mean(quadratic_rows(XN, problem.G)))
-    return total
+    N = problem.N
+    levels = ((k, traj.states.at(k), traj.control_at(k) if k < N else None)
+              for k in range(traj.first, N + 1))
+    return _levels_cost(problem, levels)
 
 
 def zero_policy(problem: ProblemData, t: int, start: int | None = None) -> OpenLoopPolicy:

@@ -1,7 +1,10 @@
 """Policy evaluation: exact tree enumeration and Monte-Carlo estimation.
 
 Exact mode sums the cost over every noise path (Rademacher tree), so it is
-an expectation, not an estimate. Monte-Carlo mode exists for scale and for
+an expectation, not an estimate. It streams the tree: the forward sweep
+yields one level at a time and each level is costed as it arrives, by its
+Gram form sum((X^T X) * M) / rows, so only the current level and the next
+are ever in memory. Monte-Carlo mode exists for scale and for
 Gaussian noise. Feedback policies there compute the delayed conditional
 mean E_{k-d}[X_k] with the innovation form of the implementable predictor:
 the mean dynamics plus each step's noise term, carried forward by a product
@@ -39,14 +42,17 @@ from .model import (
     OpenLoopPolicy,
     Policy,
     ProblemData,
+    _check_policy,
     _check_solve_args,
     _check_state,
+    _levels_cost,
+    _sweep,
     block_mean,
     build_tree,
     ensure_valid,
-    expand,
+    expected_quadratic,
     measurable_level,
-    quadratic_rows,
+    quadratic_columns,
     rollout,
     trajectory_cost,
     tree_step,
@@ -84,11 +90,15 @@ class EvaluationResult:
 
 def exact_cost(problem: ProblemData, t: int, x, policy: Policy) -> EvaluationResult:
     """Exact expected cost: probability-weighted sum over all 2^(N-t) paths of
-    the tree rollout builds, under the DELQ_DEPTH_CAP depth cap (0 <= t <= N; x^T G x at N).
-    A cost that overflows raises ConsistencyError."""
+    the tree the forward sweep builds, under the DELQ_DEPTH_CAP depth cap
+    (0 <= t <= N; x^T G x at N). The sweep is reduced level by level, so
+    only the current level and the next are in memory; each level costs its
+    Gram form sum((X^T X) * M) / rows, so the mean equals trajectory_cost
+    of the same rollout exactly. A cost that overflows raises
+    ConsistencyError."""
     ensure_valid(problem)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = trajectory_cost(problem, rollout(problem, t, x, policy))
+        mean = _levels_cost(problem, _sweep(problem, t, x, policy))
     _check_finite(mean, 0.0)
     return EvaluationResult(
         mean=mean, std_error=0.0,
@@ -237,8 +247,8 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
             idx = _atom_indices(noises, measurable_level(t, d, k) - t)
             np.take(table.T, idx, axis=1, out=u)
 
-        costs += quadratic_rows(X, problem.Q[k], columns=True, out=work)
-        costs += quadratic_rows(u, problem.R[k], columns=True, out=u_work)
+        costs += quadratic_columns(X, problem.Q[k], out=work)
+        costs += quadratic_columns(u, problem.R[k], out=u_work)
 
         np.matmul(B, u, out=uB)
         e = ring[(k - t) % len(ring)]
@@ -258,7 +268,7 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
         work += e
         X, work = work, X
 
-    costs += quadratic_rows(X, problem.G, columns=True, out=work)
+    costs += quadratic_columns(X, problem.G, out=work)
     return costs
 
 
@@ -278,6 +288,7 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     noise_label = _normalize_noise(noise)
     steps = problem.N - t
     x = _check_state(x, problem.n)
+    _check_policy(policy, problem, t, t)
     if not isinstance(policy, FeedbackPolicy) and noise_label != RADEMACHER:
         raise ValidationError(
             "open-loop controls are indexed by tree atoms; only "
@@ -388,9 +399,9 @@ def cost_decomposition_check(problem: ProblemData, t: int, u: Policy, sol=None) 
         Wk, Hk = sol.W[k - t], sol.H[k - t]
         hx = ex @ Hk.T
         uk = traj.control_at(k)
-        rhs += float(np.mean(quadratic_rows(hx, pinv(Wk))))
+        rhs += expected_quadratic(hx, pinv(Wk))
         rhs += 2.0 * float(np.mean(np.sum(hx * uk, axis=1)))
-        rhs += float(np.mean(quadratic_rows(uk, Wk)))
+        rhs += expected_quadratic(uk, Wk)
     return abs(lhs - rhs)
 
 
@@ -403,6 +414,7 @@ def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol) -> OpenLoopP
     if isinstance(u, FeedbackPolicy):
         raise ValidationError("shifted_policy expects explicit (open-loop) controls")
     x = _check_state(x, problem.n)
+    _check_policy(u, problem, t, t)
     # v_k is also the total control applied along the driven trajectory, so
     # the sweep is a plain rollout that records v as it goes.
     X = np.tile(x, (1, 1))
@@ -412,7 +424,7 @@ def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol) -> OpenLoopP
         ex = block_mean(X, k - s)
         vk = u.controls[k - u.start] + ex @ sol.K[k - t].T
         shifted.append(vk)
-        X = tree_step(problem, k, X, expand(vk, k - s))
+        X = tree_step(problem, k, X, vk)
     return OpenLoopPolicy(t=t, d=problem.d, controls=shifted)
 
 
@@ -427,5 +439,5 @@ def completion_of_squares_residual(problem: ProblemData, t: int, x,
     rhs = float(x @ sol.P_at(0, t) @ x)
     for k in range(t, problem.N):
         uk = u.controls[k - u.start]
-        rhs += float(np.mean(quadratic_rows(uk, sol.W[k - t])))
+        rhs += expected_quadratic(uk, sol.W[k - t])
     return abs(lhs - rhs)

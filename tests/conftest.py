@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delq import ProblemData, classify, solve_riccati
+from delq.model import expand
 from delq.riccati import UNIQUELY_SOLVABLE
 
 
@@ -49,6 +50,19 @@ def draw_mixed(seed):
         G=sym_with_eigs(rng, n, -0.2, 1.2),
     )
     return problem, t
+
+
+def reference_tree_step(problem, k, X, u):
+    """The tree step as four products on full-resolution controls: u, one
+    row per atom, is repeated over the atom's nodes first. model.tree_step
+    must equal it bit for bit."""
+    u = expand(u, (X.shape[0] // u.shape[0]).bit_length() - 1)
+    drift = X @ problem.A[k].T + u @ problem.B[k].T
+    diff = X @ problem.C[k].T + u @ problem.D[k].T
+    nxt = np.empty((2 * X.shape[0], problem.n))
+    nxt[0::2] = drift + diff
+    nxt[1::2] = drift - diff
+    return nxt
 
 
 def has_negative_weight_eig(problem):

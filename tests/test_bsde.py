@@ -43,6 +43,7 @@ from conftest import (
     nonneg_problem,
     notconvex_problem,
     range_deficient_problem,
+    reference_tree_step,
     uniquely_solvable_instances,
 )
 
@@ -264,6 +265,24 @@ def test_pattern_sweep_matches_dense_reference():
         assert np.max(np.abs(qM - M)) <= 1e-13 * scale_floor(M), seed
         assert np.max(np.abs(q.b - b)) <= 1e-13 * scale_floor(b), seed
         assert abs(q.c - c) <= 1e-13 * scale_floor(c), seed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assembly_is_bit_identical_under_the_four_product_step(seed, monkeypatch):
+    """The stacked tree step keeps the arithmetic of every entry, so the
+    form's b, c and tables, and the fixed-pair probe's sweeps on coarse
+    controls, do not move by one bit."""
+    problem, t = draw_mixed(seed)
+    x = np.random.default_rng(seed + 900).normal(size=problem.n)
+    sol = solve_riccati(problem, t)
+    live = assemble_quadratic(problem, t, x)
+    probe = fixed_pair_check(problem, t, x, sol, samples=3)
+    monkeypatch.setattr("delq.bsde.tree_step", reference_tree_step)
+    ref = assemble_quadratic(problem, t, x)
+    assert np.array_equal(live.b, ref.b) and live.c == ref.c
+    assert len(live.tables) == len(ref.tables)
+    assert all(np.array_equal(a, b) for a, b in zip(live.tables, ref.tables))
+    assert fixed_pair_check(problem, t, x, sol, samples=3).worst_violation == probe.worst_violation
 
 
 def _dim_1026_problem(R=None):

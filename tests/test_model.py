@@ -29,11 +29,12 @@ from delq.model import (
     depth_cap,
     expand,
     measurable_level,
-    policy_control,
     random_open_loop,
+    tree_step,
 )
+from delq.riccati import feedback_policy, solve_riccati
 
-from conftest import scalar_problem
+from conftest import draw_mixed, reference_tree_step, scalar_problem
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,16 @@ def test_block_mean_composes_like_the_tower_property(a, b):
     rng = np.random.default_rng(a * 7 + b)
     values = rng.normal(size=(1 << (a + b + 1), 2))
     assert np.allclose(block_mean(block_mean(values, a), b), block_mean(values, a + b))
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 3), (16, 2, 2)])
+def test_block_mean_is_each_atoms_mean(shape):
+    values = np.random.default_rng(len(shape)).normal(size=shape)
+    for levels in range(5):
+        want = values.reshape(16 >> levels, 1 << levels, *shape[1:]).mean(axis=1)
+        got = block_mean(values, levels)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
 
 def test_expand_then_mean_is_identity():
@@ -215,14 +226,50 @@ def test_problem_from_dict_missing_fields():
 # ---------------------------------------------------------------------------
 # Policies, measurability, simulation
 
-def test_policy_control_shape_enforcement():
+def test_rollout_rejects_a_malformed_policy():
     prob = scalar_problem()
     policy = OpenLoopPolicy(t=0, d=2, controls=[np.zeros((2, 1))] * 3)
-    with pytest.raises(ValidationError, match="shape"):
-        policy_control(policy, prob, 0, 0, np.zeros((1, 1)))
+    with pytest.raises(ValidationError, match=r"control at time 0 must have shape \(1, 1\), got \(2, 1\)"):
+        rollout(prob, 0, [1.0], policy)
     fb = FeedbackPolicy(t=0, d=2, gains=[np.zeros((1, 1))])
-    with pytest.raises(ValidationError, match="gain"):
-        policy_control(fb, prob, 0, 2, np.zeros((4, 1)))
+    with pytest.raises(ValidationError, match="policy has no gain for time 1"):
+        rollout(prob, 0, [1.0], fb)
+    with pytest.raises(ValidationError, match="policy has no gain for time 2"):
+        rollout(prob, 0, [1.0], FeedbackPolicy(t=1, d=2, gains=[np.zeros((1, 1))]), start=1)
+    fb = FeedbackPolicy(t=0, d=2, gains=[np.zeros((1, 2))] * 3)
+    with pytest.raises(ValidationError, match=r"gain at time 0 must have shape \(1, 1\), got \(1, 2\)"):
+        rollout(prob, 0, [1.0], fb)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tree_step_matches_the_four_product_step_bit_for_bit(seed):
+    """At every level of a draw_mixed tree, controls on atoms of every size
+    from the whole level (one atom) down to a single node."""
+    problem, t = draw_mixed(seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(1, problem.n))
+    for k in range(t, problem.N):
+        rows = X.shape[0]
+        for j in range(k - t + 1):
+            u = rng.normal(size=(rows >> j, problem.m))
+            assert np.array_equal(tree_step(problem, k, X, u),
+                                  reference_tree_step(problem, k, X, u)), (k, j)
+        X = reference_tree_step(problem, k, X, rng.normal(size=(rows, problem.m)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rollouts_are_bit_identical_under_the_four_product_step(seed, monkeypatch):
+    problem, t = draw_mixed(seed)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=problem.n)
+    policies = [feedback_policy(solve_riccati(problem, t)), random_open_loop(problem, t, rng)]
+    live = [rollout(problem, t, x, policy) for policy in policies]
+    monkeypatch.setattr("delq.model.tree_step", reference_tree_step)
+    for traj, policy in zip(live, policies):
+        ref = rollout(problem, t, x, policy)
+        for k in range(t, problem.N + 1):
+            assert np.array_equal(traj.states.at(k), ref.states.at(k)), k
+        assert all(np.array_equal(a, b) for a, b in zip(traj.controls, ref.controls))
 
 
 def test_forward_simulate_pure_noise_state():

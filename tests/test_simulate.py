@@ -6,6 +6,7 @@ import pytest
 
 from delq import (
     FeedbackPolicy,
+    OpenLoopPolicy,
     ProblemData,
     ValidationError,
     build_tree,
@@ -20,6 +21,7 @@ from delq import (
     rollout,
     shifted_policy,
     solve_riccati,
+    trajectory_cost,
     zero_policy,
 )
 from delq.model import block_mean, measurable_level, random_open_loop
@@ -30,6 +32,8 @@ from delq.simulate import (
     _noise_chunks,
     _step_operands,
 )
+
+from delq.worked_example import benchmark_problem
 
 from conftest import draw_mixed, uniquely_solvable_instances
 
@@ -56,6 +60,75 @@ def test_exact_cost_checks_initial_time(scalar):
     # t = N has no control left: the cost is x^T G x on the single path
     terminal = exact_cost(scalar, scalar.N, [2.0], zero_policy(scalar, scalar.N))
     assert terminal.mean == 4.0 * scalar.G[0, 0] and terminal.samples == 1
+
+
+def test_exact_cost_is_trajectory_cost_of_the_rollout():
+    """The sweep reduced level by level and the kept rollout are costed by
+    the same per-level Gram form, in the same order: the same float."""
+    starts = set()
+    for seed in range(12):
+        problem, t = draw_mixed(seed)
+        starts.add(t > 0)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=problem.n)
+        for policy in (feedback_policy(solve_riccati(problem, t)),
+                       random_open_loop(problem, t, rng)):
+            want = trajectory_cost(problem, rollout(problem, t, x, policy))
+            assert exact_cost(problem, t, x, policy).mean == want, seed
+    assert starts == {False, True}
+
+
+def test_exact_cost_holds_one_level_at_a_time():
+    """Depth 16, n = 2: the traced peak stays within 3 final levels (the
+    last level under construction, its parent and the stacked products),
+    where keeping every level would take 2 and its cost temporaries more."""
+    n, m, N, d = 2, 1, 16, 2
+    rng = np.random.default_rng(16)
+    problem = ProblemData(n=n, m=m, N=N, d=d,
+                          A=[0.6 * np.eye(n)] * N, B=[rng.normal(size=(n, m))] * N,
+                          C=[rng.normal(scale=0.3, size=(n, n))] * N,
+                          D=[rng.normal(scale=0.3, size=(n, m))] * N,
+                          Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
+    policy = feedback_policy(solve_riccati(problem, 0))
+    tracemalloc.start()
+    try:
+        exact_cost(problem, 0, np.ones(n), policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * (1 << N)
+
+
+def _malformed_policy(case):
+    """One malformed policy for benchmark_problem() (n = m = 2, N = 4,
+    d = 2) and the message that must name it."""
+    problem = benchmark_problem()
+    gains = feedback_policy(solve_riccati(problem, 0)).gains
+    controls = random_open_loop(problem, 0, np.random.default_rng(0)).controls
+    if case == "gain too wide":
+        wide = [np.hstack([K, np.zeros((2, 1))]) for K in gains]
+        return FeedbackPolicy(t=0, d=2, gains=wide), r"gain at time 0 must have shape \(2, 2\), got \(2, 3\)"
+    if case == "gain one short":
+        return FeedbackPolicy(t=0, d=2, gains=gains[:-1]), "policy has no gain for time 3"
+    if case == "control one short":
+        return OpenLoopPolicy(t=0, d=2, controls=controls[:-1]), "policy has no control for time 3"
+    wide = [np.hstack([u, np.zeros((len(u), 1))]) for u in controls]
+    return OpenLoopPolicy(t=0, d=2, controls=wide), r"control at time 0 must have shape \(1, 2\), got \(1, 3\)"
+
+
+@pytest.mark.parametrize("route", ["exact", "monte carlo"])
+@pytest.mark.parametrize("case", ["gain too wide", "gain one short", "control one short",
+                                  "control too wide"])
+def test_every_route_checks_the_policy(route, case):
+    """A gain or control of the wrong shape, or a policy a step short, is an
+    input error on both evaluation routes, named before any work."""
+    problem = benchmark_problem()
+    policy, message = _malformed_policy(case)
+    with pytest.raises(ValidationError, match=message):
+        if route == "exact":
+            exact_cost(problem, 0, [1.0, 1.0], policy)
+        else:
+            monte_carlo_cost(problem, 0, [1.0, 1.0], policy, samples=64, seed=0)
 
 
 @pytest.mark.parametrize("seed", range(5))
