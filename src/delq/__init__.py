@@ -15,6 +15,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
+from .jsontext import dumps
 from .linalg import (
     PINV_RTOL,
     PSD_TOL,
@@ -113,7 +114,7 @@ __all__ = [
     "candidate_to_dict", "certificate_from_riccati", "check_membership", "classify",
     "completion_of_squares_residual", "construct_from_candidate",
     "cost_decomposition_check", "cost_difference_residual",
-    "decoupling_residual", "ensure_valid", "exact_cost", "feedback_policy",
+    "decoupling_residual", "dumps", "ensure_valid", "exact_cost", "feedback_policy",
     "first_variation_inner", "fixed_pair_check",
     "is_pd", "is_psd", "load_problem", "make_candidate",
     "monte_carlo_cost", "optimal_value", "oracle_cost",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
+from .jsontext import dumps
 from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
@@ -71,15 +73,42 @@ def _csv_vector(text: str) -> np.ndarray:
         ) from None
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """A finite, nonnegative tolerance: an infinite or NaN one would pass
+    every check."""
+    value = _number(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
+def _cutoff(text: str) -> float:
+    """A relative pseudo-inverse cutoff in [0, 1): at 1 or above (or NaN)
+    every singular value is dropped."""
+    value = _number(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"expected a number in [0, 1), got {text!r}")
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser, classifies: bool = True) -> None:
     sp.add_argument("--problem", required=True, help="path to a problem JSON file")
     sp.add_argument("--t", type=int, default=0, help="initial time (default 0)")
     sp.add_argument("--format", choices=("human", "json"), default="human")
-    sp.add_argument("--pinv-tol", type=float, default=PINV_RTOL,
-                    help="relative pseudo-inverse cutoff")
+    sp.add_argument("--pinv-tol", type=_cutoff, default=PINV_RTOL,
+                    help="relative pseudo-inverse cutoff, in [0, 1)")
     if classifies:
-        sp.add_argument("--psd-tol", type=float, default=PSD_TOL,
-                        help="semidefiniteness and feasibility margin tolerance")
+        sp.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL,
+                        help="semidefiniteness and feasibility margin tolerance "
+                             "(finite, nonnegative)")
 
 
 def build_parser() -> _Parser:
@@ -106,8 +135,9 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("oracle", help="brute-force minimization cross-check")
     _add_common(sp)
     sp.add_argument("--x", type=_csv_vector, required=True)
-    sp.add_argument("--tol", type=float, default=1e-6,
-                    help="relative mismatch tolerance against the recursion value")
+    sp.add_argument("--tol", type=_tolerance, default=1e-6,
+                    help="relative mismatch tolerance against the recursion value "
+                         "(finite, nonnegative)")
 
     sp = sub.add_parser("simulate", help="evaluate the gain policy by simulation")
     _add_common(sp, classifies=False)
@@ -115,7 +145,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--noise", choices=("rademacher", "gaussian"), default="rademacher")
     sp.add_argument("--samples", type=int, default=None,
                     help="Monte-Carlo sample count (omit for exact enumeration)")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="Monte-Carlo seed, in [0, 2^128)")
 
     lm = sub.add_parser("lmei", help="feasibility system commands")
     lsub = lm.add_subparsers(dest="subcommand", required=True)
@@ -140,7 +171,7 @@ def build_parser() -> _Parser:
 
 def _emit(args, human: str, payload: dict) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(dumps(payload))
     else:
         print(human)
 
@@ -174,7 +205,7 @@ def cmd_value(args) -> int:
     val = optimal_value(sol, k, args.x, report, args.psd_tol)
     human = f"V({k}, [{', '.join(f'{v:g}' for v in args.x)}]) = {val:.12g}"
     _emit(args, human, {
-        "t": args.t, "k": k, "x": args.x.tolist(), "value": val,
+        "t": args.t, "k": k, "x": args.x, "value": val,
         "classification": report.classification,
     })
     return EXIT_OK
@@ -188,7 +219,7 @@ def cmd_gains(args) -> int:
         lines.append(f"K_{sol.t + j} = [{rows}]")
     _emit(args, "\n".join(lines), {
         "t": sol.t, "d": sol.d, "N": sol.N,
-        "K": sol.K.tolist(),
+        "K": sol.K,
         "classification": report.classification,
     })
     return EXIT_OK

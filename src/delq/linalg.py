@@ -77,11 +77,13 @@ def _as_matrix(M, name: str, stack: bool = False) -> np.ndarray:
     return M
 
 
-def symmetrize(S) -> np.ndarray:
-    """Return (S + S^T)/2 (of each matrix of a stack); used after every
-    backward step to stop drift."""
+def symmetrize(S, out: np.ndarray | None = None) -> np.ndarray:
+    """Return (S + S^T)/2 (of each matrix of a stack), written into `out`
+    when given; used after every backward step to stop drift."""
     S = np.asarray(S, dtype=float)
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
+    out = np.add(S, np.swapaxes(S, -1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 def _floor(X: np.ndarray, axis) -> np.ndarray:

@@ -65,7 +65,7 @@ from .riccati import (
     _StackedBlocks,
     _key_mismatch,
     _stacked_keys,
-    _wh_from_stack,
+    _wh_into,
     classify,
 )
 
@@ -241,7 +241,7 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
     pos = 0
     with np.errstate(all="ignore"):
         for j, k in enumerate(range(t, N)):
-            W[j], H[j] = _wh_from_stack(problem, stacks[k + 1], k, problem.R[k])
+            _wh_into(problem, stacks[k + 1], k, problem.R[k], W[j], H[j])
             gap[j] = state_gap(cand, problem, k)
             upper[j] = gap[j] if k == t else correction_matrix(cand, problem, k)
             if middle[j]:
@@ -405,7 +405,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         # auxiliary quantities, which must coincide.
         W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
         for j, k in enumerate(range(t, N)):
-            W[j], H[j] = _wh_from_stack(problem, P.stacks[k + 1], k, problem.R[k])
+            _wh_into(problem, P.stacks[k + 1], k, problem.R[k], W[j], H[j])
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise ConsistencyError(

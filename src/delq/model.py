@@ -21,6 +21,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
+from .jsontext import dumps
 from .linalg import rel_deviation
 
 #: Default cap on tree depth N - t (2^22 leaves is about the desk-scale limit).
@@ -221,8 +222,7 @@ def load_problem(path) -> ProblemData:
 
 def save_problem(problem: ProblemData, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(problem), fh, indent=2)
-        fh.write("\n")
+        fh.write(dumps(problem_to_dict(problem)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
+from .jsontext import KeyedStack
 from .linalg import PINV_RTOL, PSD_TOL, _is_symmetric, _pinv, eig_margin, pinv, range_residual, \
     symmetrize
 from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state
@@ -132,28 +133,33 @@ class RiccatiSolution:
             raise ValidationError(f"time {k} outside solution range [{self.t}, {last}]")
 
 
-def _wh_from_stack(problem: ProblemData, Pn: np.ndarray, k: int,
-                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _wh_into(problem: ProblemData, Pn: np.ndarray, k: int, R: np.ndarray,
+             W: np.ndarray, H: np.ndarray) -> None:
     """W_k and H_k from the stack Pn = P^(0..limit)_{k+1} with control
     weight R (the summation limit is min(k+1-t, d) in the piecewise system,
-    d in the single-region one). The one W/H formula of the package."""
+    d in the single-region one), written into W (m x m) and H (m x n). The
+    one W/H formula of the package."""
     A, B = problem.A[k], problem.B[k]
     C, D = problem.C[k], problem.D[k]
     # accumulate adds the blocks in index order, as a loop would (reduce may
     # sum pairwise); the trailing + 0.0 makes the sum start from zero, which
     # only turns an all -0.0 entry into 0.0.
     Psum = np.add.accumulate(Pn, axis=0)[-1] + 0.0
-    P0 = Pn[0]
-    W = symmetrize(R + B.T @ Psum @ B + D.T @ P0 @ D)
-    H = B.T @ Psum @ A + D.T @ P0 @ C
-    return W, H
+    # B^T Psum and D^T P^(0) serve both W and H; B.T @ Psum @ B evaluates
+    # left to right, so the products are the same floats.
+    BtP, DtP = B.T @ Psum, D.T @ Pn[0]
+    symmetrize(R + BtP @ B + DtP @ D, out=W)
+    np.add(BtP @ A, DtP @ C, out=H)
 
 
 def _wh_from_next(problem: ProblemData, P: Mapping, k: int, limit: int,
                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_wh_from_stack on the blocks P^(0..limit)_{k+1} of a mapping keyed (i, k)."""
+    """W_k and H_k (see _wh_into) from the blocks P^(0..limit)_{k+1} of a
+    mapping keyed (i, k)."""
     Pn = np.stack([P[(i, k + 1)] for i in range(limit + 1)])
-    return _wh_from_stack(problem, Pn, k, R)
+    W, H = np.empty((problem.m, problem.m)), np.empty((problem.m, problem.n))
+    _wh_into(problem, Pn, k, R, W, H)
+    return W, H
 
 
 def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,9 +189,10 @@ class _StackedBlocks(Mapping):
     given. Iteration follows the buffer (times N..t, then i); each lookup
     returns a view into the buffer."""
 
-    __slots__ = ("buffer", "stacks")
+    __slots__ = ("buffer", "stacks", "t", "N", "d")
 
     def __init__(self, t: int, N: int, d: int, n: int, buffer: np.ndarray | None = None):
+        self.t, self.N, self.d = t, N, d
         times = range(N, t - 1, -1)
         bounds = np.cumsum([0] + [min(k - t, d) + 1 for k in times]).tolist()
         self.buffer = np.empty((bounds[-1], n, n)) if buffer is None else buffer
@@ -206,6 +213,17 @@ class _StackedBlocks(Mapping):
 
     def __len__(self) -> int:
         return len(self.buffer)
+
+    def sorted_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The keys (i, k) in sorted order, and the buffer row of each: the
+        stack of time k starts at row start[k - t], and P^(i)_k (k = t+i..N)
+        is its row i."""
+        t, N, d = self.t, self.N, self.d
+        sizes = np.minimum(np.arange(N - t, -1, -1), d) + 1       # times N..t
+        start = (np.cumsum(sizes) - sizes)[::-1]
+        top = min(N - t, d)
+        keys = [(i, k) for i in range(top + 1) for k in range(t + i, N + 1)]
+        return keys, np.concatenate([start[i:] + i for i in range(top + 1)])
 
 
 def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
@@ -240,31 +258,32 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
         for k in range(N - 1, t - 1, -1):
             j = k - t
             A, C = problem.A[k], problem.C[k]
-            Wk, Hk = _wh_from_stack(problem, Pn, k, R[j])
+            Wk, Hk = W[j], H[j]
+            _wh_into(problem, Pn, k, R[j], Wk, Hk)
             if S is not None:
-                Hk = Hk + S[j]
+                Hk += S[j]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
                 raise ConsistencyError(f"numerical breakdown: non-finite W/H at k={k}")
             Wdag = _pinv(Wk, pinv_rtol)
             fold = symmetrize(Hk.T @ Wdag @ Hk)
-            W[j], H[j], K[j] = Wk, Hk, -Wdag @ Hk
+            np.matmul(-Wdag, Hk, out=K[j])
 
             nxt = Pn[0] + Pn[1] if d else Pn[0]
             state_part = Q[j] + A.T @ nxt @ A + C.T @ Pn[0] @ C
             r = min(k - t, d)
             Pk = stacks[k]
             if r == 0:
-                Pk[0] = symmetrize(state_part - fold)
+                symmetrize(state_part - fold, out=Pk[0])
             else:
-                Pk[0] = symmetrize(state_part)
+                symmetrize(state_part, out=Pk[0])
                 if r > 1:
-                    Pk[1:r] = symmetrize(A.T @ Pn[2:r + 1] @ A)
+                    symmetrize(A.T @ Pn[2:r + 1] @ A, out=Pk[1:r])
                 if r == d:
                     top = -fold if delta is None else delta[j] - fold
                 else:
                     top = A.T @ Pn[r + 1] @ A
                     top = (top if delta is None else delta[j] + top) - fold
-                Pk[r] = symmetrize(top)
+                symmetrize(top, out=Pk[r])
             Pn = Pk
     if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
@@ -391,9 +410,17 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # Serialization (consumed by the CLI)
 
-def _blocks_to_dict(P: Mapping[tuple[int, int], np.ndarray]) -> dict:
-    """Matrices keyed (i, k) as JSON: keys "i,k", matrices as nested lists."""
-    return {f"{i},{k}": M.tolist() for (i, k), M in sorted(P.items())}
+def _blocks_to_dict(P: Mapping[tuple[int, int], np.ndarray]) -> KeyedStack:
+    """Matrices keyed (i, k) as a JSON object: keys "i,k" in (i, k) order,
+    the matrices as one stack (a _StackedBlocks buffer's rows, gathered by
+    one row permutation)."""
+    if isinstance(P, _StackedBlocks):
+        keys, rows = P.sorted_rows()
+        stack = P.buffer[rows]
+    else:
+        keys = sorted(P)
+        stack = np.stack([P[key] for key in keys])
+    return KeyedStack([f"{i},{k}" for i, k in keys], stack)
 
 
 def _blocks_from_dict(raw: dict) -> dict[tuple[int, int], np.ndarray]:
@@ -419,9 +446,9 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
         "d": sol.d,
         "N": sol.N,
         "P": _blocks_to_dict(sol.P),
-        "W": sol.W.tolist(),
-        "H": sol.H.tolist(),
-        "K": sol.K.tolist(),
+        "W": sol.W,
+        "H": sol.H,
+        "K": sol.K,
         "classification": report.classification,
     }
 

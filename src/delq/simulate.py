@@ -285,6 +285,8 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     _check_solve_args(problem, t)
     if samples < 2:
         raise ValidationError(f"need at least 2 samples, got {samples}")
+    if not 0 <= seed < 1 << 128:
+        raise ValidationError(f"seed must be in [0, 2^128), got {seed}")
     noise_label = _normalize_noise(noise)
     steps = problem.N - t
     x = _check_state(x, problem.n)

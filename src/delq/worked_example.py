@@ -176,11 +176,11 @@ def report_to_dict(report: BenchmarkReport) -> dict:
         "rows": [
             {
                 "k": row.k,
-                "W_computed": row.computed_w.tolist(),
-                "W_reference": row.reference_w.tolist(),
+                "W_computed": row.computed_w,
+                "W_reference": row.reference_w,
                 "W_max_deviation": row.w_deviation,
-                "K_computed": row.computed_gain.tolist(),
-                "K_reference": row.reference_gain.tolist(),
+                "K_computed": row.computed_gain,
+                "K_reference": row.reference_gain,
                 "K_max_deviation": row.gain_deviation,
                 "W_positive_definite": row.w_positive_definite,
                 "reference_suspect": row.reference_suspect,

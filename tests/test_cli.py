@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delq
 from delq import (
     candidate_to_dict,
     certificate_from_riccati,
+    dumps,
     optimal_value,
     solution_from_dict,
     solve_riccati,
@@ -204,7 +210,7 @@ def test_lmei_check_candidate_file(paths, capsys, tmp_path):
     prob = scalar_problem()
     cand = certificate_from_riccati(solve_riccati(prob, 0), prob)
     path = tmp_path / "candidate.json"
-    path.write_text(json.dumps(candidate_to_dict(cand)))
+    path.write_text(dumps(candidate_to_dict(cand)))
     code, payload = run_json(capsys, "lmei", "check", "--problem",
                              paths["scalar"], "--candidate", str(path))
     assert code == EXIT_OK and payload["feasible"] is True
@@ -398,8 +404,8 @@ def test_overflow_in_candidate_is_a_numerical_breakdown(paths, tmp_path, edit, m
     warnings: P~^(0)_1 = 1e308 overflows (S + S^T)/2 (it used to exit 2
     with a message about S), three blocks of 8e307 at time 2 overflow the
     slack W~_1."""
-    data = candidate_to_dict(certificate_from_riccati(solve_riccati(scalar_problem(), 0),
-                                                      scalar_problem()))
+    cand = certificate_from_riccati(solve_riccati(scalar_problem(), 0), scalar_problem())
+    data = json.loads(dumps(candidate_to_dict(cand)))
     edit(data["P"])
     path = tmp_path / "overflow-candidate.json"
     path.write_text(json.dumps(data))
@@ -423,7 +429,7 @@ def test_lmei_huge_candidate_block_is_graded_not_a_route_split(capsys, tmp_path)
                        Q=one, R=one, G=[[1.0]])
     problem_path, cand_path = tmp_path / "problem.json", tmp_path / "candidate.json"
     save_problem(prob, str(problem_path))
-    data = candidate_to_dict(delq.zero_candidate(prob, 0))
+    data = json.loads(dumps(candidate_to_dict(delq.zero_candidate(prob, 0))))
     data["P"]["0,1"] = [[1e300]]
     cand_path.write_text(json.dumps(data))
     for sub in ("check", "construct"):
@@ -440,8 +446,8 @@ def test_lmei_huge_candidate_block_is_graded_not_a_route_split(capsys, tmp_path)
     lambda data: data.__setitem__("t", False),
 ])
 def test_lmei_rejects_ambiguous_candidate_json(paths, capsys, tmp_path, edit):
-    data = candidate_to_dict(certificate_from_riccati(solve_riccati(scalar_problem(), 0),
-                                                      scalar_problem()))
+    cand = certificate_from_riccati(solve_riccati(scalar_problem(), 0), scalar_problem())
+    data = json.loads(dumps(candidate_to_dict(cand)))
     edit(data)
     path = tmp_path / "candidate.json"
     path.write_text(json.dumps(data))
@@ -461,3 +467,107 @@ def test_linalg_error_is_a_numerical_breakdown(paths, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "consistency failure: numerical breakdown: SVD did not converge\n"
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# JSON output and numeric options
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "{benchmark}"],
+    ["solve", "--problem", "{notconvex}"],
+    ["gains", "--problem", "{benchmark}"],
+    ["value", "--problem", "{benchmark}", "--x", "1,-0.5"],
+    ["lmei", "check", "--problem", "{benchmark}", "--zero"],
+    ["lmei", "check", "--problem", "{nonneg}", "--certificate"],
+    ["lmei", "construct", "--problem", "{nonneg}", "--zero"],
+    ["example", "paper"],
+], ids=["solve", "solve-notconvex", "gains", "value", "check-zero", "check-certificate",
+        "construct-zero", "example-paper"])
+def test_json_output_is_json_dumps_indent_2(paths, capsys, argv):
+    """--format json prints byte for byte what json.dumps(payload, indent=2)
+    prints, for every payload shape: P blocks, stacks, records, rows."""
+    code = main([a.format(**paths) for a in argv] + ["--format", "json"])
+    out = capsys.readouterr().out
+    assert code in (EXIT_OK, EXIT_UNSOLVABLE)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["simulate", "--x", "1,1", "--samples", "2", "--seed=-1"], EXIT_INVALID,
+     "seed must be in [0, 2^128), got -1"),
+    (["simulate", "--x", "1,1", "--samples", "2", f"--seed={1 << 128}"], EXIT_INVALID,
+     f"seed must be in [0, 2^128), got {1 << 128}"),
+    (["value", "--x", "1,1", "--pinv-tol", "nan"], EXIT_USAGE,
+     "argument --pinv-tol: expected a number in [0, 1), got 'nan'"),
+    (["value", "--x", "1,1", "--pinv-tol", "1"], EXIT_USAGE, "in [0, 1), got '1'"),
+    (["value", "--x", "1,1", "--pinv-tol=-1e-12"], EXIT_USAGE, "in [0, 1), got '-1e-12'"),
+    (["oracle", "--x", "1,1", "--tol", "nan"], EXIT_USAGE,
+     "argument --tol: expected a finite nonnegative number, got 'nan'"),
+    (["lmei", "check", "--zero", "--psd-tol", "inf"], EXIT_USAGE,
+     "argument --psd-tol: expected a finite nonnegative number, got 'inf'"),
+    (["solve", "--psd-tol=-1e-9"], EXIT_USAGE, "nonnegative number, got '-1e-9'"),
+    (["solve", "--psd-tol", "tight"], EXIT_USAGE,
+     "argument --psd-tol: expected a number, got 'tight'"),
+], ids=["seed-negative", "seed-2^128", "pinv-nan", "pinv-1", "pinv-negative", "tol-nan",
+        "psd-inf", "psd-negative", "psd-text"])
+def test_numeric_options_out_of_range_exit_with_a_precise_message(paths, capsys, argv,
+                                                                   code, message):
+    """A NaN cutoff used to drop every singular value (V = 169423.79 instead
+    of 3316.17, exit 0), an infinite --psd-tol called the infeasible zero
+    candidate feasible, a NaN --tol hid every mismatch, and a negative seed
+    printed numpy's traceback."""
+    assert main(argv + ["--problem", paths["benchmark"]]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def _numbers(ints):
+    """Option values as a user may type them: ints, floats in repr form, and
+    the spellings float() accepts."""
+    return st.one_of(ints.map(str), st.floats().map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "1e-300", "1_0"]))
+
+
+def _ints(lo, hi):
+    """Small ints near the valid range, often, and any int."""
+    return st.integers(lo, hi) | st.integers()
+
+
+_MC = ["simulate", "--x=1,-0.5", "--noise=gaussian", "--samples=3"]
+_VALUE = ["value", "--x=1,-0.5"]
+
+
+@pytest.mark.parametrize("base, option, ints", [
+    (_MC, "--seed", _ints(-3, 3)),
+    # Monte Carlo runs in time proportional to --samples: no int beyond 200.
+    (_MC, "--samples", st.integers(-2, 200)),
+    (_MC, "--t", _ints(-1, 4)),
+    (["simulate", "--x=1,-0.5"], "--t", _ints(-1, 4)),
+    (_VALUE, "--pinv-tol", _ints(-1, 1)),
+    (_VALUE, "--psd-tol", _ints(-1, 1)),
+    (_VALUE, "--t", _ints(-1, 4)),
+    (_VALUE, "--k", _ints(-1, 4)),
+    (["oracle", "--x=1,-0.5"], "--tol", _ints(-1, 1)),
+    (["lmei", "check", "--zero"], "--psd-tol", _ints(-1, 1)),
+    (["lmei", "construct", "--certificate"], "--t", _ints(-1, 4)),
+], ids=["mc-seed", "mc-samples", "mc-t", "exact-t", "value-pinv-tol", "value-psd-tol", "value-t",
+        "value-k", "oracle-tol", "check-psd-tol", "construct-t"])
+def test_numeric_options_never_traceback_or_warn(paths, base, option, ints):
+    """Any number for a numeric option ends in a documented exit code, with
+    no exception escaping main() and no numpy warning."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_numbers(ints))
+    def run(value):
+        argv = base + ["--problem", paths["benchmark"], f"{option}={value}"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE,
+                        EXIT_INCONSISTENT), argv
+        assert "Traceback" not in err.getvalue(), argv
+        assert [str(w.message) for w in caught] == [], argv
+
+    run()

@@ -22,7 +22,7 @@ from delq import (
     trajectory_cost,
     zero_candidate,
 )
-from delq import lmei
+from delq import dumps, lmei
 from delq.linalg import (
     _as_matrix,
     _require_symmetric,
@@ -150,7 +150,7 @@ def test_candidates_need_a_delay():
 
 def test_candidate_json_round_trip(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
-    data = json.loads(json.dumps(candidate_to_dict(cand)))
+    data = json.loads(dumps(candidate_to_dict(cand)))
     back = candidate_from_dict(scalar, data)
     assert set(back.P) == set(cand.P)
     for key in cand.P:
@@ -166,7 +166,8 @@ def test_candidate_json_round_trip(scalar, scalar_solution):
 def test_candidate_json_rejects_two_keys_for_one_pair(scalar, scalar_solution):
     """"0,1" and "00,1" both name P~^(0)_1; the last one used to win, which
     turned the feasible certificate infeasible."""
-    data = candidate_to_dict(certificate_from_riccati(scalar_solution, scalar))
+    cand = certificate_from_riccati(scalar_solution, scalar)
+    data = json.loads(dumps(candidate_to_dict(cand)))
     assert check_membership(candidate_from_dict(scalar, data), scalar, 0).feasible
     data["P"]["00,1"] = [[-5.0]]
     with pytest.raises(ValidationError,
@@ -184,7 +185,7 @@ def test_candidate_json_requires_an_integer_t(scalar, t):
 
 def test_solution_json_rejects_two_keys_for_one_pair(scalar_solution):
     from delq import solution_to_dict
-    data = json.loads(json.dumps(solution_to_dict(scalar_solution)))
+    data = json.loads(dumps(solution_to_dict(scalar_solution)))
     data["P"]["0,01"] = data["P"]["0,1"]
     with pytest.raises(ValidationError,
                        match=r"malformed solution JSON: keys '0,1' and '0,01' both name"):

@@ -29,7 +29,7 @@ from delq import (
     solve_riccati,
     solve_riccati_bar,
 )
-from delq import lmei
+from delq import dumps, lmei
 from delq.linalg import PINV_RTOL, pinv, symmetrize
 from delq.model import random_open_loop
 from delq.riccati import RiccatiSolution, _StackedBlocks, classification_rank
@@ -485,7 +485,7 @@ def test_benchmark_gains_match_reference_tables(benchmark_solution):
 
 def test_solution_json_round_trip(scalar, scalar_solution):
     report = classify(scalar_solution)
-    data = json.loads(json.dumps(solution_to_dict(scalar_solution, report)))
+    data = json.loads(dumps(solution_to_dict(scalar_solution, report)))
     back, classification = solution_from_dict(data)
     assert classification == UNIQUELY_SOLVABLE
     assert set(back.P) == set(scalar_solution.P)
@@ -500,7 +500,7 @@ def test_single_region_solution_json_round_trip():
     block still enters P_sum after a round trip."""
     problem = _long_delay_problem(8, 2, 12, 3, m=2)
     for sol in (solve_riccati_bar(problem, 0), solve_riccati(problem, 2)):
-        back, _ = solution_from_dict(json.loads(json.dumps(solution_to_dict(sol))))
+        back, _ = solution_from_dict(json.loads(dumps(solution_to_dict(sol))))
         assert back.single_region == sol.single_region
         for k in range(sol.t, sol.N + 1):
             assert back.top_index(k) == sol.top_index(k)
@@ -547,7 +547,7 @@ def test_solution_from_dict_rejects_malformed():
     (lambda P: P.update({"2,3": [[1.0]]}), r"P entry \(2, 3\) is not a symmetric 2x2 matrix"),
 ], ids=["missing", "unexpected", "asymmetric", "misshapen"])
 def test_solution_from_dict_checks_the_structure_of_P(benchmark_solution, defect, message):
-    data = json.loads(json.dumps(solution_to_dict(benchmark_solution)))
+    data = json.loads(dumps(solution_to_dict(benchmark_solution)))
     defect(data["P"])
     with pytest.raises(ValidationError, match="malformed solution JSON: .*" + message):
         solution_from_dict(data)
@@ -555,7 +555,7 @@ def test_solution_from_dict_checks_the_structure_of_P(benchmark_solution, defect
 
 def test_solution_from_dict_checks_the_single_region_layout():
     problem = _long_delay_problem(8, 2, 12, 3)
-    data = json.loads(json.dumps(solution_to_dict(solve_riccati_bar(problem, 2))))
+    data = json.loads(dumps(solution_to_dict(solve_riccati_bar(problem, 2))))
     assert solution_from_dict(data)[0].single_region
     del data["P"]["3,5"]
     with pytest.raises(ValidationError, match=r"missing entries \[\(3, 5\)\]$"):
