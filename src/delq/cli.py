@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -169,11 +170,13 @@ def build_parser() -> _Parser:
     return p
 
 
-def _emit(args, human: str, payload: dict) -> None:
+def _emit(args, human: Callable[[], str], payload: dict) -> None:
+    """Print the payload as JSON, or the text that `human()` builds: only
+    the format asked for is built."""
     if args.format == "json":
         print(dumps(payload))
     else:
-        print(human)
+        print(human())
 
 
 def _solve_and_classify(args):
@@ -195,7 +198,8 @@ def _classification_table(report) -> list[str]:
 
 def cmd_solve(args) -> int:
     _, sol, report = _solve_and_classify(args)
-    _emit(args, "\n".join(_classification_table(report)), solution_to_dict(sol, report))
+    _emit(args, lambda: "\n".join(_classification_table(report)),
+          solution_to_dict(sol, report))
     return EXIT_OK
 
 
@@ -203,8 +207,8 @@ def cmd_value(args) -> int:
     _, sol, report = _solve_and_classify(args)
     k = args.t if args.k is None else args.k
     val = optimal_value(sol, k, args.x, report, args.psd_tol)
-    human = f"V({k}, [{', '.join(f'{v:g}' for v in args.x)}]) = {val:.12g}"
-    _emit(args, human, {
+    xs = ", ".join(f"{v:g}" for v in args.x)
+    _emit(args, lambda: f"V({k}, [{xs}]) = {val:.12g}", {
         "t": args.t, "k": k, "x": args.x, "value": val,
         "classification": report.classification,
     })
@@ -213,11 +217,15 @@ def cmd_value(args) -> int:
 
 def cmd_gains(args) -> int:
     _, sol, report = _solve_and_classify(args)
-    lines = [f"classification: {report.classification}"]
-    for j, K in enumerate(sol.K):
-        rows = "; ".join(" ".join(f"{v:.6f}" for v in row) for row in K)
-        lines.append(f"K_{sol.t + j} = [{rows}]")
-    _emit(args, "\n".join(lines), {
+
+    def human() -> str:
+        lines = [f"classification: {report.classification}"]
+        for j, K in enumerate(sol.K):
+            rows = "; ".join(" ".join(f"{v:.6f}" for v in row) for row in K)
+            lines.append(f"K_{sol.t + j} = [{rows}]")
+        return "\n".join(lines)
+
+    _emit(args, human, {
         "t": sol.t, "d": sol.d, "N": sol.N,
         "K": sol.K,
         "classification": report.classification,
@@ -237,8 +245,8 @@ def cmd_oracle(args) -> int:
                 f"oracle reports Unbounded ({outcome.reason}) but the recursion "
                 f"classifies the problem {report.classification}"
             )
-        _emit(args, f"oracle: Unbounded ({outcome.reason})\n"
-                    f"classification: {report.classification}",
+        _emit(args, lambda: f"oracle: Unbounded ({outcome.reason})\n"
+                            f"classification: {report.classification}",
               {"status": "Unbounded", "reason": outcome.reason,
                "classification": report.classification})
         return EXIT_UNSOLVABLE
@@ -259,7 +267,7 @@ def cmd_oracle(args) -> int:
     else:
         lines.append(f"classification: {report.classification} "
                      "(no recursion value to compare)")
-    _emit(args, "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), payload)
     return code
 
 
@@ -277,10 +285,10 @@ def cmd_simulate(args) -> int:
         result = monte_carlo_cost(problem, args.t, args.x, policy,
                                   noise=args.noise, samples=args.samples,
                                   seed=args.seed)
-    human = (f"mean = {result.mean:.12g}\nstd_error = {result.std_error:.6g}\n"
-             f"samples = {result.samples}\nmode = {result.mode}\n"
-             f"noise = {result.noise}\nseed = {result.seed}")
-    _emit(args, human, result.to_dict())
+    _emit(args, lambda: (f"mean = {result.mean:.12g}\nstd_error = {result.std_error:.6g}\n"
+                         f"samples = {result.samples}\nmode = {result.mode}\n"
+                         f"noise = {result.noise}\nseed = {result.seed}"),
+          result.to_dict())
     return EXIT_OK
 
 
@@ -299,32 +307,35 @@ def cmd_lmei(args) -> int:
     cand = _load_candidate(args, problem)
     if args.subcommand == "check":
         rep = check_membership(cand, problem, args.t, args.psd_tol)
-        lines = []
-        for c in rep.constraints:
-            where = f"k={c.k}" + (f" i={c.i}" if c.i is not None else "")
-            lines.append(f"{c.kind:>13} {where:<10} margin {c.margin:+.3e}  "
-                         f"{'ok' if c.satisfied else 'VIOLATED'}")
-        lines.append(f"feasible: {rep.feasible}")
-        _emit(args, "\n".join(lines), {
+
+        def human() -> str:
+            lines = []
+            for c in rep.constraints:
+                where = f"k={c.k}" + (f" i={c.i}" if c.i is not None else "")
+                lines.append(f"{c.kind:>13} {where:<10} margin {c.margin:+.3e}  "
+                             f"{'ok' if c.satisfied else 'VIOLATED'}")
+            lines.append(f"feasible: {rep.feasible}")
+            return "\n".join(lines)
+
+        _emit(args, human, {
             "feasible": rep.feasible, "tol": rep.tol,
             "constraints": [
-                {"kind": c.kind, "k": c.k, "i": c.i, "margin": c.margin,
-                 "satisfied": c.satisfied}
-                for c in rep.constraints
+                {"kind": kind, "k": k, "i": i, "margin": margin, "satisfied": satisfied}
+                for kind, k, i, margin, satisfied in rep.constraints
             ],
         })
         return EXIT_OK if rep.feasible else EXIT_UNSOLVABLE
     sol = construct_from_candidate(cand, problem, args.t, args.psd_tol, args.pinv_tol)
     report = classify(sol, args.psd_tol)
-    _emit(args, "\n".join(["constructed solution from candidate"]
-                          + _classification_table(report)),
+    _emit(args, lambda: "\n".join(["constructed solution from candidate"]
+                                  + _classification_table(report)),
           solution_to_dict(sol, report))
     return EXIT_OK
 
 
 def cmd_example_paper(args) -> int:
     report = benchmark_report()
-    _emit(args, render_report(report), report_to_dict(report))
+    _emit(args, lambda: render_report(report), report_to_dict(report))
     return EXIT_OK if report.anchored_ok else EXIT_INCONSISTENT
 
 

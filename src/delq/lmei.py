@@ -21,23 +21,35 @@ in input order. A finite entry whose symmetrized value overflows raises
 ConsistencyError naming the earliest step.
 
 One slack pass per candidate computes under np.errstate every per-step
-quantity, as (N - t, ., .) stacks indexed by step k - t: W~_k and H~_k (the
-kernel's W/H formula on the stack of time k+1), the state gaps, the block
-upper-left entries; also the middle-index residuals (one batched product
-per step) and the terminal gap. The earliest step with a non-finite
-quantity (k = N for an overflowing symmetrized terminal gap) raises
-ConsistencyError. check_membership then grades each family of constraints
-in one stacked linalg call (eig_margin for the inequalities, rel_deviation
-for the equalities, the stacked Schur test with both routes and the
-gray-band check for the blocks): the floats of a per-constraint loop, in
-the same report order; a non-finite margin raises ConsistencyError.
-construct_from_candidate hands the pass's stacks to the backward kernel as
-they are, forms P = P~ + U as one buffer add and verifies the final W/H/K
+quantity as an (N - t, ., .) stack indexed by step j = k - t. No quantity is
+a recursion: each reads only the candidate's stacks at k and k + 1, so the
+pass is a few products batched over all steps, with no loop over k. Its
+inputs are gathered from the candidate's one buffer by index arrays: the
+stack of time k begins at row start_k (_StackedBlocks.starts), so P~^(i)_k is
+row start_k + i, and the rows (i, k) of a run of steps form one index array.
+The pass forms W~_k and H~_k by one stacked call of the kernel's W/H formula
+(riccati._wh_into), after a running sum over i of P~^(i)_{k+1} (at most d + 1
+adds, one per index, each over the suffix of steps that have it); then the
+state gaps, the block upper-left entries (the ramp-up corrections
+t < k < t+d and the deep ones as two gathers), the middle-index residuals
+(one batched product per index i over the suffix of steps that have it,
+scattered into (k, i) order) and the terminal gap. Every float is the one the
+per-step formula gives. The earliest step with a non-finite quantity (k = N
+for an overflowing symmetrized terminal gap) raises ConsistencyError.
+check_membership then grades each family of constraints in one stacked
+linalg call (eig_margin for the inequalities, rel_deviation for the
+equalities, the stacked Schur test with both routes and the gray-band check
+for the blocks) and lays the report out by index arithmetic: its kind, k, i,
+margin and satisfied columns in report order, from which the non-finite
+margin refusal and feasibility are read. construct_from_candidate hands the
+pass's stacks to the backward kernel as they are, forms P = P~ + U as one
+buffer add, re-derives W/H from P by the same stacked call and verifies them
 in stacked calls. auxiliary_cost reads its weights from the same pass.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,32 +199,7 @@ def candidate_from_dict(problem: ProblemData, data: dict) -> LmeiCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Region table
-
-def state_gap(cand: LmeiCandidate, problem: ProblemData, k: int) -> np.ndarray:
-    """Q_k + A^T (P~^(0)+P~^(1))_{k+1} A + C^T P~^(0)_{k+1} C - P~^(0)_k:
-    the slack of the relaxed P~^(0) recursion (must be PSD for k > t; at
-    k = t it is the upper-left entry of the block constraint)."""
-    A, C = problem.A[k], problem.C[k]
-    inner = cand.P_at(0, k + 1) + cand.P_at(1, k + 1)
-    return symmetrize(
-        problem.Q[k] + A.T @ inner @ A + C.T @ cand.P_at(0, k + 1) @ C - cand.P_at(0, k)
-    )
-
-
-def correction_matrix(cand: LmeiCandidate, problem: ProblemData, k: int) -> np.ndarray:
-    """Upper-left entry of the block constraint for k > t:
-    -P~^(d)_k deep in the horizon, A^T P~^(k+1-t)_{k+1} A - P~^(k-t)_k in the
-    ramp-up region t < k < t+d."""
-    t, d = cand.t, cand.d
-    if k <= t:
-        raise ValidationError("no correction matrix at the initial time")
-    r = min(k - t, d)
-    if r == d:
-        return symmetrize(-cand.P_at(d, k))
-    A = problem.A[k]
-    return symmetrize(A.T @ cand.P_at(r + 1, k + 1) @ A - cand.P_at(r, k))
-
+# Slack pass
 
 @dataclass(frozen=True)
 class _Slack:
@@ -221,38 +208,73 @@ class _Slack:
 
     W: np.ndarray         # W~_k
     H: np.ndarray         # H~_k
-    gap: np.ndarray       # state_gap at k
-    upper: np.ndarray     # block upper-left: state_gap at k = t, correction_matrix after
+    gap: np.ndarray       # state gap at k (see _slack)
+    upper: np.ndarray     # block upper-left: the state gap at k = t, the correction after
     eq_err: np.ndarray    # P~^(i)_k - A_k^T P~^(i+1)_{k+1} A_k, t < k, 0 < i < r_k, in (k, i) order
     eq_rhs: np.ndarray    # A_k^T P~^(i+1)_{k+1} A_k, same order
     terminal: np.ndarray  # G - P~^(0)_N
 
 
-def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
-    """The one slack pass. Overflow is not warned about: the earliest step
-    with a non-finite quantity (k = N for the terminal gap) raises
-    ConsistencyError."""
-    t, N, d, n, m = cand.t, cand.N, cand.d, cand.n, problem.m
-    stacks = cand.P.stacks
-    middle = [max(min(k - t, d) - 1, 0) for k in range(t, N)]
+def _middle_counts(steps: int, d: int) -> np.ndarray:
+    """The number of middle indices 0 < i < min(k - t, d) of each step
+    k - t = 0..steps-1: its equality constraints."""
+    return np.maximum(np.minimum(np.arange(steps), d) - 1, 0)
+
+
+def _wh_steps(problem: ProblemData, t: int, Psum: np.ndarray,
+              P0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W_k and H_k for k = t..N-1 from the stacks of sum_i P^(i)_{k+1} and
+    P^(0)_{k+1}: one stacked call of the kernel's formula."""
+    N, m, n = problem.N, problem.m, problem.n
+    B, D = problem.B[t:N], problem.D[t:N]
     W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
-    gap, upper = np.empty((N - t, n, n)), np.empty((N - t, n, n))
-    eq_err, eq_rhs = np.empty((sum(middle), n, n)), np.empty((sum(middle), n, n))
-    pos = 0
+    _wh_into(problem.A[t:N], B, problem.C[t:N], D, np.swapaxes(B, 1, 2),
+             np.swapaxes(D, 1, 2), Psum, P0, problem.R[t:N], W, H)
+    return W, H
+
+
+def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
+    """The one slack pass, stacked over the steps k = t..N-1 (see the module
+    docstring). Overflow is not warned about: the earliest step with a
+    non-finite quantity (k = N for the terminal gap) raises ConsistencyError.
+
+    The state gap Q_k + A^T (P~^(0)+P~^(1))_{k+1} A + C^T P~^(0)_{k+1} C -
+    P~^(0)_k is the slack of the relaxed P~^(0) recursion (PSD for k > t; at
+    k = t the block's upper-left entry). After t that entry is the
+    correction: A^T P~^(k+1-t)_{k+1} A - P~^(k-t)_k in the ramp-up region
+    t < k < t+d, -P~^(d)_k deep in the horizon."""
+    t, N, d, n = cand.t, cand.N, cand.d, cand.n
+    steps, rows = N - t, cand.P.buffer
+    start = cand.P.starts()
+    after = start[1:]                      # the stacks of times k + 1
+    A, C = problem.A[t:N], problem.C[t:N]
+    At, Ct = np.swapaxes(A, 1, 2), np.swapaxes(C, 1, 2)
+    middle = _middle_counts(steps, d)
+    offset = np.cumsum(middle) - middle
+    size = int(middle.sum())
+    eq_err, eq_rhs = np.empty((size, n, n)), np.empty((size, n, n))
     with np.errstate(all="ignore"):
-        for j, k in enumerate(range(t, N)):
-            _wh_into(problem, stacks[k + 1], k, problem.R[k], W[j], H[j])
-            gap[j] = state_gap(cand, problem, k)
-            upper[j] = gap[j] if k == t else correction_matrix(cand, problem, k)
-            if middle[j]:
-                A, end = problem.A[k], pos + middle[j]
-                eq_rhs[pos:end] = A.T @ stacks[k + 1][2:middle[j] + 2] @ A
-                eq_err[pos:end] = stacks[k][1:middle[j] + 1] - eq_rhs[pos:end]
-                pos = end
-        terminal = problem.G - stacks[N][0]
+        P0n = rows[after]
+        W, H = _wh_steps(problem, t, cand.P.next_sums(), P0n)
+        gap = symmetrize(problem.Q[t:N] + At @ (P0n + rows[after + 1]) @ A + Ct @ P0n @ C
+                         - rows[start[:-1]])
+        upper = np.empty_like(gap)
+        upper[0] = gap[0]
+        ramp = np.arange(1, min(d, steps))                    # r = k - t < d
+        symmetrize(At[ramp] @ rows[start[ramp + 1] + ramp + 1] @ A[ramp]
+                   - rows[start[ramp] + ramp], out=upper[1:len(ramp) + 1])
+        symmetrize(-rows[start[d:steps] + d], out=upper[d:])
+        # One batched product per middle index i, over the steps that have it.
+        for i in range(1, min(d, steps - 1)):
+            first = i + 1
+            rhs = At[first:] @ rows[start[first + 1:] + i + 1] @ A[first:]
+            pos = offset[first:] + i - 1
+            eq_rhs[pos] = rhs
+            eq_err[pos] = rows[start[first:-1] + i] - rhs
+        terminal = problem.G - rows[0]
         finite = (np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
                   & np.isfinite(gap).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2)))
-        eq_step = np.repeat(np.arange(N - t), middle)
+        eq_step = np.repeat(np.arange(steps), middle)
         finite[eq_step[~np.isfinite(eq_err).all(axis=(1, 2))]] = False
         # Graded and run through the kernel symmetrized, which can overflow.
         terminal_finite = np.isfinite(symmetrize(terminal)).all()
@@ -269,8 +291,7 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
 # ---------------------------------------------------------------------------
 # Membership checking
 
-@dataclass(frozen=True)
-class ConstraintStatus:
+class ConstraintStatus(NamedTuple):
     """One constraint with a signed margin.
 
     Inequalities (kind "inequality"/"block"/"terminal_gap") report the
@@ -308,30 +329,47 @@ def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
     the block constraint. A non-finite margin (an eigenvalue of finite slack
     can overflow) raises ConsistencyError naming the earliest such step."""
     t, N, d = cand.t, cand.N, cand.d
-
-    def status(kind: str, k: int, i: int | None, margin: float) -> ConstraintStatus:
-        return ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=margin >= -tol)
-
     with np.errstate(all="ignore"):
-        records = [status("terminal_gap", N, 0, eig_margin(slack.terminal)[1])]
-        zero = (-rel_deviation(cand.P.stacks[N][1:], 0.0)).tolist()
-        inequality = eig_margin(slack.gap[1:])[1].tolist()
-        equality = iter((-rel_deviation(slack.eq_err, slack.eq_rhs)).tolist())
-        block_ok, block = (x.tolist() for x in _schur_blocks(slack.upper, slack.H, slack.W, tol))
-    records += [status("terminal_zero", N, j, margin) for j, margin in enumerate(zero, 1)]
-    for j, k in enumerate(range(t, N)):
-        if k > t:
-            records.append(status("inequality", k, 0, inequality[j - 1]))
-            records += [status("equality", k, i, next(equality))
-                        for i in range(1, min(k - t, d))]
-        records.append(ConstraintStatus(kind="block", k=k, i=None, margin=block[j],
-                                        satisfied=block_ok[j]))
-    broken = [c for c in records if not np.isfinite(c.margin)]
-    if broken:
-        c = min(broken, key=lambda c: c.k)
-        raise ConsistencyError(f"numerical breakdown: non-finite {c.kind} margin at k={c.k}")
-    feasible = all(c.satisfied for c in records)
-    return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
+        terminal = eig_margin(slack.terminal)[1]
+        zero = -rel_deviation(cand.P.stacks[N][1:], 0.0)
+        inequality = eig_margin(slack.gap[1:])[1]
+        equality = -rel_deviation(slack.eq_err, slack.eq_rhs)
+        block_ok, block = _schur_blocks(slack.upper, slack.H, slack.W, tol)
+    # The rows of the report: 1 + len(zero) terminal rows, then per step
+    # j = k - t its inequality (j > 0), its equalities and its block.
+    middle = _middle_counts(N - t, d)
+    count = middle + 2
+    count[0] = 1
+    first = 1 + len(zero) + np.cumsum(count) - count
+    block_row, inequality_row = first + count - 1, first[1:]
+    eq_i = np.arange(len(equality)) - np.repeat(np.cumsum(middle) - middle, middle) + 1
+    eq_row = np.repeat(first, middle) + eq_i
+
+    margin = np.empty(first[-1] + count[-1])
+    margin[0], margin[1:first[0]] = terminal, zero
+    margin[inequality_row], margin[eq_row], margin[block_row] = inequality, equality, block
+    satisfied = margin >= -tol
+    satisfied[block_row] = block_ok
+    k = np.empty(len(margin), dtype=int)
+    k[:first[0]] = N
+    k[first[0]:] = np.repeat(np.arange(t, N), count)
+    i = np.zeros(len(margin), dtype=int)
+    i[1:first[0]] = np.arange(1, first[0])
+    i[eq_row] = eq_i
+    i = i.astype(object)
+    i[block_row] = None
+    kind = np.empty(len(margin), dtype=object)
+    kind[0], kind[1:first[0]] = "terminal_gap", "terminal_zero"
+    kind[inequality_row], kind[eq_row], kind[block_row] = "inequality", "equality", "block"
+
+    broken = np.flatnonzero(~np.isfinite(margin))
+    if broken.size:
+        j = broken[np.argmin(k[broken])]            # the first row of the earliest step
+        raise ConsistencyError(
+            f"numerical breakdown: non-finite {kind[j]} margin at k={k[j]}")
+    records = tuple(map(ConstraintStatus._make, zip(
+        kind.tolist(), k.tolist(), i.tolist(), margin.tolist(), satisfied.tolist())))
+    return LmeiReport(feasible=bool(satisfied.all()), tol=tol, constraints=records)
 
 
 def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
@@ -403,9 +441,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
             raise ConsistencyError(f"numerical breakdown: non-finite P at k={k}")
         # W/H recomputed from P (the defining sums), cross-checked against the
         # auxiliary quantities, which must coincide.
-        W, H = np.empty((N - t, m, m)), np.empty((N - t, m, n))
-        for j, k in enumerate(range(t, N)):
-            _wh_into(problem, P.stacks[k + 1], k, problem.R[k], W[j], H[j])
+        W, H = _wh_steps(problem, t, P.next_sums(), P.buffer[P.starts()[1:]])
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise ConsistencyError(

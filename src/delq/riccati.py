@@ -133,21 +133,30 @@ class RiccatiSolution:
             raise ValidationError(f"time {k} outside solution range [{self.t}, {last}]")
 
 
-def _wh_into(problem: ProblemData, Pn: np.ndarray, k: int, R: np.ndarray,
-             W: np.ndarray, H: np.ndarray) -> None:
-    """W_k and H_k from the stack Pn = P^(0..limit)_{k+1} with control
-    weight R (the summation limit is min(k+1-t, d) in the piecewise system,
-    d in the single-region one), written into W (m x m) and H (m x n). The
-    one W/H formula of the package."""
-    A, B = problem.A[k], problem.B[k]
-    C, D = problem.C[k], problem.D[k]
-    # accumulate adds the blocks in index order, as a loop would (reduce may
-    # sum pairwise); the trailing + 0.0 makes the sum start from zero, which
-    # only turns an all -0.0 entry into 0.0.
-    Psum = np.add.accumulate(Pn, axis=0)[-1] + 0.0
-    # B^T Psum and D^T P^(0) serve both W and H; B.T @ Psum @ B evaluates
-    # left to right, so the products are the same floats.
-    BtP, DtP = B.T @ Psum, D.T @ Pn[0]
+def _index_sum(Pn: np.ndarray) -> np.ndarray:
+    """P^(0) + P^(1) + ... of the stack Pn, added in index order as a loop
+    would (reduce may sum pairwise); the trailing + 0.0 makes the sum start
+    from zero, which only turns an all -0.0 entry into 0.0."""
+    return np.add.accumulate(Pn, axis=0)[-1] + 0.0
+
+
+def _wh_into(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
+             Bt: np.ndarray, Dt: np.ndarray, Psum: np.ndarray, P0: np.ndarray,
+             R: np.ndarray, W: np.ndarray, H: np.ndarray) -> None:
+    """W_k = R + B^T Psum B + D^T P0 D (symmetrized) and H_k = B^T Psum A +
+    D^T P0 C, written into W and H; Psum is sum_{i<=limit} P^(i)_{k+1} (the
+    summation limit is min(k+1-t, d) in the piecewise system, d in the
+    single-region one) and P0 = P^(0)_{k+1}. The one W/H formula of the
+    package.
+
+    Every argument may carry a leading step axis: then the row j of each
+    belongs to one step, and W and H are (steps, m, m) and (steps, m, n).
+    Bt and Dt are B and D with their last two axes swapped (B.T for one
+    step), passed in because a stack's transpose is a call, not an
+    attribute. Each row gets the floats of the one-step call."""
+    # B^T Psum and D^T P0 serve both W and H; B^T Psum B evaluates left to
+    # right, so the products are the same floats.
+    BtP, DtP = Bt @ Psum, Dt @ P0
     symmetrize(R + BtP @ B + DtP @ D, out=W)
     np.add(BtP @ A, DtP @ C, out=H)
 
@@ -157,8 +166,9 @@ def _wh_from_next(problem: ProblemData, P: Mapping, k: int, limit: int,
     """W_k and H_k (see _wh_into) from the blocks P^(0..limit)_{k+1} of a
     mapping keyed (i, k)."""
     Pn = np.stack([P[(i, k + 1)] for i in range(limit + 1)])
+    B, D = problem.B[k], problem.D[k]
     W, H = np.empty((problem.m, problem.m)), np.empty((problem.m, problem.n))
-    _wh_into(problem, Pn, k, R, W, H)
+    _wh_into(problem.A[k], B, problem.C[k], D, B.T, D.T, _index_sum(Pn), Pn[0], R, W, H)
     return W, H
 
 
@@ -214,13 +224,30 @@ class _StackedBlocks(Mapping):
     def __len__(self) -> int:
         return len(self.buffer)
 
-    def sorted_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """The keys (i, k) in sorted order, and the buffer row of each: the
-        stack of time k starts at row start[k - t], and P^(i)_k (k = t+i..N)
-        is its row i."""
+    def starts(self) -> np.ndarray:
+        """The buffer row where the stack of each time begins, indexed by
+        k - t: P^(i)_k is row starts()[k - t] + i."""
+        sizes = np.minimum(np.arange(self.N - self.t, -1, -1), self.d) + 1   # times N..t
+        return (np.cumsum(sizes) - sizes)[::-1]
+
+    def next_sums(self) -> np.ndarray:
+        """sum_i P^(i)_{k+1} for k = t..N-1, one row per step k - t: a
+        running sum over i of the rows that have P^(i)_{k+1} (the steps
+        k >= t + i - 1, a suffix), so at most d + 1 adds. Each row is the
+        floats of _index_sum(self.stacks[k + 1])."""
         t, N, d = self.t, self.N, self.d
-        sizes = np.minimum(np.arange(N - t, -1, -1), d) + 1       # times N..t
-        start = (np.cumsum(sizes) - sizes)[::-1]
+        n, start = self.buffer.shape[-1], self.starts()
+        Psum = np.zeros((N - t, n, n))
+        for i in range(min(N - t, d) + 1):
+            first = max(i - 1, 0)
+            Psum[first:] += self.buffer[start[first + 1:] + i]
+        return Psum
+
+    def sorted_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The keys (i, k) in sorted order, and the buffer row of each (see
+        starts; P^(i)_k is defined for k = t+i..N)."""
+        t, N, d = self.t, self.N, self.d
+        start = self.starts()
         top = min(N - t, d)
         keys = [(i, k) for i in range(top + 1) for k in range(t + i, N + 1)]
         return keys, np.concatenate([start[i:] + i for i in range(top + 1)])
@@ -257,9 +284,9 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
             )
         for k in range(N - 1, t - 1, -1):
             j = k - t
-            A, C = problem.A[k], problem.C[k]
+            A, B, C, D = problem.A[k], problem.B[k], problem.C[k], problem.D[k]
             Wk, Hk = W[j], H[j]
-            _wh_into(problem, Pn, k, R[j], Wk, Hk)
+            _wh_into(A, B, C, D, B.T, D.T, _index_sum(Pn), Pn[0], R[j], Wk, Hk)
             if S is not None:
                 Hk += S[j]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):

@@ -13,12 +13,15 @@ from delq.model import DEPTH_CAP_ENV
 #: (FEAS_TOL folded into PSD_TOL, which it always equalled; the one-call
 #: operator wrappers inlined into apply_operators; STACKED_DIM_CAP bounded
 #: the oracle's dense fallback, and the depth cap bounds the elimination;
-#: every row-form use of quadratic_rows was a mean, now expected_quadratic).
+#: every row-form use of quadratic_rows was a mean, now expected_quadratic;
+#: the per-step state_gap and correction_matrix gave way to the stacked slack
+#: pass and live on in the tests as its reference).
 REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
            "sym_eig", "SymEigDecomposition", "range_contained", "candidate_wh",
            "FEAS_TOL", "state_response", "control_response", "adjoint_state",
            "adjoint_control", "adjoint_terminal_state", "adjoint_terminal_control",
-           "cond_expect", "open_loop_from_values", "STACKED_DIM_CAP", "quadratic_rows")
+           "cond_expect", "open_loop_from_values", "STACKED_DIM_CAP", "quadratic_rows",
+           "state_gap", "correction_matrix")
 
 
 def test_every_exported_name_resolves():

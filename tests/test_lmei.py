@@ -38,8 +38,6 @@ from delq.lmei import (
     _CONSTRUCT_CONSISTENCY_TOL,
     ConstraintStatus,
     LmeiReport,
-    correction_matrix,
-    state_gap,
 )
 from delq.riccati import (
     SOLVABLE_ALL_PAIRS,
@@ -328,7 +326,33 @@ def test_auxiliary_cost_validates_start_time(scalar, scalar_solution):
 
 
 # ---------------------------------------------------------------------------
-# Helper algebra on candidates
+# Helper algebra on candidates: the per-step slack, which the stacked pass
+# computes for all steps at once
+
+def state_gap(cand, problem, k):
+    """Q_k + A^T (P~^(0)+P~^(1))_{k+1} A + C^T P~^(0)_{k+1} C - P~^(0)_k:
+    the slack of the relaxed P~^(0) recursion (must be PSD for k > t; at
+    k = t it is the upper-left entry of the block constraint)."""
+    A, C = problem.A[k], problem.C[k]
+    inner = cand.P_at(0, k + 1) + cand.P_at(1, k + 1)
+    return symmetrize(
+        problem.Q[k] + A.T @ inner @ A + C.T @ cand.P_at(0, k + 1) @ C - cand.P_at(0, k)
+    )
+
+
+def correction_matrix(cand, problem, k):
+    """Upper-left entry of the block constraint for k > t:
+    -P~^(d)_k deep in the horizon, A^T P~^(k+1-t)_{k+1} A - P~^(k-t)_k in the
+    ramp-up region t < k < t+d."""
+    t, d = cand.t, cand.d
+    if k <= t:
+        raise ValidationError("no correction matrix at the initial time")
+    r = min(k - t, d)
+    if r == d:
+        return symmetrize(-cand.P_at(d, k))
+    A = problem.A[k]
+    return symmetrize(A.T @ cand.P_at(r + 1, k + 1) @ A - cand.P_at(r, k))
+
 
 def test_candidate_wh_and_gap_match_recursion_outputs(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
@@ -533,16 +557,19 @@ def test_stacked_layer_matches_per_constraint_loop():
 
 def test_check_membership_makes_a_fixed_number_of_decompositions(monkeypatch):
     """The constraints are graded in stacked calls: as many eigvalsh (and
-    svd) calls at N = 20 as at N = 200."""
-    counts = []
+    svd) calls at N = 20 as at N = 200. The slack pass and the construction
+    outside the backward kernel are stacked too: as many symmetrize and
+    _wh_into calls at N = 20 as at N = 200."""
+    counts, built = [], []
     for horizon in (20, 200):
         problem = nonneg_problem(7, n=2, m=2, horizon=horizon, d=6)
         cand = zero_candidate(problem, 0)
         calls = {"eigvalsh": 0, "svd": 0}
+        stacked = {"symmetrize": 0, "_wh_into": 0}
 
-        def counting(name, fn):
+        def counting(name, fn, tally=calls):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                tally[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -552,10 +579,19 @@ def test_check_membership_makes_a_fixed_number_of_decompositions(monkeypatch):
                 if module is not None:
                     for name in calls:
                         patch.setattr(module, name, counting(name, getattr(module, name)))
+            # lmei's own names: the backward kernel calls riccati's.
+            for name in stacked:
+                patch.setattr(lmei, name, counting(name, getattr(lmei, name), stacked))
             assert len(check_membership(cand, problem, 0).constraints) > horizon
-        counts.append(calls)
+            counts.append(dict(calls))
+            checked = dict(stacked)
+            assert len(construct_from_candidate(cand, problem, 0).W) == horizon
+        built.append((checked, {name: stacked[name] - checked[name] for name in stacked}))
     assert counts[0] == counts[1]
     assert counts[0]["eigvalsh"] > 0
+    assert built[0] == built[1]
+    for tally in built[0]:
+        assert tally["symmetrize"] > 0 and tally["_wh_into"] > 0
 
 
 def test_overflowing_symmetrization_is_a_numerical_breakdown():
@@ -603,6 +639,58 @@ def test_overflowing_slack_is_a_numerical_breakdown():
     entries[(0, 3)] = np.array([[-8e307]])
     with pytest.raises(ConsistencyError, match=r"non-finite candidate slack at k=3$"):
         check_membership(make_candidate(big_g, 0, entries), big_g, 0)
+
+
+def _reference_breakdown(cand, problem, t):
+    """The step the per-step slack loop names for a candidate with
+    non-finite slack: the earliest k whose W~, H~, state gap, block
+    upper-left entry or middle-index residual is not finite, else N for a
+    non-finite symmetrized terminal gap; None when every quantity is finite."""
+    N, d = cand.N, cand.d
+    with np.errstate(all="ignore"):
+        for k in range(t, N):
+            W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+            quantities = [W, H, state_gap(cand, problem, k)]
+            if k > t:
+                quantities.append(correction_matrix(cand, problem, k))
+                A = problem.A[k]
+                quantities += [cand.P_at(i, k) - A.T @ cand.P_at(i + 1, k + 1) @ A
+                               for i in range(1, min(k - t, d))]
+            if not all(np.isfinite(M).all() for M in quantities):
+                return k
+        if not np.isfinite(symmetrize(problem.G - cand.P_at(0, N))).all():
+            return N
+    return None
+
+
+def test_overflow_at_an_interior_step_names_that_step():
+    """The stacked pass maps its rows back to steps by index arithmetic: a
+    candidate whose only non-finite slack is a middle-index residual deep in
+    the horizon, or a ramp-up correction, is refused at the step the
+    per-step loop names. A_k = 1e5 with B_k = 0 lets A^T P~^(i)_{k+1} A
+    overflow while W~_k, H~_k and the state gap stay finite."""
+    t, N, d = 1, 9, 4
+    for k, i, quantity in ((6, 3, "equality"), (3, 3, "correction")):
+        A, B = np.ones((N, 1, 1)), np.ones((N, 1, 1))
+        A[k], B[k] = 1e5, 0.0
+        one = np.ones((N, 1, 1))
+        problem = ProblemData(n=1, m=1, N=N, d=d, A=A, B=B, C=one, D=one, Q=one, R=one,
+                              G=[[1.0]])
+        entries = dict(zero_candidate(problem, t).P)
+        entries[(i, k + 1)] = np.array([[1e300]])
+        cand = make_candidate(problem, t, entries)
+        assert _reference_breakdown(cand, problem, t) == k, quantity
+        # the overflowing quantity is the one this case is about
+        with np.errstate(over="ignore"):
+            if quantity == "equality":
+                assert k - t >= d and not np.isfinite(A[k].T @ cand.P_at(i, k + 1) @ A[k]).all()
+            else:
+                assert t < k < t + d and i == k - t + 1
+                assert not np.isfinite(correction_matrix(cand, problem, k)).all()
+        for fn in (check_membership, construct_from_candidate):
+            with pytest.raises(ConsistencyError,
+                               match=rf"numerical breakdown: non-finite candidate slack at k={k}$"):
+                fn(cand, problem, t)
 
 
 def test_overflowing_margin_is_a_numerical_breakdown():
