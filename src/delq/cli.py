@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--x", type=_csv_vector, required=True)
     sp.add_argument("--noise", choices=("rademacher", "gaussian"), default="rademacher")
     sp.add_argument("--samples", type=int, default=None,
-                    help="Monte-Carlo sample count (omit for exact enumeration)")
+                    help="Monte-Carlo sample count (omit for the exact expectation)")
     sp.add_argument("--seed", type=int, default=0,
                     help="Monte-Carlo seed, in [0, 2^128)")
 
@@ -275,12 +275,7 @@ def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     policy = feedback_policy(solve_riccati(problem, args.t, args.pinv_tol))
     if args.samples is None:
-        if args.noise != "rademacher":
-            raise ValidationError(
-                "exact mode enumerates the two-point noise tree; "
-                "pass --samples for gaussian evaluation"
-            )
-        result = exact_cost(problem, args.t, args.x, policy)
+        result = exact_cost(problem, args.t, args.x, policy, noise=args.noise)
     else:
         result = monte_carlo_cost(problem, args.t, args.x, policy,
                                   noise=args.noise, samples=args.samples,

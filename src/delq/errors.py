@@ -16,9 +16,10 @@ class ValidationError(DelqError, ValueError):
 
 
 class ResourceLimitError(DelqError, ValueError):
-    """The configured tree-depth cap (``DELQ_DEPTH_CAP``), which bounds every
-    route that enumerates the scenario tree, the oracle included, would be
-    exceeded."""
+    """A configured work cap would be exceeded: the tree-depth cap
+    (``DELQ_DEPTH_CAP``), which bounds every route that enumerates the
+    scenario tree, the oracle included, or the Monte-Carlo path-step cap
+    (``DELQ_PATH_STEP_CAP``) on samples x (N - t)."""
 
 
 class UnsolvableError(DelqError, RuntimeError):

@@ -399,7 +399,13 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
         raise UnsolvableError(
             f"classification {report.classification} is too weak for a certificate"
         )
-    return make_candidate(problem, sol.t, dict(sol.P))
+    P = sol.P
+    if isinstance(P, _StackedBlocks) and (P.N, P.d, P.buffer.shape[-1]) == (
+            problem.N, problem.d, problem.n):
+        # the kernel's buffer is already in the candidate's layout
+        _check_candidate_args(problem, sol.t)
+        return _candidate(problem, sol.t, P.buffer)
+    return make_candidate(problem, sol.t, dict(P))
 
 
 def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,

@@ -31,18 +31,24 @@ DEPTH_CAP_ENV = "DELQ_DEPTH_CAP"
 _ASYM_TOL = 1e-9
 
 
-def depth_cap() -> int:
-    """Tree depth cap; the DELQ_DEPTH_CAP environment variable overrides."""
-    raw = os.environ.get(DEPTH_CAP_ENV)
+def _env_cap(name: str, default: int) -> int:
+    """A nonnegative integer resource cap that the environment variable
+    `name` overrides: the one parser of every cap."""
+    raw = os.environ.get(name)
     if raw is None:
-        return DEFAULT_DEPTH_CAP
+        return default
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise ValidationError(f"{DEPTH_CAP_ENV} must be an integer, got {raw!r}") from exc
+        raise ValidationError(f"{name} must be an integer, got {raw!r}") from exc
     if cap < 0:
-        raise ValidationError(f"{DEPTH_CAP_ENV} must be nonnegative, got {cap}")
+        raise ValidationError(f"{name} must be nonnegative, got {cap}")
     return cap
+
+
+def depth_cap() -> int:
+    """Tree depth cap; the DELQ_DEPTH_CAP environment variable overrides."""
+    return _env_cap(DEPTH_CAP_ENV, DEFAULT_DEPTH_CAP)
 
 
 def measurable_level(t: int, d: int, k: int) -> int:
@@ -445,42 +451,30 @@ def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.
     return nxt.reshape(2 * rows, n)
 
 
-def _sweep(problem: ProblemData, t: int, x, policy: Policy, start: int | None = None):
+def rollout(problem: ProblemData, t: int, x, policy: Policy,
+            start: int | None = None) -> Trajectory:
     """Run the dynamics from `start` (default t) on the tree of times t..N,
     which build_tree makes here from (t, problem.N), under the DELQ_DEPTH_CAP
-    depth cap; yield (k, X_k, u_k) level by level, with u_N None.
+    depth cap: the states at full resolution, the controls at their
+    information level.
 
     The initial vector is placed on every node at time `start`; controls are
     evaluated at their information level and broadcast to the nodes they act
     on. For start > t, controls at times k with max(t, k-d) < start are
-    coarser than the state resolution, as the delayed information dictates.
-    A level is released once the next one is built, unless the caller keeps it."""
+    coarser than the state resolution, as the delayed information dictates."""
     tree = build_tree(t, problem.N)
     start = t if start is None else start
     if not t <= start <= tree.end:
         raise ValidationError(f"start {start} outside tree range")
     x = _check_state(x, problem.n)
     _check_policy(policy, problem, t, start)
-    X = np.tile(x, (tree.n_nodes(start), 1))
+    states = [np.tile(x, (tree.n_nodes(start), 1))]
+    controls = []
     for k in range(start, problem.N):
-        u = policy_control(policy, problem, t, k, X)
-        yield k, X, u
-        X = tree_step(problem, k, X, u)
-    yield problem.N, X, None
-
-
-def rollout(problem: ProblemData, t: int, x, policy: Policy,
-            start: int | None = None) -> Trajectory:
-    """Every level of the sweep (``_sweep``) from `start` (default t) on the
-    tree of times t..N: the states at full resolution, the controls at their
-    information level."""
-    levels = list(_sweep(problem, t, x, policy, start))
-    tree = ScenarioTree(start=t, end=problem.N)  # the sweep built it, under the cap
-    return Trajectory(
-        states=AdaptedProcess(tree=tree, first=levels[0][0],
-                              values=tuple(X for _, X, _ in levels)),
-        controls=tuple(u for _, _, u in levels[:-1]),
-    )
+        controls.append(policy_control(policy, problem, t, k, states[-1]))
+        states.append(tree_step(problem, k, states[-1], controls[-1]))
+    return Trajectory(states=AdaptedProcess(tree=tree, first=start, values=tuple(states)),
+                      controls=tuple(controls))
 
 
 def quadratic_columns(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -498,28 +492,16 @@ def expected_quadratic(X: np.ndarray, M: np.ndarray) -> float:
     return float(np.sum((X.T @ X) * M) / X.shape[0])
 
 
-def _levels_cost(problem: ProblemData, levels) -> float:
-    """Exact expected cost of the (k, X_k, u_k) levels of one sweep: X^T Q X
-    and u^T R u on every level, X^T G X on the last (u_N is None); each level
-    is reduced as it arrives."""
-    total = 0.0
-    for k, X, u in levels:
-        if u is None:
-            total += expected_quadratic(X, problem.G)
-        else:
-            total += expected_quadratic(X, problem.Q[k])
-            total += expected_quadratic(u, problem.R[k])
-    return total
-
-
 def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:
     """Exact expected cost of a simulated trajectory: the probability-weighted
     sum of X^T Q X and u^T R u over all nodes, plus the terminal X^T G X.
     Controls contribute at their own (coarse) resolution; states at full."""
     N = problem.N
-    levels = ((k, traj.states.at(k), traj.control_at(k) if k < N else None)
-              for k in range(traj.first, N + 1))
-    return _levels_cost(problem, levels)
+    total = 0.0
+    for k in range(traj.first, N):
+        total += expected_quadratic(traj.states.at(k), problem.Q[k])
+        total += expected_quadratic(traj.control_at(k), problem.R[k])
+    return total + expected_quadratic(traj.states.at(N), problem.G)
 
 
 def zero_policy(problem: ProblemData, t: int, start: int | None = None) -> OpenLoopPolicy:

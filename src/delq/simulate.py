@@ -1,17 +1,24 @@
-"""Policy evaluation: exact tree enumeration and Monte-Carlo estimation.
+"""Policy evaluation: exact expectation by second moments, and Monte Carlo.
 
-Exact mode sums the cost over every noise path (Rademacher tree), so it is
-an expectation, not an estimate. It streams the tree: the forward sweep
-yields one level at a time and each level is costed as it arrives, by its
-Gram form sum((X^T X) * M) / rows, so only the current level and the next
-are ever in memory. Monte-Carlo mode exists for scale and for
-Gaussian noise. Feedback policies there compute the delayed conditional
-mean E_{k-d}[X_k] with the innovation form of the implementable predictor:
-the mean dynamics plus each step's noise term, carried forward by a product
-of A's once it is d steps old. A step then costs the same whatever d is,
-and nothing is resampled. ``predictor`` is the direct per-path reference
-(replay the realized path to time k-d, then iterate the mean dynamics), and
-the tests hold the two routes to each other.
+Exact mode computes the expected cost of a feedback policy, not an
+estimate, by one forward pass over second moments (``exact_cost``). With
+y_k = E_{max(t,k-d)}[X_k], the controller's delayed prediction, the pass
+carries M_k = E[X_k X_k^T] and Sigma_k = E[y_k y_k^T]; the cost of a step is
+linear in them, and each step costs a fixed number of n x n products,
+whatever d is. Only E w = 0 and E w^2 = 1 enter, so the result is the same
+under Rademacher and Gaussian noise. Nothing is enumerated: the pass is
+linear in the horizon, and the DELQ_DEPTH_CAP tree-depth cap does not
+apply to it. The result reports no sample count (``samples`` is None).
+
+Monte-Carlo mode draws paths. Feedback policies there compute the delayed
+conditional mean E_{k-d}[X_k] with the innovation form of the implementable
+predictor: the mean dynamics plus each step's noise term, carried forward by
+a product of A's once it is d steps old. A step then costs the same whatever
+d is, and nothing is resampled. ``predictor`` is the direct per-path
+reference (replay the realized path to time k-d, then iterate the mean
+dynamics), and the tests hold the two routes to each other. The work,
+samples x (N - t) path-steps, is capped by DELQ_PATH_STEP_CAP (10^9 by
+default); a larger request is refused before anything is drawn.
 
 The noise is streamed: chunks of ``MC_CHUNK`` rows are drawn in order from
 one counter-based generator keyed by the seed (the same numbers as one
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
 from .linalg import pinv
 from .model import (
     FeedbackPolicy,
@@ -45,8 +52,7 @@ from .model import (
     _check_policy,
     _check_solve_args,
     _check_state,
-    _levels_cost,
-    _sweep,
+    _env_cap,
     block_mean,
     build_tree,
     ensure_valid,
@@ -67,12 +73,17 @@ GAUSSIAN = "Gaussian"
 #: worker counts) so the floating-point reduction order is reproducible.
 MC_CHUNK = 4096
 
+#: Default cap on Monte-Carlo work, samples x (N - t) path-steps (about a
+#: minute at tens of ns per path-step); DELQ_PATH_STEP_CAP overrides it.
+DEFAULT_PATH_STEP_CAP = 10**9
+PATH_STEP_CAP_ENV = "DELQ_PATH_STEP_CAP"
+
 
 @dataclass(frozen=True)
 class EvaluationResult:
     mean: float
     std_error: float
-    samples: int
+    samples: int | None
     mode: str
     noise: str
     seed: int | None
@@ -88,22 +99,66 @@ class EvaluationResult:
         }
 
 
-def exact_cost(problem: ProblemData, t: int, x, policy: Policy) -> EvaluationResult:
-    """Exact expected cost: probability-weighted sum over all 2^(N-t) paths of
-    the tree the forward sweep builds, under the DELQ_DEPTH_CAP depth cap
-    (0 <= t <= N; x^T G x at N). The sweep is reduced level by level, so
-    only the current level and the next are in memory; each level costs its
-    Gram form sum((X^T X) * M) / rows, so the mean equals trajectory_cost
-    of the same rollout exactly. A cost that overflows raises
-    ConsistencyError."""
+def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
+               noise: str = "rademacher") -> EvaluationResult:
+    """Exact expected cost of a feedback policy from (t, x), 0 <= t <= N
+    (x^T G x at N), by one forward pass over second moments.
+
+    With y_k = E_{max(t,k-d)}[X_k], the pass carries M_k = E[X_k X_k^T] and
+    Sigma_k = E[y_k y_k^T] from M_t = Sigma_t = x x^T. Since E[X_k y_k^T] =
+    Sigma_k, the moment of (X_k, u_k) is Z = [[M, Sigma K^T], [K Sigma,
+    K Sigma K^T]], and each step makes
+
+        V_k = [C D] Z [C D]^T          (the innovation's second moment),
+        M_{k+1} = [A B] Z [A B]^T + V_k,
+        Sigma_{k+1} = (A + BK) Sigma (A + BK)^T + Phi_{k+1} V_{k-d} Phi_{k+1}^T,
+
+    the last term once the innovation of step k-d is revealed (k >= t + d;
+    Phi_{k+1} as in ``_step_operands``). A step costs tr(Q_k M_k) +
+    tr(R_k K Sigma K^T). Only E w = 0 and E w^2 = 1 enter, so the value is
+    that of either noise model; `noise` names the one reported. The pass
+    reads the problem and the gains only, never a recursion's P, W or H.
+    Open-loop controls are indexed by tree atoms, so an OpenLoopPolicy is
+    refused (``rollout`` and ``trajectory_cost`` cost those on the tree). A
+    cost that overflows raises ConsistencyError."""
     ensure_valid(problem)
+    N, n, d = problem.N, problem.n, problem.d
+    if not 0 <= t <= N:
+        raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N = {N}")
+    noise_label = _normalize_noise(noise)
+    x = _check_state(x, n)
+    _check_policy(policy, problem, t, t)
+    if not isinstance(policy, FeedbackPolicy):
+        raise ValidationError(
+            "exact evaluation takes a feedback policy; open-loop controls are "
+            "indexed by tree atoms"
+        )
+    F = np.block([[problem.A[t:], problem.B[t:]], [problem.C[t:], problem.D[t:]]])
+    Z = np.empty((n + problem.m, n + problem.m))
+    window: deque[np.ndarray] = deque()   # the V's still to be revealed
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = _levels_cost(problem, _sweep(problem, t, x, policy))
+        M = Sigma = np.outer(x, x)
+        for k, (A, B, _, _, K, Phi) in enumerate(_step_operands(problem, t, policy), start=t):
+            KS = K @ Sigma
+            Z[:n, :n] = M
+            Z[n:, :n] = KS
+            Z[:n, n:] = KS.T
+            np.matmul(KS, K.T, out=Z[n:, n:])
+            total += np.vdot(problem.Q[k], M) + np.vdot(problem.R[k], Z[n:, n:])
+            S = F[k - t] @ Z @ F[k - t].T
+            V = S[n:, n:]
+            M = S[:n, :n] + V
+            closed = A + B @ K
+            Sigma = closed @ Sigma @ closed.T
+            if k + d < N:
+                window.append(V)
+            if Phi is not None:
+                Sigma += Phi @ window.popleft() @ Phi.T
+        mean = float(total + np.vdot(problem.G, M))
     _check_finite(mean, 0.0)
-    return EvaluationResult(
-        mean=mean, std_error=0.0,
-        samples=1 << (problem.N - t), mode=EXACT, noise=RADEMACHER, seed=None,
-    )
+    return EvaluationResult(mean=mean, std_error=0.0, samples=None, mode=EXACT,
+                            noise=noise_label, seed=None)
 
 
 def _check_finite(mean: float, std_error: float) -> None:
@@ -188,8 +243,8 @@ def _window_products(mats: list, d: int) -> list:
 
 
 def _step_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
-    """Left operands of the chunk products at k = t..N-1, built once per
-    call: (A_k, B_k, C_k, D_k, K_k, Phi_{k+1}).
+    """Left operands of the steps k = t..N-1 of a Monte-Carlo chunk or of
+    the moment pass, built once per call: (A_k, B_k, C_k, D_k, K_k, Phi_{k+1}).
 
     Phi_{k+1} = A_k A_{k-1} ... A_{k-d+1} (the identity at d = 0) carries the
     innovation e_{k-d}, revealed at time k+1-d, onto the conditional mean of
@@ -289,6 +344,12 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
         raise ValidationError(f"seed must be in [0, 2^128), got {seed}")
     noise_label = _normalize_noise(noise)
     steps = problem.N - t
+    limit = _env_cap(PATH_STEP_CAP_ENV, DEFAULT_PATH_STEP_CAP)
+    if samples * steps > limit:
+        raise ResourceLimitError(
+            f"Monte-Carlo work of {samples} samples x {steps} steps exceeds cap "
+            f"{limit} path-steps (set {PATH_STEP_CAP_ENV} to raise it)"
+        )
     x = _check_state(x, problem.n)
     _check_policy(policy, problem, t, t)
     if not isinstance(policy, FeedbackPolicy) and noise_label != RADEMACHER:

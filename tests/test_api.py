@@ -83,7 +83,6 @@ def test_no_route_takes_a_tree_or_a_cap():
 
 
 _ROUTES = {
-    "exact_cost": lambda p, sol: delq.exact_cost(p, 0, [1.0], delq.zero_policy(p, 0)),
     "assemble_quadratic": lambda p, sol: delq.assemble_quadratic(p, 0, [1.0]),
     "rollout": lambda p, sol: delq.rollout(p, 0, [1.0], delq.zero_policy(p, 0)),
     "solve_bsde": lambda p, sol: delq.solve_bsde(0, p, terminal=[[0.0]]),

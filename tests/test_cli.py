@@ -31,6 +31,7 @@ from delq.cli import (
     main,
 )
 from delq.model import ProblemData, save_problem
+from delq.simulate import PATH_STEP_CAP_ENV
 
 from conftest import nonneg_problem, notconvex_problem, scalar_problem
 
@@ -167,7 +168,7 @@ def test_simulate_exact_by_default(paths, capsys):
     code, payload = run_json(capsys, "simulate", "--problem", paths["scalar"],
                              "--x", "1")
     assert code == EXIT_OK
-    assert payload["mode"] == "Exact" and payload["samples"] == 8
+    assert payload["mode"] == "Exact" and payload["samples"] is None
     assert payload["mean"] == pytest.approx(0.25, abs=1e-12)
     assert payload["std_error"] == 0.0
 
@@ -181,11 +182,18 @@ def test_simulate_monte_carlo_is_reproducible(paths, capsys):
     assert capsys.readouterr().out == first  # bit-identical rerun
 
 
-def test_simulate_gaussian_requires_samples(paths, capsys):
-    code = main(["simulate", "--problem", paths["scalar"], "--x", "1",
-                 "--noise", "gaussian"])
-    assert code == EXIT_INVALID
-    assert "--samples" in capsys.readouterr().err
+def test_simulate_gaussian_exact_equals_rademacher_exact(paths, capsys):
+    """The exact mean needs only E w = 0 and E w^2 = 1: the same float under
+    either noise model, which the payload names."""
+    payloads = {}
+    for noise in ("rademacher", "gaussian"):
+        code, payloads[noise] = run_json(capsys, "simulate", "--problem", paths["benchmark"],
+                                         "--x", "1,-0.5", "--noise", noise)
+        assert code == EXIT_OK
+    assert payloads["gaussian"].pop("noise") == "Gaussian"
+    assert payloads["rademacher"].pop("noise") == "Rademacher"
+    assert payloads["gaussian"] == payloads["rademacher"]
+    assert payloads["gaussian"]["samples"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +505,9 @@ def test_json_output_is_json_dumps_indent_2(paths, capsys, argv):
      "seed must be in [0, 2^128), got -1"),
     (["simulate", "--x", "1,1", "--samples", "2", f"--seed={1 << 128}"], EXIT_INVALID,
      f"seed must be in [0, 2^128), got {1 << 128}"),
+    (["simulate", "--x", "1,1", "--samples", "100000000000000"], EXIT_INVALID,
+     "100000000000000 samples x 4 steps exceeds cap 1000000000 path-steps "
+     "(set DELQ_PATH_STEP_CAP to raise it)"),
     (["value", "--x", "1,1", "--pinv-tol", "nan"], EXIT_USAGE,
      "argument --pinv-tol: expected a number in [0, 1), got 'nan'"),
     (["value", "--x", "1,1", "--pinv-tol", "1"], EXIT_USAGE, "in [0, 1), got '1'"),
@@ -508,8 +519,8 @@ def test_json_output_is_json_dumps_indent_2(paths, capsys, argv):
     (["solve", "--psd-tol=-1e-9"], EXIT_USAGE, "nonnegative number, got '-1e-9'"),
     (["solve", "--psd-tol", "tight"], EXIT_USAGE,
      "argument --psd-tol: expected a number, got 'tight'"),
-], ids=["seed-negative", "seed-2^128", "pinv-nan", "pinv-1", "pinv-negative", "tol-nan",
-        "psd-inf", "psd-negative", "psd-text"])
+], ids=["seed-negative", "seed-2^128", "samples-10^14", "pinv-nan", "pinv-1", "pinv-negative",
+        "tol-nan", "psd-inf", "psd-negative", "psd-text"])
 def test_numeric_options_out_of_range_exit_with_a_precise_message(paths, capsys, argv,
                                                                    code, message):
     """A NaN cutoff used to drop every singular value (V = 169423.79 instead
@@ -539,8 +550,8 @@ _VALUE = ["value", "--x=1,-0.5"]
 
 @pytest.mark.parametrize("base, option, ints", [
     (_MC, "--seed", _ints(-3, 3)),
-    # Monte Carlo runs in time proportional to --samples: no int beyond 200.
-    (_MC, "--samples", st.integers(-2, 200)),
+    # Any int: the test lowers the path-step cap (see below).
+    (_MC, "--samples", _ints(-2, 200)),
     (_MC, "--t", _ints(-1, 4)),
     (["simulate", "--x=1,-0.5"], "--t", _ints(-1, 4)),
     (_VALUE, "--pinv-tol", _ints(-1, 1)),
@@ -552,9 +563,12 @@ _VALUE = ["value", "--x=1,-0.5"]
     (["lmei", "construct", "--certificate"], "--t", _ints(-1, 4)),
 ], ids=["mc-seed", "mc-samples", "mc-t", "exact-t", "value-pinv-tol", "value-psd-tol", "value-t",
         "value-k", "oracle-tol", "check-psd-tol", "construct-t"])
-def test_numeric_options_never_traceback_or_warn(paths, base, option, ints):
+def test_numeric_options_never_traceback_or_warn(paths, base, option, ints, monkeypatch):
     """Any number for a numeric option ends in a documented exit code, with
-    no exception escaping main() and no numpy warning."""
+    no exception escaping main() and no numpy warning. Monte Carlo runs in
+    time proportional to --samples, so a cap of 1000 path-steps (250 samples
+    on the benchmark's 4 steps) keeps every draw quick."""
+    monkeypatch.setenv(PATH_STEP_CAP_ENV, "1000")
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(_numbers(ints))

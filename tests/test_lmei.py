@@ -238,6 +238,18 @@ def test_certificate_refused_without_solvability():
         certificate_from_riccati(sol, prob)
 
 
+def test_certificate_is_the_kernel_buffer():
+    """A certificate takes the backward kernel's buffer as it is: the same
+    floats, in the same layout, as re-stacking dict(sol.P) through
+    make_candidate, in a copy that does not alias the solution."""
+    for _, problem, t, sol in uniquely_solvable_instances(5, start_seed=200):
+        cand = certificate_from_riccati(sol, problem)
+        want = make_candidate(problem, t, dict(sol.P))
+        assert np.array_equal(cand.P.buffer, want.P.buffer)
+        assert list(cand.P) == list(want.P)
+        assert not np.shares_memory(cand.P.buffer, sol.P.buffer)
+
+
 # ---------------------------------------------------------------------------
 # Construction
 

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,8 +11,10 @@ from delq import (
     FeedbackPolicy,
     OpenLoopPolicy,
     ProblemData,
+    ResourceLimitError,
     ValidationError,
     build_tree,
+    classify,
     completion_of_squares_residual,
     cost_decomposition_check,
     exact_cost,
@@ -18,15 +23,18 @@ from delq import (
     monte_carlo_cost,
     optimal_value,
     predictor,
+    problem_from_dict,
     rollout,
     shifted_policy,
     solve_riccati,
-    trajectory_cost,
     zero_policy,
 )
-from delq.model import block_mean, measurable_level, random_open_loop
+from delq.linalg import scale_floor
+from delq.model import DEPTH_CAP_ENV, block_mean, measurable_level, random_open_loop
+from delq.riccati import SOLVABLE_ALL_PAIRS
 from delq.simulate import (
     MC_CHUNK,
+    PATH_STEP_CAP_ENV,
     _chunk_costs,
     _enumerated_chunks,
     _noise_chunks,
@@ -35,68 +43,107 @@ from delq.simulate import (
 
 from delq.worked_example import benchmark_problem
 
-from conftest import draw_mixed, uniquely_solvable_instances
+from conftest import draw_mixed, tree_cost, uniquely_solvable_instances
 
 
 # ---------------------------------------------------------------------------
 # Exact evaluation
 
 def test_exact_cost_of_scalar_policies(scalar, scalar_solution):
-    idle = exact_cost(scalar, 0, [1.0], zero_policy(scalar, 0))
-    assert idle.mean == pytest.approx(1.0)      # state parks at 1, pay G
-    assert idle.std_error == 0.0
-    assert idle.samples == 8 and idle.mode == "Exact" and idle.seed is None
+    idle = tree_cost(scalar, 0, [1.0], zero_policy(scalar, 0))
+    assert idle == pytest.approx(1.0)      # state parks at 1, pay G
 
     best = exact_cost(scalar, 0, [1.0], feedback_policy(scalar_solution))
     assert best.mean == pytest.approx(0.25, abs=1e-12)
+    assert best.std_error == 0.0
+    assert best.samples is None and best.mode == "Exact" and best.seed is None
 
 
 def test_exact_cost_checks_initial_time(scalar):
-    # t < 0 would read A[-1], the last step, and add a spurious tree level
+    # t < 0 would read A[-1], the last step
+    idle = FeedbackPolicy(t=-1, d=2, gains=[[[0.0]]] * 5)
     with pytest.raises(ValidationError, match=r"initial time t=-1 must satisfy 0 <= t <= N = 3"):
-        exact_cost(scalar, -1, [1.0], zero_policy(scalar, -1))
+        exact_cost(scalar, -1, [1.0], idle)
     with pytest.raises(ValidationError, match="initial time t=4"):
-        exact_cost(scalar, 4, [1.0], zero_policy(scalar, 4))
-    # t = N has no control left: the cost is x^T G x on the single path
-    terminal = exact_cost(scalar, scalar.N, [2.0], zero_policy(scalar, scalar.N))
-    assert terminal.mean == 4.0 * scalar.G[0, 0] and terminal.samples == 1
+        exact_cost(scalar, 4, [1.0], idle)
+    # t = N has no control left: the cost is x^T G x
+    terminal = exact_cost(scalar, scalar.N, [2.0], FeedbackPolicy(t=scalar.N, d=2, gains=()))
+    assert terminal.mean == 4.0 * scalar.G[0, 0] and terminal.samples is None
 
 
-def test_exact_cost_is_trajectory_cost_of_the_rollout():
-    """The sweep reduced level by level and the kept rollout are costed by
-    the same per-level Gram form, in the same order: the same float."""
+@pytest.mark.parametrize("delay", ["zero", "drawn"])
+def test_exact_cost_matches_the_tree(delay):
+    """The moment pass against the 2^(N-t) paths of the tree, at d = 0 and
+    at the drawn d, from t = 0 and from t > 0."""
     starts = set()
-    for seed in range(12):
+    for seed in range(300):
         problem, t = draw_mixed(seed)
+        problem = dataclasses.replace(problem, d=0 if delay == "zero" else problem.d)
         starts.add(t > 0)
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=problem.n)
-        for policy in (feedback_policy(solve_riccati(problem, t)),
-                       random_open_loop(problem, t, rng)):
-            want = trajectory_cost(problem, rollout(problem, t, x, policy))
-            assert exact_cost(problem, t, x, policy).mean == want, seed
+        policy = feedback_policy(solve_riccati(problem, t))
+        x = np.random.default_rng(seed).normal(size=problem.n)
+        want = tree_cost(problem, t, x, policy)
+        got = exact_cost(problem, t, x, policy).mean
+        assert abs(got - want) <= 1e-13 * scale_floor(want), seed
     assert starts == {False, True}
 
 
-def test_exact_cost_holds_one_level_at_a_time():
-    """Depth 16, n = 2: the traced peak stays within 3 final levels (the
-    last level under construction, its parent and the stacked products),
-    where keeping every level would take 2 and its cost temporaries more."""
-    n, m, N, d = 2, 1, 16, 2
-    rng = np.random.default_rng(16)
+def _perfbench_workloads():
+    """The benchmark's instance generator, perfbench/workloads.py."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["recursion", "certify", "tree", "montecarlo"])
+def test_exact_cost_is_the_value_on_the_workload_grids(workload):
+    """On every solvable instance the benchmark draws (N up to 1000, d up
+    to 100) at seeds 1 and 2, the gain policy's exact cost from the slot's
+    initial state is x^T P x. The instances and states are drawn in the
+    order of workloads.build, without writing the problem files."""
+    workloads = _perfbench_workloads()
+    checked = 0
+    for seed in (1, 2):
+        rng = np.random.default_rng([workloads.WORKLOADS.index(workload), seed])
+        for j, slot in enumerate(workloads._GRIDS[workload]):
+            problem = problem_from_dict(workloads._draw(rng, slot))
+            x = rng.uniform(-1.0, 1.0, size=slot.n)
+            rng.integers(0, 2**31)   # the slot's Monte-Carlo seed
+            sol = solve_riccati(problem, 0)
+            report = classify(sol)
+            if not report.at_least(SOLVABLE_ALL_PAIRS):
+                continue
+            want = optimal_value(sol, 0, x, report)
+            got = exact_cost(problem, 0, x, feedback_policy(sol)).mean
+            assert abs(got - want) <= 1e-10 * scale_floor(want), (seed, j)
+            checked += 1
+    assert checked > 0
+
+
+def test_exact_cost_runs_past_the_depth_cap(monkeypatch):
+    """No tree: N = 400 runs under a depth cap of 2, and gives the value."""
+    monkeypatch.setenv(DEPTH_CAP_ENV, "2")
+    n, m, N, d = 2, 1, 400, 7
+    rng = np.random.default_rng(400)
     problem = ProblemData(n=n, m=m, N=N, d=d,
                           A=[0.6 * np.eye(n)] * N, B=[rng.normal(size=(n, m))] * N,
                           C=[rng.normal(scale=0.3, size=(n, n))] * N,
                           D=[rng.normal(scale=0.3, size=(n, m))] * N,
                           Q=[np.eye(n)] * N, R=[np.eye(m)] * N, G=np.eye(n))
-    policy = feedback_policy(solve_riccati(problem, 0))
-    tracemalloc.start()
-    try:
-        exact_cost(problem, 0, np.ones(n), policy)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * n * (1 << N)
+    sol = solve_riccati(problem, 0)
+    want = optimal_value(sol, 0, np.ones(n))
+    got = exact_cost(problem, 0, np.ones(n), feedback_policy(sol)).mean
+    assert abs(got - want) <= 1e-10 * scale_floor(want)
+
+
+def test_exact_cost_refuses_open_loop_policies(scalar):
+    """Open-loop controls are indexed by tree atoms; the CLI maps the
+    ValidationError to exit 2."""
+    with pytest.raises(ValidationError, match="exact evaluation takes a feedback policy"):
+        exact_cost(scalar, 0, [1.0], zero_policy(scalar, 0))
 
 
 def _malformed_policy(case):
@@ -137,7 +184,7 @@ def test_full_enumeration_reproduces_exact_mean(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=problem.n)
     u = random_open_loop(problem, t, rng)
-    exact = exact_cost(problem, t, x, u).mean
+    exact = tree_cost(problem, t, x, u)
     enum = monte_carlo_cost(problem, t, x, u, samples=1 << (problem.N - t),
                             full_enumeration=True)
     assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact))
@@ -155,7 +202,7 @@ def test_full_enumeration_of_feedback_policy_matches_tree(delay):
         starts.add(t > 0)
         policy = feedback_policy(solve_riccati(problem, t))
         x = np.random.default_rng(seed).normal(size=problem.n)
-        exact = exact_cost(problem, t, x, policy).mean
+        exact = tree_cost(problem, t, x, policy)
         enum = monte_carlo_cost(problem, t, x, policy, samples=1 << (problem.N - t),
                                 full_enumeration=True)
         assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact)), (seed, d)
@@ -351,6 +398,22 @@ def test_monte_carlo_argument_validation(scalar):
         monte_carlo_cost(scalar, 0, [1.0], u, samples=1)
     with pytest.raises(ValidationError, match="noise model"):
         monte_carlo_cost(scalar, 0, [1.0], u, noise="uniform")
+
+
+def test_monte_carlo_work_is_capped(scalar, scalar_solution, monkeypatch):
+    """samples x (N - t) above DELQ_PATH_STEP_CAP is refused before a draw;
+    the cap is read like DELQ_DEPTH_CAP."""
+    policy = feedback_policy(scalar_solution)
+    monkeypatch.setenv(PATH_STEP_CAP_ENV, "30")
+    assert monte_carlo_cost(scalar, 0, [1.0], policy, samples=10).samples == 10
+    with pytest.raises(ResourceLimitError,
+                       match=r"11 samples x 3 steps exceeds cap 30 path-steps"):
+        monte_carlo_cost(scalar, 0, [1.0], policy, samples=11)
+    with pytest.raises(ResourceLimitError, match="exceeds cap 30"):
+        monte_carlo_cost(scalar, 0, [1.0], policy, samples=10**14)
+    monkeypatch.setenv(PATH_STEP_CAP_ENV, "lots")
+    with pytest.raises(ValidationError, match="DELQ_PATH_STEP_CAP must be an integer"):
+        monte_carlo_cost(scalar, 0, [1.0], policy, samples=10)
 
 
 def test_deterministic_system_has_zero_standard_error():
