@@ -25,7 +25,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .jsontext import dumps
+from .jsontext import Records, dumps
 from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
@@ -314,10 +314,8 @@ def cmd_lmei(args) -> int:
 
         _emit(args, human, {
             "feasible": rep.feasible, "tol": rep.tol,
-            "constraints": [
-                {"kind": kind, "k": k, "i": i, "margin": margin, "satisfied": satisfied}
-                for kind, k, i, margin, satisfied in rep.constraints
-            ],
+            "constraints": Records(("kind", "k", "i", "margin", "satisfied"),
+                                   zip(*rep.constraints)),
         })
         return EXIT_OK if rep.feasible else EXIT_UNSOLVABLE
     sol = construct_from_candidate(cand, problem, args.t, args.psd_tol, args.pinv_tol)

@@ -6,17 +6,17 @@ tuples of str, int, bool, None and float), and also takes float arrays.
 generator step per value; the payloads hold up to ~10^5 floats. Here the
 structure of a float array, of a ``KeyedStack`` (an object whose values are
 the matrices of one stack, such as a solution's P blocks) and of a list of
-records that share their keys (such as the ``lmei check`` constraints) is a
-``%``-template built once, and its values are filled in by one ``%``-format:
-``%s`` of a float is ``float.__repr__``, which is how json writes a finite
-float. Non-finite floats become ``NaN``, ``Infinity`` and ``-Infinity``, as
-in json. A float array is emitted as ``json.dumps(a.tolist(), indent=2)``
-would emit it.
+records that share their keys (a list of dicts, or a ``Records`` of columns
+such as the ``lmei check`` constraints) is a ``%``-template built once, and
+its values are filled in by one ``%``-format: ``%s`` of a float is
+``float.__repr__``, which is how json writes a finite float. Non-finite
+floats become ``NaN``, ``Infinity`` and ``-Infinity``, as in json. A float
+array is emitted as ``json.dumps(a.tolist(), indent=2)`` would emit it.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -51,10 +51,32 @@ class KeyedStack(Mapping):
         return len(self.names)
 
 
+class Records(Sequence):
+    """Read-only sequence of dicts {keys[f]: columns[f][j]}: a JSON array of
+    objects with the same str keys in the same order, held as one column
+    per key, which ``dumps`` emits with one record template."""
+
+    __slots__ = ("keys", "columns")
+
+    def __init__(self, keys: tuple[str, ...], columns):
+        keys, columns = tuple(keys), tuple(columns)
+        if not keys or set(map(type, keys)) != {str} or len(set(keys)) != len(keys):
+            raise ValueError("records need one or more distinct str keys")
+        if len(columns) != len(keys) or len(set(map(len, columns))) != 1:
+            raise ValueError(f"{len(keys)} keys need as many columns of one length")
+        self.keys, self.columns = keys, columns
+
+    def __getitem__(self, j: int) -> dict:
+        return {key: column[j] for key, column in zip(self.keys, self.columns)}
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
 def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2)``, for float ndarrays and ``KeyedStack``
-    too (a float ndarray as its ``tolist()``, a ``KeyedStack`` as the dict it
-    maps)."""
+    """``json.dumps(obj, indent=2)``, for float ndarrays, ``KeyedStack`` and
+    ``Records`` too (a float ndarray as its ``tolist()``, a ``KeyedStack`` as
+    the dict it maps, ``Records`` as its list of dicts)."""
     return _encode(obj, 0)
 
 
@@ -97,6 +119,8 @@ def _encode(obj, level: int) -> str:
         return _object(obj, level)
     if isinstance(obj, KeyedStack):
         return _keyed_stack(obj, level)
+    if isinstance(obj, Records):
+        return _records(obj.keys, obj.columns, level) if len(obj) else "[]"
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _array_template(obj.shape, level) % _floats(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
@@ -157,17 +181,19 @@ def _list(items, level: int) -> str:
     if len(items) > 1 and set(map(type, items)) == {dict}:
         keys = set(map(tuple, items))          # 1, 1.0 and True would compare equal
         if len(keys) == 1 and set(map(type, *keys)) == {str}:
-            return _records(items, keys.pop(), level)
+            keys = keys.pop()
+            return _records(keys, [[r[k] for r in items] for k in keys], level)
     return _wrap("[", "]", [_encode(v, level + 1) for v in items], level)
 
 
-def _records(records: list[dict], keys: tuple, level: int) -> str:
-    """A list of dicts with the same str keys in the same order: one record
-    template, its fields filled column by column."""
+def _records(keys: tuple, columns, level: int) -> str:
+    """A non-empty list of records with the same str keys in the same order,
+    given as one column of values per key: one record template, its fields
+    filled column by column."""
     record = _wrap("{", "}", [f"{_escape(_encode_str(k))}: %s" for k in keys], level + 1)
-    columns = [_column([r[k] for r in records], level + 2) for k in keys]
-    template = _wrap("[", "]", [record] * len(records), level)
-    return template % tuple(chain.from_iterable(zip(*columns)))
+    texts = [_column(values, level + 2) for values in columns]
+    template = _wrap("[", "]", [record] * len(columns[0]), level)
+    return template % tuple(chain.from_iterable(zip(*texts)))
 
 
 def _column(values: list, level: int):

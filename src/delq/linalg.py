@@ -5,8 +5,10 @@ SVD pseudo-inverse with a relative cutoff, (semi)definiteness tests, the
 range-inclusion residual, the extended Schur block test (two independent
 routes) and, for the quadratic oracle, the spectrum, kernel and
 pseudo-inverse of each m x m elimination pivot from one symmetric
-eigendecomposition (``_pivot_pinv``). Every verdict is scaled by one floor,
-``scale_floor(X) = max(1, max|X|)``, through ``eig_margin`` (lambda_min,
+eigendecomposition (``_pivot_pinv``), and the spectral factors of a stack
+of symmetric weights (``spectral_factors``, the cost coordinates of a
+Monte-Carlo step). Every verdict is scaled by one floor, ``scale_floor(X)
+= max(1, max|X|)``, through ``eig_margin`` (lambda_min,
 and lambda_min over the floor of the spectrum) and ``rel_deviation``
 (max|err| over the floor of a reference). Below scale 1 the floor makes a
 relative tolerance absolute.
@@ -150,6 +152,13 @@ def _pinv(M: np.ndarray, rel_tol: float) -> np.ndarray:
     """``pinv`` without the argument checks, for a caller that has just
     checked M is a finite float matrix (the backward kernel's W_k)."""
     return np.linalg.pinv(M, rcond=rel_tol)
+
+
+def spectral_factors(S) -> tuple[np.ndarray, np.ndarray]:
+    """(vals, V) with symmetrize(S) = V diag(vals) V^T, V orthogonal, for a
+    matrix or for each matrix of a stack: x^T S x = sum_i vals_i (V^T x)_i^2.
+    The weights keep their signs, so an indefinite S is factored too."""
+    return np.linalg.eigh(symmetrize(_as_matrix(S, "S", stack=True)))
 
 
 def is_psd(S, tol: float = PSD_TOL) -> bool:

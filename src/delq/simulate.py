@@ -26,14 +26,21 @@ up-front draw), and each chunk's costs are reduced before the next is
 drawn, in a fixed order. Results are bit-identical across runs and memory
 does not grow with the sample count.
 
-Inside a chunk the paths are columns: the state, the predictor, the
-control and the innovations are C-contiguous (n, rows) and (m, rows)
-arrays, left-multiplied by the step's matrices, and each quadratic cost is
-a column sum. Every elementwise kernel then runs along the long axis (a
-(rows, n) layout loops over the length-n axis instead, several times
-slower for small n), and the step's products go into buffers allocated
-once per chunk. Feedback policies, open-loop policies and full
-enumeration run the same loop.
+Inside a chunk the paths are columns: the state and the prediction of
+every path form one C-contiguous (2n, rows) array s = [X; y]. Each step
+advances all of them with one product F_k s of a per-step operand built
+once per call (``_chunk_operands``): with the gain folded in (u = K y), its
+rows give the next state and the next prediction before their noise terms,
+the innovation before w_k, and the cost coordinates V^T X and U^T K y of
+Q_k = V diag(lam) V^T and R_k = U diag(mu) U^T. The step's cost is a second
+product, of [lam, mu] with the squared coordinates, so indefinite weights
+need nothing extra. The noise multiplies the innovation, the revealed
+innovation enters the prediction through one n x n product, and every
+elementwise kernel runs along the long axis into buffers allocated once
+per chunk. A step makes three products once an innovation is revealed and
+two before, whatever n, m and d are. Open-loop controls, read from each
+path's tree atom, take the prediction's place in s and enter the same
+product; full enumeration runs the same loop.
 """
 from __future__ import annotations
 
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .linalg import pinv
+from .linalg import pinv, spectral_factors
 from .model import (
     FeedbackPolicy,
     OpenLoopPolicy,
@@ -114,7 +121,7 @@ def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
         Sigma_{k+1} = (A + BK) Sigma (A + BK)^T + Phi_{k+1} V_{k-d} Phi_{k+1}^T,
 
     the last term once the innovation of step k-d is revealed (k >= t + d;
-    Phi_{k+1} as in ``_step_operands``). A step costs tr(Q_k M_k) +
+    Phi_{k+1} as in ``_phis``). A step costs tr(Q_k M_k) +
     tr(R_k K Sigma K^T). Only E w = 0 and E w^2 = 1 enter, so the value is
     that of either noise model; `noise` names the one reported. The pass
     reads the problem and the gains only, never a recursion's P, W or H.
@@ -139,7 +146,8 @@ def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         M = Sigma = np.outer(x, x)
-        for k, (A, B, _, _, K, Phi) in enumerate(_step_operands(problem, t, policy), start=t):
+        steps = zip(problem.A[t:], problem.B[t:], policy.gains[t - policy.t:], _phis(problem, t))
+        for k, (A, B, K, Phi) in enumerate(steps, start=t):
             KS = K @ Sigma
             Z[:n, :n] = M
             Z[n:, :n] = KS
@@ -242,25 +250,59 @@ def _window_products(mats: list, d: int) -> list:
     return windows
 
 
-def _step_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
-    """Left operands of the steps k = t..N-1 of a Monte-Carlo chunk or of
-    the moment pass, built once per call: (A_k, B_k, C_k, D_k, K_k, Phi_{k+1}).
-
-    Phi_{k+1} = A_k A_{k-1} ... A_{k-d+1} (the identity at d = 0) carries the
-    innovation e_{k-d}, revealed at time k+1-d, onto the conditional mean of
-    X_{k+1}; it is None for k < t+d, where no innovation is revealed. The
-    Phi's are sliding windows of d consecutive A's (``_window_products``),
-    so building them all costs O(N) products. K_k is None under an
-    open-loop policy."""
+def _phis(problem: ProblemData, t: int) -> list:
+    """Phi_{k+1} = A_k A_{k-1} ... A_{k-d+1} for k = t..N-1 (the identity at
+    d = 0): it carries the innovation e_{k-d}, revealed at time k+1-d, onto
+    the conditional mean of X_{k+1}. None for k < t+d, where no innovation
+    is revealed. The Phi's are sliding windows of d consecutive A's
+    (``_window_products``), so building them all costs O(N) products."""
     N, d = problem.N, problem.d
     if d == 0:
-        Phis = [np.eye(problem.n)] * (N - t)
-    else:
-        Phis = [None] * min(d, N - t) + _window_products(list(problem.A[t + 1:N]), d)
+        return [np.eye(problem.n)] * (N - t)
+    return [None] * min(d, N - t) + _window_products(list(problem.A[t + 1:N]), d)
+
+
+def _chunk_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
+    """Operands of the steps k = t..N-1 of a Monte-Carlo chunk, built once
+    per call: (F_k, c_k, Phi_{k+1}).
+
+    A chunk carries s = [X; z], with z = y (the prediction, n rows) under a
+    feedback policy and z = u (the control, m rows) under an open-loop one.
+    With the control u = L z (L = K_k, or the identity), F_k s stacks
+
+        A X + B L z          the next state before its noise term,
+        (A + B K) y          the next prediction before the revealed
+                             innovation (feedback only),
+        C X + D L z          the innovation before w_k,
+        V^T X and U^T L z    the cost coordinates,
+
+    where Q_k = V diag(lam) V^T and R_k = U diag(mu) U^T (``spectral_factors``).
+    c_k = [lam, mu, 1] weighs the squared cost coordinates and carries the
+    running cost: a step's cost is x^T Q x + u^T R u = lam . (V^T x)^2 +
+    mu . (U^T u)^2. Phi_{k+1} is ``_phis``'s (None under an open-loop
+    policy, which has no prediction to update)."""
+    n, m, N = problem.n, problem.m, problem.N
     feedback = isinstance(policy, FeedbackPolicy)
-    return [(problem.A[k], problem.B[k], problem.C[k], problem.D[k],
-             policy.gains[k - policy.t] if feedback else None, Phis[k - t])
-            for k in range(t, N)]
+    steps, p = N - t, n if feedback else 0
+    if feedback:
+        L = np.asarray(policy.gains[t - policy.t:N - policy.t]).reshape(steps, m, n)
+    else:
+        L = np.broadcast_to(np.eye(m), (steps, m, m))
+    z = L.shape[-1]
+    lam, V = spectral_factors(problem.Q[t:])
+    mu, U = spectral_factors(problem.R[t:])
+    A, BL = problem.A[t:], problem.B[t:] @ L
+    F = np.zeros((steps, 3 * n + p + m, n + z))
+    F[:, :n, :n], F[:, :n, n:] = A, BL
+    if feedback:
+        F[:, n:2 * n, n:] = A + BL
+    F[:, n + p:2 * n + p, :n], F[:, n + p:2 * n + p, n:] = problem.C[t:], problem.D[t:] @ L
+    F[:, 2 * n + p:3 * n + p, :n] = np.swapaxes(V, -1, -2)
+    F[:, 3 * n + p:, n:] = np.swapaxes(U, -1, -2) @ L
+    c = np.ones((steps, 1, n + m + 1))
+    c[:, 0, :n], c[:, 0, n:n + m] = lam, mu
+    Phis = _phis(problem, t) if feedback else [None] * steps
+    return list(zip(F, c, Phis))
 
 
 def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
@@ -268,62 +310,68 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
     """Path costs for one (rows, steps) chunk of noises, one cost per row.
 
     The paths are the columns of the chunk's arrays (see the module
-    docstring). The noise of step k, column k - t of the chunk, is read in
-    place and broadcast over the n rows of the innovation. A step costs a fixed
-    number of products, whatever d is: four for the state update, plus the
-    gain and two predictor products under a feedback policy. ``operands``
-    is ``_step_operands``."""
-    N, d = problem.N, problem.d
+    docstring), and ``operands`` is ``_chunk_operands``. A step advances
+    every path with one product P = F_k s, then
+
+        e = (innovation rows of P) * w_k,
+        X = (state rows of P) + e,
+        y = (prediction rows of P) + Phi_{k+1} e_{k-d}   (feedback),
+
+    and adds c_k . [(cost rows of P)^2; running cost] to the running cost
+    with a second product. The noise of step k, column k - t of the chunk,
+    is gathered into one contiguous row first. A feedback step makes three
+    products once an innovation is revealed (k >= t + d) and two before,
+    whatever n, m and d are; an open-loop step makes two, after reading
+    each path's control from its tree atom."""
+    n, m, N, d = problem.n, problem.m, problem.N, problem.d
     feedback = isinstance(policy, FeedbackPolicy)
     rows = noises.shape[0]
-    X = np.repeat(x[:, None], rows, axis=1)
-    work = np.empty_like(X)
-    uB = np.empty_like(X)
-    u = np.empty((problem.m, rows))
-    u_work = np.empty_like(u)
-    costs = np.zeros(rows)
+    p = n if feedback else 0
+    s = np.empty((n + (n if feedback else m), rows))
+    X, z = s[:n], s[n:]
+    X[...] = x[:, None]
+    if feedback:
+        z[...] = x[:, None]
+    # P's last row is the running cost of the steps so far, which the
+    # product F_k s leaves alone.
+    P = np.empty((3 * n + p + m + 1, rows))
+    P[-1] = 0.0
+    state, prediction = P[:n], P[n:n + p]
+    innovation, coords, weighed = P[n + p:2 * n + p], P[2 * n + p:-1], P[2 * n + p:]
+    w = np.empty(rows)
 
     # Innovation-form predictor: y = E_s[X_k] with s = max(t, k-d). With
     # e_j = (C_j X_j + D_j u_j) w_j, the noise term of the state update,
-    # y_{k+1} = A_k y_k + B_k u_k, plus Phi_{k+1} e_{k-d} once e_{k-d} is
-    # revealed (k >= t+d). The window holds the innovations that are still
-    # to be revealed; at d = 0 y equals X bit for bit. Step k writes e_k into
-    # ring[(k - t) % len(ring)]: with d + 1 slots, that slot's innovation was
-    # revealed by step k-1 (at d = 0, e_k itself is revealed in step k).
-    y = X.copy() if feedback else None
-    window: deque[np.ndarray] = deque()
-    ring = [np.empty_like(X) for _ in range(d + 1 if feedback and d < N - t else 1)]
+    # y_{k+1} = (A_k + B_k K_k) y_k, plus Phi_{k+1} e_{k-d} once e_{k-d} is
+    # revealed (k >= t+d). Step k writes e_k into ring[(k - t) % len(ring)]:
+    # with d + 1 slots, the slot of e_{k-d} is the one step k+1 overwrites
+    # (at d = 0, e_k itself is revealed in step k).
+    ring = [np.empty((n, rows)) for _ in range(d + 1 if feedback and d < N - t else 1)]
 
-    for k, (A, B, C, D, K, Phi) in enumerate(operands, start=t):
-        if feedback:
-            np.matmul(K, y, out=u)
-        else:
+    for j, (F, c, Phi) in enumerate(operands):
+        k = t + j
+        if not feedback:
             table = policy.controls[k - policy.start]
             idx = _atom_indices(noises, measurable_level(t, d, k) - t)
-            np.take(table.T, idx, axis=1, out=u)
+            np.take(table.T, idx, axis=1, out=z)
+        np.matmul(F, s, out=P[:-1])
+        np.square(coords, out=coords)
+        # the output is the input's last row: numpy reads the running cost
+        # before it writes the new one
+        np.matmul(c, weighed, out=P[-1:])
+        np.copyto(w, noises[:, j])
+        e = ring[j % len(ring)]
+        np.multiply(innovation, w, out=e)
+        np.add(state, e, out=X)
+        if Phi is not None:
+            # the innovation rows are spent: they take Phi e_{k-d}
+            np.matmul(Phi, ring[(j - d) % len(ring)], out=innovation)
+            np.add(prediction, innovation, out=z)
+        elif feedback:
+            np.copyto(z, prediction)
 
-        costs += quadratic_columns(X, problem.Q[k], out=work)
-        costs += quadratic_columns(u, problem.R[k], out=u_work)
-
-        np.matmul(B, u, out=uB)
-        e = ring[(k - t) % len(ring)]
-        np.matmul(C, X, out=e)
-        e += np.matmul(D, u, out=work)
-        e *= noises[:, k - t]
-        if feedback:
-            if k + d < N:
-                window.append(e)
-            np.matmul(A, y, out=work)
-            work += uB
-            y, work = work, y
-            if Phi is not None:
-                y += np.matmul(Phi, window.popleft(), out=work)
-        np.matmul(A, X, out=work)
-        work += uB
-        work += e
-        X, work = work, X
-
-    costs += quadratic_columns(X, problem.G, out=work)
+    costs = quadratic_columns(X, problem.G, out=state)
+    costs += P[-1]
     return costs
 
 
@@ -374,7 +422,7 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     # With one chunk this is the plain two-pass mean and deviation sum.
     # A chunk is reduced before the generator draws the next one into the
     # same buffer, so only one noise chunk is alive at a time.
-    operands = _step_operands(problem, t, policy)
+    operands = _chunk_operands(problem, t, policy)
     count, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for block in chunks:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import delq
-from delq.jsontext import KeyedStack, dumps
+from delq.jsontext import KeyedStack, Records, dumps
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
                   1e-7, 0.1, 1.7976931348623157e308]
@@ -118,6 +118,33 @@ def test_keyed_stack_is_a_read_only_mapping():
         obj["2,1"]
     with pytest.raises(ValueError, match="3 keys for a stack of 2"):
         KeyedStack(["a", "b", "c"], stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records(scalars), st.integers(0, 2))
+def test_column_records_are_emitted_as_the_list_of_dicts_they_map(rows, depth):
+    """Records holds the columns of a list of dicts with the same str keys;
+    dumps emits it as json emits that list, at every indent level."""
+    keys = tuple(rows[0])
+    obj = Records(keys, [[r[k] for r in rows] for k in keys])
+    want = rows
+    for _ in range(depth):
+        obj, want = {"x": [obj, 1]}, {"x": [want, 1]}
+    assert dumps(obj) == oracle(want)
+
+
+def test_column_records_are_a_read_only_sequence():
+    obj = Records(("kind", "k"), [("a", "b", "c"), (1, 2, None)])
+    assert len(obj) == 3 and list(obj) == [{"kind": "a", "k": 1}, {"kind": "b", "k": 2},
+                                           {"kind": "c", "k": None}]
+    assert obj[-1] == {"kind": "c", "k": None}
+    assert dumps(obj) == oracle(list(obj))
+    assert dumps(Records(("a",), [[]])) == oracle([]) == "[]"
+    assert dumps(Records(("a",), [[0.5]])) == oracle([{"a": 0.5}])
+    for keys, columns in (((), ()), (("a", "a"), ([1], [2])), ((1,), ([1],)),
+                          (("a", "b"), ([1],)), (("a", "b"), ([1], [2, 3]))):
+        with pytest.raises(ValueError):
+            Records(keys, columns)
 
 
 def test_no_other_json_encoder_in_the_package():

@@ -23,6 +23,7 @@ from delq.linalg import (
     eig_margin,
     rel_deviation,
     scale_floor,
+    spectral_factors,
 )
 from delq.model import _ASYM_TOL
 from delq.worked_example import REFERENCE_W, benchmark_report
@@ -280,6 +281,25 @@ def test_stacked_verdicts_equal_per_slice_verdicts(m, n):
     assert np.array_equal(pinv(W), np.stack([pinv(Wj) for Wj in W]))
     assert isinstance(eig_margin(W[0])[0], float)
     assert isinstance(range_residual(H[0], W[0]), float)
+
+
+def test_spectral_factors_keep_the_signs_of_indefinite_weights():
+    """x^T S x = sum_i vals_i (V^T x)_i^2 for every matrix of a stack,
+    indefinite ones included, with V orthogonal."""
+    rng = np.random.default_rng(3)
+    S = symmetrize(rng.normal(size=(12, 4, 4)))
+    vals, V = spectral_factors(S)
+    assert (vals.min(axis=-1) < 0).all() and (vals.max(axis=-1) > 0).any()
+    eye = np.broadcast_to(np.eye(4), S.shape)
+    assert np.max(np.abs(np.swapaxes(V, -1, -2) @ V - eye)) <= 1e-14
+    x = rng.normal(size=(12, 4))
+    direct = np.einsum("ki,kij,kj->k", x, S, x)
+    coords = np.einsum("kij,ki->kj", V, x)
+    assert np.max(np.abs(np.sum(vals * coords**2, axis=-1) - direct)) <= 1e-13
+    vals0, V0 = spectral_factors(S[0])
+    assert np.array_equal(vals0, vals[0]) and np.array_equal(V0, V[0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        spectral_factors(np.full((2, 2), np.inf))
 
 
 def test_stacked_inputs_are_checked_like_matrices():

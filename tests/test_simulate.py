@@ -38,7 +38,8 @@ from delq.simulate import (
     _chunk_costs,
     _enumerated_chunks,
     _noise_chunks,
-    _step_operands,
+    _phis,
+    _chunk_operands,
 )
 
 from delq.worked_example import benchmark_problem
@@ -209,72 +210,122 @@ def test_full_enumeration_of_feedback_policy_matches_tree(delay):
     assert starts == {False, True}
 
 
-def _unstable_problem(seed, d, N=11):
-    """n = 2, m = 1; every A_k has spectral radius 1.3."""
+def _unstable_problem(seed, d, N=11, n=2, m=1, indefinite=False):
+    """Every A_k has spectral radius 1.3. With `indefinite`, Q_k and R_k are
+    rotations of diagonals with both signs (R_k < 0 at m = 1), so the cost
+    coordinates of a Monte-Carlo step carry weights of mixed signs."""
     rng = np.random.default_rng(seed)
     A = []
     for _ in range(N):
-        basis = np.linalg.qr(rng.normal(size=(2, 2)))[0]
-        A.append(basis @ np.diag([1.3, rng.uniform(-1.0, 1.0)]) @ basis.T)
-    return ProblemData(
-        n=2, m=1, N=N, d=d, A=A,
-        B=[rng.normal(size=(2, 1)) for _ in range(N)],
-        C=[rng.normal(scale=0.4, size=(2, 2)) for _ in range(N)],
-        D=[rng.normal(scale=0.4, size=(2, 1)) for _ in range(N)],
-        Q=[np.eye(2)] * N, R=[np.eye(1)] * N, G=np.eye(2),
-    )
+        basis = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A.append(basis @ np.diag([1.3, *rng.uniform(-1.0, 1.0, size=n - 1)]) @ basis.T)
+    B = [rng.normal(size=(n, m)) for _ in range(N)]
+    C = [rng.normal(scale=0.4, size=(n, n)) for _ in range(N)]
+    D = [rng.normal(scale=0.4, size=(n, m)) for _ in range(N)]
+    Q, R = [np.eye(n)] * N, [np.eye(m)] * N
+    if indefinite:
+        def rotated(spectrum):
+            basis = np.linalg.qr(rng.normal(size=(len(spectrum),) * 2))[0]
+            return basis @ np.diag(spectrum) @ basis.T
+        Q = [rotated([1.0, -0.6, 0.8, -0.3][:n]) for _ in range(N)]
+        R = [rotated([-0.7, 0.9, -0.4, 0.5][:m]) for _ in range(N)]
+    return ProblemData(n=n, m=m, N=N, d=d, A=A, B=B, C=C, D=D, Q=Q, R=R, G=np.eye(n))
 
 
-@pytest.mark.parametrize("t, d", [(0, 5), (2, 6), (1, 9)])
+def _path_cost(problem, t, x, w, control):
+    """One path's cost, X_k and u_k = control(k) stepped one by one."""
+    X, cost = x, 0.0
+    for k in range(t, problem.N):
+        u = control(k)
+        cost += X @ problem.Q[k] @ X + u @ problem.R[k] @ u
+        X = problem.A[k] @ X + problem.B[k] @ u \
+            + (problem.C[k] @ X + problem.D[k] @ u) * w[k - t]
+    return cost + X @ problem.G @ X
+
+
+#: (n, m, indefinite) of the path-by-path tests: m in {1, 2, n}, and Q, R
+#: positive definite or indefinite.
+_SHAPES = [(2, 1, False)] + [(3, m, indefinite) for m in (1, 2, 3)
+                             for indefinite in (False, True)]
+
+
+@pytest.mark.parametrize("t, d", [(0, 5), (2, 6), (1, 9), (0, 0), (3, 0), (0, 11), (4, 7)])
 def test_chunk_predictor_matches_direct_predictor_path_by_path(t, d):
-    problem = _unstable_problem(t + d, d)
-    rng = np.random.default_rng(d)
-    gains = [rng.normal(scale=0.5, size=(1, 2)) for _ in range(problem.N - t)]
-    policy = FeedbackPolicy(t=t, d=d, gains=gains)
-    x = np.array([1.0, -0.5])
-    steps = problem.N - t
-    noises = np.vstack([1.0 - 2.0 * rng.integers(0, 2, size=(8, steps)),
-                        rng.standard_normal((8, steps))])
-    got = _chunk_costs(problem, t, x, policy, noises,
-                       _step_operands(problem, t, policy))
-    for path, w in enumerate(noises):
-        # Reference cost of the same path, with every control from the
-        # direct per-path predictor.
-        X, cost = x, 0.0
-        for k in range(t, problem.N):
-            s = measurable_level(t, d, k)
-            u = gains[k - t] @ predictor(problem, t, x, gains, k, noises=w[:s - t])
-            cost += X @ problem.Q[k] @ X + u @ problem.R[k] @ u
-            X = problem.A[k] @ X + problem.B[k] @ u \
-                + (problem.C[k] @ X + problem.D[k] @ u) * w[k - t]
-        cost += X @ problem.G @ X
-        assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), path
+    """The stacked step against the direct per-path predictor, on both noise
+    models, at d = 0, 0 < d < N - t and d >= N - t (no innovation is ever
+    revealed), from t = 0 and t > 0."""
+    for n, m, indefinite in _SHAPES:
+        problem = _unstable_problem(t + d, d, n=n, m=m, indefinite=indefinite)
+        rng = np.random.default_rng(d)
+        gains = [rng.normal(scale=0.5, size=(m, n)) for _ in range(problem.N - t)]
+        policy = FeedbackPolicy(t=t, d=d, gains=gains)
+        x = np.array([1.0, -0.5, 0.25][:n])
+        steps = problem.N - t
+        noises = np.vstack([1.0 - 2.0 * rng.integers(0, 2, size=(8, steps)),
+                            rng.standard_normal((8, steps))])
+        got = _chunk_costs(problem, t, x, policy, noises,
+                           _chunk_operands(problem, t, policy))
+        for path, w in enumerate(noises):
+            # Reference cost of the same path, with every control from the
+            # direct per-path predictor.
+            def control(k):
+                s = measurable_level(t, d, k)
+                return gains[k - t] @ predictor(problem, t, x, gains, k, noises=w[:s - t])
+            cost = _path_cost(problem, t, x, w, control)
+            assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), (n, m, path)
 
 
 @pytest.mark.parametrize("t", [0, 3])
 def test_chunk_open_loop_costs_match_direct_rollout_path_by_path(t):
     # Open-loop controls are read from the tree atom of each path's revealed
-    # prefix, w_t..w_{s-1} with s = max(t, k-d).
-    d = 2
-    problem = _unstable_problem(t + 7, d)
-    rng = np.random.default_rng(t)
-    policy = random_open_loop(problem, t, rng)
-    x = np.array([0.5, 1.0])
-    steps = problem.N - t
-    noises = 1.0 - 2.0 * rng.integers(0, 2, size=(16, steps))
-    got = _chunk_costs(problem, t, x, policy, noises,
-                       _step_operands(problem, t, policy))
-    for path, w in enumerate(noises):
-        X, cost = x, 0.0
-        for k in range(t, problem.N):
-            s = measurable_level(t, d, k)
-            atom = int("".join("1" if v < 0 else "0" for v in w[:s - t]) or "0", 2)
-            u = policy.controls[k - t][atom]
-            cost += X @ problem.Q[k] @ X + u @ problem.R[k] @ u
-            X = problem.A[k] @ X + problem.B[k] @ u \
-                + (problem.C[k] @ X + problem.D[k] @ u) * w[k - t]
-        cost += X @ problem.G @ X
-        assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), path
+    # prefix, w_t..w_{s-1} with s = max(t, k-d), at d = 0, 2 and N - t.
+    for d in (0, 2, 11 - t):
+        for n, m, indefinite in _SHAPES:
+            problem = _unstable_problem(t + 7, d, n=n, m=m, indefinite=indefinite)
+            rng = np.random.default_rng(t)
+            policy = random_open_loop(problem, t, rng)
+            x = np.array([0.5, 1.0, -1.0][:n])
+            steps = problem.N - t
+            noises = 1.0 - 2.0 * rng.integers(0, 2, size=(16, steps))
+            got = _chunk_costs(problem, t, x, policy, noises,
+                               _chunk_operands(problem, t, policy))
+            for path, w in enumerate(noises):
+                def control(k):
+                    s = measurable_level(t, d, k)
+                    atom = int("".join("1" if v < 0 else "0" for v in w[:s - t]) or "0", 2)
+                    return policy.controls[k - t][atom]
+                cost = _path_cost(problem, t, x, w, control)
+                assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), (d, n, m, path)
+
+
+@pytest.mark.parametrize("d", [0, 5, 20])
+def test_chunk_step_makes_a_fixed_number_of_products(d, monkeypatch):
+    """Each step of a feedback chunk makes two np.matmul calls, plus one
+    once an innovation is revealed (k >= t + d), whatever n, m and d are;
+    the terminal cost makes one more."""
+    t, counts = 2, {}
+    for n, m in ((2, 1), (3, 2), (4, 2)):
+        for steps in (30, 31):
+            problem = _unstable_problem(d, d, N=t + steps, n=n, m=m)
+            policy = FeedbackPolicy(t=t, d=d, gains=[np.zeros((m, n))] * steps)
+            operands = _chunk_operands(problem, t, policy)
+            noises = np.random.default_rng(d).standard_normal((64, steps))
+            calls = 0
+            matmul = np.matmul
+
+            def counting(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return matmul(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", counting)
+                _chunk_costs(problem, t, np.ones(n), policy, noises, operands)
+            counts[n, m, steps] = calls
+    for (n, m, steps), calls in counts.items():
+        assert calls == 2 * steps + (steps - d) + 1, (n, m, steps)
+        if steps == 31:
+            assert calls - counts[n, m, 30] == 3, (n, m)
 
 
 @pytest.mark.parametrize("delay", ["zero", "one", "drawn", "whole horizon"])
@@ -287,17 +338,16 @@ def test_step_operands_phi_matches_direct_products(delay):
         d = {"zero": 0, "one": 1, "drawn": int(rng.integers(2, 13)),
              "whole horizon": N}[delay]
         problem = _unstable_problem(seed, d, N=N)
-        policy = FeedbackPolicy(t=t, d=d, gains=[np.zeros((1, 2))] * (N - t))
-        operands = _step_operands(problem, t, policy)
-        assert len(operands) == N - t
-        for k, ops in enumerate(operands, start=t):
+        phis = _phis(problem, t)
+        assert len(phis) == N - t
+        for k, Phi in enumerate(phis, start=t):
             if k < t + d:
-                assert ops[5] is None, (seed, k)
+                assert Phi is None, (seed, k)
                 continue
             direct = np.eye(problem.n)
             for j in range(k - d + 1, k + 1):
                 direct = problem.A[j] @ direct
-            err = np.max(np.abs(ops[5] - direct))
+            err = np.max(np.abs(Phi - direct))
             assert err <= 1e-13 * np.max(np.abs(direct)), (seed, d, k)
 
 
