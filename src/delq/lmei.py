@@ -44,7 +44,7 @@ margin and satisfied columns in report order, from which the non-finite
 margin refusal and feasibility are read. construct_from_candidate hands the
 pass's stacks to the backward kernel as they are, forms P = P~ + U as one
 buffer add, re-derives W/H from P by the same stacked call and verifies them
-in stacked calls. auxiliary_cost reads its weights from the same pass.
+in stacked calls.
 """
 from __future__ import annotations
 
@@ -65,8 +65,7 @@ from .linalg import (
     rel_deviation,
     symmetrize,
 )
-from .model import ProblemData, _check_solve_args, block_mean, expand, expected_quadratic, \
-    measurable_level, rollout
+from .model import ProblemData, _check_solve_args
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
     RiccatiSolution,
@@ -475,41 +474,3 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
             f"constructed H_{k} leaves the range of W_{k} (residual {rr[j]:.3e})"
         )
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=-Wdag @ H)
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary cost (used to validate the construction empirically)
-
-def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
-                   xi, u) -> float:
-    """Exact tree evaluation of the auxiliary cost from (k, xi) under u.
-
-    Common part: state weight = relaxed-recursion slack, cross term
-    2 (H~_l X_l)^T u_l, control weight W~_l, terminal weight G - P~^(0)_N.
-    Region corrections add E[(E_{l-d} X)^T Delta_l (E_{l-d} X)] with Delta_l
-    the block upper-left entry, for every l >= max(k, t+1). Feasibility of
-    the candidate makes this cost nonnegative for every admissible control.
-    Every weight is read from the candidate's slack pass.
-    """
-    _check_anchor(cand, problem, t)
-    if not t <= k <= cand.N - 1:
-        raise ValidationError(f"start time {k} outside [{t}, {cand.N - 1}]")
-    slack = _slack(cand, problem)
-    traj = rollout(problem, t, xi, u, start=k)
-    total = 0.0
-    for ell in range(k, cand.N):
-        j = ell - t
-        X = traj.states.at(ell)
-        u_coarse = traj.control_at(ell)
-        total += expected_quadratic(X, slack.gap[j])
-        hx = X @ slack.H[j].T
-        s = measurable_level(t, cand.d, ell)
-        u_full = expand(u_coarse, ell - s)
-        total += 2.0 * float(np.mean(np.sum(hx * u_full, axis=1)))
-        total += expected_quadratic(u_coarse, slack.W[j])
-        if ell >= t + 1:
-            ex = block_mean(X, ell - s)
-            total += expected_quadratic(ex, slack.upper[j])
-    XN = traj.states.at(cand.N)
-    total += expected_quadratic(XN, slack.terminal)
-    return total

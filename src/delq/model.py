@@ -1,11 +1,12 @@
-"""Problem data, the binary scenario tree, adapted processes, and policies.
+"""Problem data and its JSON form, feedback policies, and the binary tree step.
 
-The driving noise is realized as a Rademacher sequence (w = ±1, probability
-1/2 each): the minimal-support distribution with the required conditional
-moments E[w]=0, E[w^2]=1. On the resulting binary tree every expectation is
-a finite probability-weighted sum, so policy costs and backward recursions
-evaluate exactly (up to floating point), which is what the cross-check
-oracles in the rest of the package rely on.
+The driving noise of the scenario tree is a Rademacher sequence (w = ±1,
+probability 1/2 each): the minimal-support distribution with the required
+conditional moments E[w]=0, E[w^2]=1. On the resulting binary tree every
+expectation is a finite probability-weighted sum, which the quadratic oracle
+(``bsde.assemble_quadratic``) evaluates exactly (up to floating point) with
+``tree_step``; every route that enumerates the tree checks its depth cap
+with ``_check_depth``.
 
 Node indexing: the 2^(k-t) nodes at time k are ordered so that node i has
 children 2i (w=+1) and 2i+1 (w=-1) at time k+1. Conditional expectation onto
@@ -16,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -72,6 +72,17 @@ def _matseq(seq, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
         raise ValidationError(f"{name} is not a sequence of numeric matrices") from exc
 
 
+def _integer(name: str, val) -> int:
+    """val as an int: an integer, or an integral float such as 2.0. A
+    boolean, a string, or a non-integral or non-finite number is refused
+    rather than truncated."""
+    if isinstance(val, (int, np.integer)) and not isinstance(val, bool):
+        return int(val)
+    if isinstance(val, (float, np.floating)) and float(val).is_integer():
+        return int(val)
+    raise ValidationError(f"{name} must be an integer, got {val!r}")
+
+
 @dataclass(frozen=True)
 class ProblemData:
     """Coefficients of one finite-horizon problem.
@@ -101,10 +112,7 @@ class ProblemData:
 
     def __init__(self, n, m, N, d, A, B, C, D, Q, R, G):
         for name, val in (("n", n), ("m", m), ("N", N), ("d", d)):
-            try:
-                object.__setattr__(self, name, int(val))
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"{name} must be an integer, got {val!r}") from exc
+            object.__setattr__(self, name, _integer(name, val))
         for name, seq in (("A", A), ("B", B), ("C", C), ("D", D), ("Q", Q), ("R", R)):
             object.__setattr__(self, name, _matseq(seq, name))
         try:
@@ -234,39 +242,10 @@ def save_problem(problem: ProblemData, path) -> None:
 # ---------------------------------------------------------------------------
 # Scenario tree
 
-@dataclass(frozen=True)
-class ScenarioTree:
-    """Binary noise tree over times start..end (depth = end - start)."""
-
-    start: int
-    end: int
-
-    def n_nodes(self, k: int) -> int:
-        self._check_time(k)
-        return 1 << (k - self.start)
-
-    def noise_path(self, k: int, node: int) -> np.ndarray:
-        """Realized (w_start, ..., w_{k-1}) leading to the given node."""
-        depth = k - self.start
-        if not 0 <= node < (1 << depth):
-            raise ValidationError(f"node {node} out of range at time {k}")
-        bits = (node >> np.arange(depth - 1, -1, -1)) & 1
-        return 1.0 - 2.0 * bits
-
-    def step_noise(self, k: int) -> np.ndarray:
-        """w_k as seen by each node at time k+1 (alternating +1, -1)."""
-        self._check_time(k)
-        count = 1 << (k + 1 - self.start)
-        return 1.0 - 2.0 * (np.arange(count) & 1)
-
-    def _check_time(self, k: int) -> None:
-        if not self.start <= k <= self.end:
-            raise ValidationError(f"time {k} outside tree range [{self.start}, {self.end}]")
-
-
-def build_tree(t: int, N: int) -> ScenarioTree:
-    """Tree for the noise between times t and N (2^(N-t) leaves). Every route
-    that enumerates a tree builds it here from (t, N), under the DELQ_DEPTH_CAP depth cap."""
+def _check_depth(t: int, N: int) -> None:
+    """Raise unless 0 <= t <= N and the tree of times t..N (2^(N-t) leaves)
+    is within the DELQ_DEPTH_CAP depth cap: the check of every route that
+    enumerates that tree."""
     if not 0 <= t <= N:
         raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N = {N}")
     limit = depth_cap()
@@ -274,24 +253,6 @@ def build_tree(t: int, N: int) -> ScenarioTree:
         raise ResourceLimitError(
             f"tree depth {N - t} exceeds cap {limit} (set {DEPTH_CAP_ENV} to raise it)"
         )
-    return ScenarioTree(start=t, end=N)
-
-
-def block_mean(values: np.ndarray, levels: int) -> np.ndarray:
-    """Average consecutive blocks of 2^levels rows (condition down `levels`
-    steps). Node i has children 2i and 2i+1, so the descendants of one node
-    `levels` steps on are consecutive: row i of the result is the mean of
-    rows i 2^levels .. (i + 1) 2^levels - 1, the nodes of atom i.
-
-    One product: each block of rows, flattened to one row of 2^levels c
-    entries (c entries per row of `values`), times the stacked averaging
-    matrix of 2^levels copies of I_c / 2^levels."""
-    if levels == 0:
-        return values
-    rows = values.shape[0] >> levels
-    blocks = values.reshape(rows, -1)
-    average = np.tile(np.eye(blocks.shape[1] >> levels) / (1 << levels), (1 << levels, 1))
-    return (blocks @ average).reshape(rows, *values.shape[1:])
 
 
 def expand(values: np.ndarray, levels: int) -> np.ndarray:
@@ -301,43 +262,8 @@ def expand(values: np.ndarray, levels: int) -> np.ndarray:
     return np.repeat(values, 1 << levels, axis=0)
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
-    """A vector process carried on the tree, one row per node per time.
-
-    values[j] holds the process at time first+j with shape (2^(k-start), dim):
-    adaptedness is structural (a value can only depend on the node it sits on).
-    """
-
-    tree: ScenarioTree
-    first: int
-    values: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if not self.tree.start <= self.first <= self.tree.end:
-            raise ValidationError("process start outside tree range")
-        if self.first + len(self.values) - 1 > self.tree.end:
-            raise ValidationError("process extends past tree end")
-        for j, v in enumerate(self.values):
-            want = self.tree.n_nodes(self.first + j)
-            if v.ndim != 2 or v.shape[0] != want:
-                raise ValidationError(
-                    f"process values at time {self.first + j} must have "
-                    f"{want} rows, got shape {v.shape}"
-                )
-
-    @property
-    def last(self) -> int:
-        return self.first + len(self.values) - 1
-
-    def at(self, k: int) -> np.ndarray:
-        if not self.first <= k <= self.last:
-            raise ValidationError(f"time {k} outside process range [{self.first}, {self.last}]")
-        return self.values[k - self.first]
-
-
 # ---------------------------------------------------------------------------
-# Policies and forward simulation
+# Feedback policies and the tree step
 
 @dataclass(frozen=True)
 class FeedbackPolicy:
@@ -353,77 +279,20 @@ class FeedbackPolicy:
         object.__setattr__(self, "gains", tuple(np.asarray(K, dtype=float) for K in gains))
 
 
-@dataclass(frozen=True)
-class OpenLoopPolicy:
-    """Explicit controls; controls[j] acts at time start+j and must be given
-    at the coarse resolution of its information level max(t, k-d), i.e. with
-    2^(max(t,k-d) - t) rows."""
-
-    t: int
-    d: int
-    controls: tuple[np.ndarray, ...]
-    start: int
-
-    def __init__(self, t: int, d: int, controls, start: int | None = None):
-        object.__setattr__(self, "t", int(t))
-        object.__setattr__(self, "d", int(d))
-        object.__setattr__(self, "controls", tuple(np.atleast_2d(np.asarray(u, dtype=float)) for u in controls))
-        object.__setattr__(self, "start", int(t if start is None else start))
-
-
-Policy = Union[FeedbackPolicy, OpenLoopPolicy]
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Simulated states (full resolution) plus the coarse controls applied."""
-
-    states: AdaptedProcess
-    controls: tuple[np.ndarray, ...]
-
-    @property
-    def first(self) -> int:
-        return self.states.first
-
-    def control_at(self, k: int) -> np.ndarray:
-        if not self.first <= k < self.states.last:
-            raise ValidationError(f"no control at time {k}")
-        return self.controls[k - self.first]
-
-
-def _check_policy(policy: Policy, problem: ProblemData, t: int, start: int) -> None:
-    """Raise ValidationError unless the policy acts at every time
-    start..N-1 of the tree of times t..N: a feedback policy with an (m, n)
-    gain, an open-loop one with a (2^(max(t, k-d) - t), m) control per
-    time k. The one policy check of every route that runs a policy."""
-    n, m, N = problem.n, problem.m, problem.N
-    if isinstance(policy, FeedbackPolicy):
-        for k in range(start, N):
-            if not policy.t <= k < policy.t + len(policy.gains):
-                raise ValidationError(f"policy has no gain for time {k}")
-            K = policy.gains[k - policy.t]
-            if K.shape != (m, n):
-                raise ValidationError(f"gain at time {k} must have shape {(m, n)}, got {K.shape}")
-        return
-    for k in range(start, N):
-        if not policy.start <= k < policy.start + len(policy.controls):
-            raise ValidationError(f"policy has no control for time {k}")
-        u = policy.controls[k - policy.start]
-        want = 1 << (measurable_level(t, problem.d, k) - t)
-        if u.shape != (want, m):
-            raise ValidationError(
-                f"control at time {k} must have shape {(want, m)}, got {u.shape}"
-            )
-
-
-def policy_control(policy: Policy, problem: ProblemData, t: int,
-                   k: int, state_values: np.ndarray) -> np.ndarray:
-    """Coarse control at time k (one row per information atom) of a policy
-    that _check_policy accepted."""
-    if isinstance(policy, FeedbackPolicy):
-        s = measurable_level(t, problem.d, k)
-        return block_mean(state_values, k - s) @ policy.gains[k - policy.t].T
-    return policy.controls[k - policy.start]
+def _check_policy(policy: FeedbackPolicy, problem: ProblemData, start: int) -> None:
+    """Raise ValidationError unless the policy is a FeedbackPolicy with an
+    (m, n) gain for every time start..N-1: the one policy check of both
+    evaluation routes."""
+    if not isinstance(policy, FeedbackPolicy):
+        raise ValidationError(
+            f"evaluation takes a feedback policy, got {type(policy).__name__}")
+    n, m = problem.n, problem.m
+    for k in range(start, problem.N):
+        if not policy.t <= k < policy.t + len(policy.gains):
+            raise ValidationError(f"policy has no gain for time {k}")
+        K = policy.gains[k - policy.t]
+        if K.shape != (m, n):
+            raise ValidationError(f"gain at time {k} must have shape {(m, n)}, got {K.shape}")
 
 
 def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -451,32 +320,6 @@ def tree_step(problem: ProblemData, k: int, X: np.ndarray, u: np.ndarray) -> np.
     return nxt.reshape(2 * rows, n)
 
 
-def rollout(problem: ProblemData, t: int, x, policy: Policy,
-            start: int | None = None) -> Trajectory:
-    """Run the dynamics from `start` (default t) on the tree of times t..N,
-    which build_tree makes here from (t, problem.N), under the DELQ_DEPTH_CAP
-    depth cap: the states at full resolution, the controls at their
-    information level.
-
-    The initial vector is placed on every node at time `start`; controls are
-    evaluated at their information level and broadcast to the nodes they act
-    on. For start > t, controls at times k with max(t, k-d) < start are
-    coarser than the state resolution, as the delayed information dictates."""
-    tree = build_tree(t, problem.N)
-    start = t if start is None else start
-    if not t <= start <= tree.end:
-        raise ValidationError(f"start {start} outside tree range")
-    x = _check_state(x, problem.n)
-    _check_policy(policy, problem, t, start)
-    states = [np.tile(x, (tree.n_nodes(start), 1))]
-    controls = []
-    for k in range(start, problem.N):
-        controls.append(policy_control(policy, problem, t, k, states[-1]))
-        states.append(tree_step(problem, k, states[-1], controls[-1]))
-    return Trajectory(states=AdaptedProcess(tree=tree, first=start, values=tuple(states)),
-                      controls=tuple(controls))
-
-
 def quadratic_columns(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x_i^T M x_i for every column x_i of X, an (n, rows) array: a column
     sum of (M X) * X. ``out``, an array shaped like X, receives that product
@@ -484,43 +327,3 @@ def quadratic_columns(X: np.ndarray, M: np.ndarray, out: np.ndarray | None = Non
     MX = np.matmul(M, X, out=out)
     MX *= X
     return np.add.reduce(MX, axis=0)
-
-
-def expected_quadratic(X: np.ndarray, M: np.ndarray) -> float:
-    """E[x^T M x] over the rows x of X, each equally likely: the Gram form
-    sum((X^T X) * M) / rows, one product whatever the row count."""
-    return float(np.sum((X.T @ X) * M) / X.shape[0])
-
-
-def trajectory_cost(problem: ProblemData, traj: Trajectory) -> float:
-    """Exact expected cost of a simulated trajectory: the probability-weighted
-    sum of X^T Q X and u^T R u over all nodes, plus the terminal X^T G X.
-    Controls contribute at their own (coarse) resolution; states at full."""
-    N = problem.N
-    total = 0.0
-    for k in range(traj.first, N):
-        total += expected_quadratic(traj.states.at(k), problem.Q[k])
-        total += expected_quadratic(traj.control_at(k), problem.R[k])
-    return total + expected_quadratic(traj.states.at(N), problem.G)
-
-
-def zero_policy(problem: ProblemData, t: int, start: int | None = None) -> OpenLoopPolicy:
-    """All-zero admissible controls from `start` (default t) to N-1."""
-    start = t if start is None else start
-    controls = []
-    for k in range(start, problem.N):
-        s = measurable_level(t, problem.d, k)
-        controls.append(np.zeros((1 << (s - t), problem.m)))
-    return OpenLoopPolicy(t=t, d=problem.d, controls=controls, start=start)
-
-
-def random_open_loop(problem: ProblemData, t: int, rng: np.random.Generator,
-                     scale: float = 1.0, start: int | None = None) -> OpenLoopPolicy:
-    """Admissible controls with independent N(0, scale^2) entries on each
-    information atom; used for randomized identity checks."""
-    start = t if start is None else start
-    controls = []
-    for k in range(start, problem.N):
-        s = measurable_level(t, problem.d, k)
-        controls.append(scale * rng.standard_normal((1 << (s - t), problem.m)))
-    return OpenLoopPolicy(t=t, d=problem.d, controls=controls, start=start)

@@ -172,11 +172,6 @@ def _wh_from_next(problem: ProblemData, P: Mapping, k: int, limit: int,
     return W, H
 
 
-def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Re-derive W_k, H_k from the stored P matrices (consistency check)."""
-    return _wh_from_next(problem, sol.P, k, sol.top_index(k + 1), problem.R[k])
-
-
 def _stacked_keys(t: int, N: int, d: int) -> list[tuple[int, int]]:
     """The (i, k) of the rows of _StackedBlocks' buffer, in order."""
     return [(i, k) for k in range(N, t - 1, -1) for i in range(min(k - t, d) + 1)]

@@ -38,9 +38,10 @@ need nothing extra. The noise multiplies the innovation, the revealed
 innovation enters the prediction through one n x n product, and every
 elementwise kernel runs along the long axis into buffers allocated once
 per chunk. A step makes three products once an innovation is revealed and
-two before, whatever n, m and d are. Open-loop controls, read from each
-path's tree atom, take the prediction's place in s and enter the same
-product; full enumeration runs the same loop.
+two before, whatever n, m and d are.
+
+Both routes take a ``FeedbackPolicy`` and nothing else; ``model._check_policy``
+is their one policy check.
 """
 from __future__ import annotations
 
@@ -50,25 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .linalg import pinv, spectral_factors
+from .linalg import spectral_factors
 from .model import (
     FeedbackPolicy,
-    OpenLoopPolicy,
-    Policy,
     ProblemData,
     _check_policy,
     _check_solve_args,
     _check_state,
     _env_cap,
-    block_mean,
-    build_tree,
     ensure_valid,
-    expected_quadratic,
     measurable_level,
     quadratic_columns,
-    rollout,
-    trajectory_cost,
-    tree_step,
 )
 
 EXACT = "Exact"
@@ -106,7 +99,7 @@ class EvaluationResult:
         }
 
 
-def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
+def exact_cost(problem: ProblemData, t: int, x, policy: FeedbackPolicy,
                noise: str = "rademacher") -> EvaluationResult:
     """Exact expected cost of a feedback policy from (t, x), 0 <= t <= N
     (x^T G x at N), by one forward pass over second moments.
@@ -125,21 +118,15 @@ def exact_cost(problem: ProblemData, t: int, x, policy: Policy,
     tr(R_k K Sigma K^T). Only E w = 0 and E w^2 = 1 enter, so the value is
     that of either noise model; `noise` names the one reported. The pass
     reads the problem and the gains only, never a recursion's P, W or H.
-    Open-loop controls are indexed by tree atoms, so an OpenLoopPolicy is
-    refused (``rollout`` and ``trajectory_cost`` cost those on the tree). A
-    cost that overflows raises ConsistencyError."""
+    Any other kind of policy is refused (ValidationError). A cost that
+    overflows raises ConsistencyError."""
     ensure_valid(problem)
     N, n, d = problem.N, problem.n, problem.d
     if not 0 <= t <= N:
         raise ValidationError(f"initial time t={t} must satisfy 0 <= t <= N = {N}")
     noise_label = _normalize_noise(noise)
     x = _check_state(x, n)
-    _check_policy(policy, problem, t, t)
-    if not isinstance(policy, FeedbackPolicy):
-        raise ValidationError(
-            "exact evaluation takes a feedback policy; open-loop controls are "
-            "indexed by tree atoms"
-        )
+    _check_policy(policy, problem, t)
     F = np.block([[problem.A[t:], problem.B[t:]], [problem.C[t:], problem.D[t:]]])
     Z = np.empty((n + problem.m, n + problem.m))
     window: deque[np.ndarray] = deque()   # the V's still to be revealed
@@ -207,25 +194,6 @@ def _noise_chunks(noise: str, samples: int, steps: int, seed: int):
         yield chunk
 
 
-def _enumerated_chunks(steps: int):
-    """All 2^steps sign patterns, ordered like the tree leaves, in blocks of
-    at most MC_CHUNK rows: row i holds the bits of i, most significant first,
-    with bit 1 meaning w = -1."""
-    shifts = np.arange(steps - 1, -1, -1)
-    for lo in range(0, 1 << steps, MC_CHUNK):
-        idx = np.arange(lo, min(lo + MC_CHUNK, 1 << steps), dtype=np.int64)
-        yield 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
-
-
-def _atom_indices(noises: np.ndarray, levels: int) -> np.ndarray:
-    """Map realized ±1 prefixes to tree atom indices at the given level."""
-    if levels == 0:
-        return np.zeros(noises.shape[0], dtype=np.int64)
-    bits = (noises[:, :levels] < 0).astype(np.int64)
-    weights = (1 << np.arange(levels - 1, -1, -1)).astype(np.int64)
-    return bits @ weights
-
-
 def _window_products(mats: list, d: int) -> list:
     """[mats[j+d-1] @ ... @ mats[j] for j = 0..len(mats)-d], for d >= 1, at
     about three n x n products per window whatever d is.
@@ -262,51 +230,42 @@ def _phis(problem: ProblemData, t: int) -> list:
     return [None] * min(d, N - t) + _window_products(list(problem.A[t + 1:N]), d)
 
 
-def _chunk_operands(problem: ProblemData, t: int, policy: Policy) -> list[tuple]:
+def _chunk_operands(problem: ProblemData, t: int, policy: FeedbackPolicy) -> list[tuple]:
     """Operands of the steps k = t..N-1 of a Monte-Carlo chunk, built once
     per call: (F_k, c_k, Phi_{k+1}).
 
-    A chunk carries s = [X; z], with z = y (the prediction, n rows) under a
-    feedback policy and z = u (the control, m rows) under an open-loop one.
-    With the control u = L z (L = K_k, or the identity), F_k s stacks
+    A chunk carries s = [X; y], y the prediction. With the control u = K y
+    (K = K_k), F_k s stacks
 
-        A X + B L z          the next state before its noise term,
+        A X + B K y          the next state before its noise term,
         (A + B K) y          the next prediction before the revealed
-                             innovation (feedback only),
-        C X + D L z          the innovation before w_k,
-        V^T X and U^T L z    the cost coordinates,
+                             innovation,
+        C X + D K y          the innovation before w_k,
+        V^T X and U^T K y    the cost coordinates,
 
     where Q_k = V diag(lam) V^T and R_k = U diag(mu) U^T (``spectral_factors``).
     c_k = [lam, mu, 1] weighs the squared cost coordinates and carries the
     running cost: a step's cost is x^T Q x + u^T R u = lam . (V^T x)^2 +
-    mu . (U^T u)^2. Phi_{k+1} is ``_phis``'s (None under an open-loop
-    policy, which has no prediction to update)."""
+    mu . (U^T u)^2. Phi_{k+1} is ``_phis``'s."""
     n, m, N = problem.n, problem.m, problem.N
-    feedback = isinstance(policy, FeedbackPolicy)
-    steps, p = N - t, n if feedback else 0
-    if feedback:
-        L = np.asarray(policy.gains[t - policy.t:N - policy.t]).reshape(steps, m, n)
-    else:
-        L = np.broadcast_to(np.eye(m), (steps, m, m))
-    z = L.shape[-1]
+    steps = N - t
+    K = np.asarray(policy.gains[t - policy.t:N - policy.t]).reshape(steps, m, n)
     lam, V = spectral_factors(problem.Q[t:])
     mu, U = spectral_factors(problem.R[t:])
-    A, BL = problem.A[t:], problem.B[t:] @ L
-    F = np.zeros((steps, 3 * n + p + m, n + z))
-    F[:, :n, :n], F[:, :n, n:] = A, BL
-    if feedback:
-        F[:, n:2 * n, n:] = A + BL
-    F[:, n + p:2 * n + p, :n], F[:, n + p:2 * n + p, n:] = problem.C[t:], problem.D[t:] @ L
-    F[:, 2 * n + p:3 * n + p, :n] = np.swapaxes(V, -1, -2)
-    F[:, 3 * n + p:, n:] = np.swapaxes(U, -1, -2) @ L
+    A, BK = problem.A[t:], problem.B[t:] @ K
+    F = np.zeros((steps, 4 * n + m, 2 * n))
+    F[:, :n, :n], F[:, :n, n:] = A, BK
+    F[:, n:2 * n, n:] = A + BK
+    F[:, 2 * n:3 * n, :n], F[:, 2 * n:3 * n, n:] = problem.C[t:], problem.D[t:] @ K
+    F[:, 3 * n:4 * n, :n] = np.swapaxes(V, -1, -2)
+    F[:, 4 * n:, n:] = np.swapaxes(U, -1, -2) @ K
     c = np.ones((steps, 1, n + m + 1))
     c[:, 0, :n], c[:, 0, n:n + m] = lam, mu
-    Phis = _phis(problem, t) if feedback else [None] * steps
-    return list(zip(F, c, Phis))
+    return list(zip(F, c, _phis(problem, t)))
 
 
-def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
-                 noises: np.ndarray, operands: list[tuple]) -> np.ndarray:
+def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, noises: np.ndarray,
+                 operands: list[tuple]) -> np.ndarray:
     """Path costs for one (rows, steps) chunk of noises, one cost per row.
 
     The paths are the columns of the chunk's arrays (see the module
@@ -315,29 +274,25 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
 
         e = (innovation rows of P) * w_k,
         X = (state rows of P) + e,
-        y = (prediction rows of P) + Phi_{k+1} e_{k-d}   (feedback),
+        y = (prediction rows of P) + Phi_{k+1} e_{k-d},
 
     and adds c_k . [(cost rows of P)^2; running cost] to the running cost
     with a second product. The noise of step k, column k - t of the chunk,
-    is gathered into one contiguous row first. A feedback step makes three
-    products once an innovation is revealed (k >= t + d) and two before,
-    whatever n, m and d are; an open-loop step makes two, after reading
-    each path's control from its tree atom."""
-    n, m, N, d = problem.n, problem.m, problem.N, problem.d
-    feedback = isinstance(policy, FeedbackPolicy)
+    is gathered into one contiguous row first. A step makes three products
+    once an innovation is revealed (k >= t + d) and two before, whatever n,
+    m and d are."""
+    n, N, d = problem.n, problem.N, problem.d
     rows = noises.shape[0]
-    p = n if feedback else 0
-    s = np.empty((n + (n if feedback else m), rows))
-    X, z = s[:n], s[n:]
+    s = np.empty((2 * n, rows))
+    X, y = s[:n], s[n:]
     X[...] = x[:, None]
-    if feedback:
-        z[...] = x[:, None]
+    y[...] = x[:, None]
     # P's last row is the running cost of the steps so far, which the
     # product F_k s leaves alone.
-    P = np.empty((3 * n + p + m + 1, rows))
+    P = np.empty((4 * n + problem.m + 1, rows))
     P[-1] = 0.0
-    state, prediction = P[:n], P[n:n + p]
-    innovation, coords, weighed = P[n + p:2 * n + p], P[2 * n + p:-1], P[2 * n + p:]
+    state, prediction = P[:n], P[n:2 * n]
+    innovation, coords, weighed = P[2 * n:3 * n], P[3 * n:-1], P[3 * n:]
     w = np.empty(rows)
 
     # Innovation-form predictor: y = E_s[X_k] with s = max(t, k-d). With
@@ -346,14 +301,9 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
     # revealed (k >= t+d). Step k writes e_k into ring[(k - t) % len(ring)]:
     # with d + 1 slots, the slot of e_{k-d} is the one step k+1 overwrites
     # (at d = 0, e_k itself is revealed in step k).
-    ring = [np.empty((n, rows)) for _ in range(d + 1 if feedback and d < N - t else 1)]
+    ring = [np.empty((n, rows)) for _ in range(d + 1 if d < N - t else 1)]
 
     for j, (F, c, Phi) in enumerate(operands):
-        k = t + j
-        if not feedback:
-            table = policy.controls[k - policy.start]
-            idx = _atom_indices(noises, measurable_level(t, d, k) - t)
-            np.take(table.T, idx, axis=1, out=z)
         np.matmul(F, s, out=P[:-1])
         np.square(coords, out=coords)
         # the output is the input's last row: numpy reads the running cost
@@ -363,27 +313,25 @@ def _chunk_costs(problem: ProblemData, t: int, x: np.ndarray, policy: Policy,
         e = ring[j % len(ring)]
         np.multiply(innovation, w, out=e)
         np.add(state, e, out=X)
-        if Phi is not None:
+        if Phi is None:
+            np.copyto(y, prediction)
+        else:
             # the innovation rows are spent: they take Phi e_{k-d}
             np.matmul(Phi, ring[(j - d) % len(ring)], out=innovation)
-            np.add(prediction, innovation, out=z)
-        elif feedback:
-            np.copyto(z, prediction)
+            np.add(prediction, innovation, out=y)
 
     costs = quadratic_columns(X, problem.G, out=state)
     costs += P[-1]
     return costs
 
 
-def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
+def monte_carlo_cost(problem: ProblemData, t: int, x, policy: FeedbackPolicy,
                      noise: str = "rademacher", samples: int = 10_000,
-                     seed: int = 0, full_enumeration: bool = False) -> EvaluationResult:
-    """Sample mean and standard error of the path cost.
+                     seed: int = 0) -> EvaluationResult:
+    """Sample mean and standard error of the path cost of a feedback policy.
 
-    With ``full_enumeration`` the "samples" are all 2^(N-t) sign patterns
-    (requires Rademacher noise and exactly that sample count), which makes
-    the mean coincide with the exact expectation. Memory is O(MC_CHUNK),
-    whatever the sample count: the noise is drawn and reduced chunk by chunk.
+    Memory is O(MC_CHUNK), whatever the sample count: the noise is drawn and
+    reduced chunk by chunk.
     """
     _check_solve_args(problem, t)
     if samples < 2:
@@ -399,23 +347,7 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
             f"{limit} path-steps (set {PATH_STEP_CAP_ENV} to raise it)"
         )
     x = _check_state(x, problem.n)
-    _check_policy(policy, problem, t, t)
-    if not isinstance(policy, FeedbackPolicy) and noise_label != RADEMACHER:
-        raise ValidationError(
-            "open-loop controls are indexed by tree atoms; only "
-            "Rademacher noise has them"
-        )
-
-    if full_enumeration:
-        if noise_label != RADEMACHER:
-            raise ValidationError("full enumeration requires Rademacher noise")
-        if samples != (1 << steps):
-            raise ValidationError(
-                f"full enumeration needs samples = 2^(N-t) = {1 << steps}, got {samples}"
-            )
-        chunks = _enumerated_chunks(steps)
-    else:
-        chunks = _noise_chunks(noise_label, samples, steps, seed)
+    _check_policy(policy, problem, t)
 
     # Chunk means and squared deviations merged in chunk order (Chan, Golub
     # & LeVeque's pairwise update), so no per-sample array outlives a chunk.
@@ -425,8 +357,8 @@ def monte_carlo_cost(problem: ProblemData, t: int, x, policy: Policy,
     operands = _chunk_operands(problem, t, policy)
     count, mean, m2 = 0, 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for block in chunks:
-            costs = _chunk_costs(problem, t, x, policy, block, operands)
+        for block in _noise_chunks(noise_label, samples, steps, seed):
+            costs = _chunk_costs(problem, t, x, block, operands)
             rows = costs.shape[0]
             chunk_mean = float(np.sum(costs) / rows)
             centered = costs - chunk_mean
@@ -483,72 +415,3 @@ def predictor(problem: ProblemData, t: int, x, gains, k: int, noises=()) -> np.n
     for j in range(s, k):
         y = problem.A[j] @ y + problem.B[j] @ control(j)
     return y
-
-
-# ---------------------------------------------------------------------------
-# Cost-decomposition cross-checks
-
-def cost_decomposition_check(problem: ProblemData, t: int, u: Policy, sol=None) -> float:
-    """Absolute defect of the zero-initial-state cost decomposition
-
-    J(t,0;u) = sum_k E[(E_{k-d}X0)^T H^T W^+ H (E_{k-d}X0)
-                       + 2 (H E_{k-d}X0)^T u + u^T W u],
-
-    an algebraic identity in the recursion outputs W_k, H_k (no definiteness
-    or range condition needed). Both sides evaluated exactly on the tree."""
-    from .riccati import solve_riccati
-
-    if sol is None:
-        sol = solve_riccati(problem, t)
-    traj = rollout(problem, t, np.zeros(problem.n), u)
-    lhs = trajectory_cost(problem, traj)
-
-    rhs = 0.0
-    for k in range(t, problem.N):
-        s = measurable_level(t, problem.d, k)
-        ex = block_mean(traj.states.at(k), k - s)
-        Wk, Hk = sol.W[k - t], sol.H[k - t]
-        hx = ex @ Hk.T
-        uk = traj.control_at(k)
-        rhs += expected_quadratic(hx, pinv(Wk))
-        rhs += 2.0 * float(np.mean(np.sum(hx * uk, axis=1)))
-        rhs += expected_quadratic(uk, Wk)
-    return abs(lhs - rhs)
-
-
-def shifted_policy(problem: ProblemData, t: int, x, u: Policy, sol) -> OpenLoopPolicy:
-    """The control-shift map: v_k = u_k - W_k^+ H_k E_{k-d}[X_k], where X is
-    the trajectory of the closed-loop-plus-input system driven by u. The map
-    is onto the admissible set, and under the solvable classifications the
-    cost of v decomposes as x^T P^(0)_t x + sum E[u^T W u]."""
-    build_tree(t, problem.N)  # the sweep below enumerates its nodes
-    if isinstance(u, FeedbackPolicy):
-        raise ValidationError("shifted_policy expects explicit (open-loop) controls")
-    x = _check_state(x, problem.n)
-    _check_policy(u, problem, t, t)
-    # v_k is also the total control applied along the driven trajectory, so
-    # the sweep is a plain rollout that records v as it goes.
-    X = np.tile(x, (1, 1))
-    shifted: list[np.ndarray] = []
-    for k in range(t, problem.N):
-        s = measurable_level(t, problem.d, k)
-        ex = block_mean(X, k - s)
-        vk = u.controls[k - u.start] + ex @ sol.K[k - t].T
-        shifted.append(vk)
-        X = tree_step(problem, k, X, vk)
-    return OpenLoopPolicy(t=t, d=problem.d, controls=shifted)
-
-
-def completion_of_squares_residual(problem: ProblemData, t: int, x,
-                                   u: OpenLoopPolicy, sol) -> float:
-    """|J(t,x;v^u) - (x^T P^(0)_t x + sum_k E[u_k^T W_k u_k])| for the
-    shifted control v^u; zero (to tolerance) whenever every H_k lies in the
-    range of W_k."""
-    x = _check_state(x, problem.n)
-    v = shifted_policy(problem, t, x, u, sol)
-    lhs = trajectory_cost(problem, rollout(problem, t, x, v))
-    rhs = float(x @ sol.P_at(0, t) @ x)
-    for k in range(t, problem.N):
-        uk = u.controls[k - u.start]
-        rhs += expected_quadratic(uk, sol.W[k - t])
-    return abs(lhs - rhs)

@@ -6,9 +6,11 @@ draw as many instances as they need with explicit seeds.
 import numpy as np
 import pytest
 
-from delq import ProblemData, classify, rollout, solve_riccati, trajectory_cost
+from delq import ProblemData, classify, solve_riccati
 from delq.model import expand
 from delq.riccati import UNIQUELY_SOLVABLE
+
+from identities import rollout, trajectory_cost
 
 
 def sym_with_eigs(rng, size, lo, hi):
@@ -67,9 +69,9 @@ def reference_tree_step(problem, k, X, u):
 
 def tree_cost(problem, t, x, policy):
     """Exact expected cost by enumerating the 2^(N-t) Rademacher paths of
-    the scenario tree, under the DELQ_DEPTH_CAP depth cap: the small-depth
-    reference for simulate.exact_cost, and the exact cost of an open-loop
-    policy, whose controls are indexed by tree atoms."""
+    the scenario tree (identities.rollout), under the DELQ_DEPTH_CAP depth
+    cap: the small-depth reference for simulate.exact_cost, and the exact
+    cost of an open-loop policy, whose controls are indexed by tree atoms."""
     return trajectory_cost(problem, rollout(problem, t, x, policy))
 
 

@@ -13,29 +13,19 @@ import numpy as np
 
 from delq import (
     SOLVABLE_ALL_PAIRS,
-    apply_operators,
     assemble_quadratic,
     certificate_from_riccati,
     classify,
     construct_from_candidate,
-    cost_decomposition_check,
-    cost_difference_residual,
-    decoupling_residual,
     feedback_policy,
     is_pd,
     monte_carlo_cost,
     optimal_value,
     oracle_minimize,
-    process_inner,
-    rollout,
     solve_riccati,
     solve_riccati_bar,
-    stationary_residual,
-    terminal_inner,
-    trajectory_cost,
     zero_candidate,
 )
-from delq.model import random_open_loop
 from delq.worked_example import (
     GAIN_ANCHOR_TOL,
     REFERENCE_GAINS,
@@ -45,6 +35,18 @@ from delq.worked_example import (
 )
 
 from conftest import nonneg_problem, notconvex_problem, uniquely_solvable_instances
+from identities import (
+    apply_operators,
+    cost_decomposition_check,
+    cost_difference_residual,
+    decoupling_residual,
+    process_inner,
+    random_open_loop,
+    rollout,
+    stationary_residual,
+    terminal_inner,
+    trajectory_cost,
+)
 
 _POPULATION: list | None = None
 _POPULATION_SECONDS = 0.0

@@ -8,35 +8,22 @@ import numpy as np
 import pytest
 
 from delq import (
-    OpenLoopPolicy,
     ConsistencyError,
     ProblemData,
     QuadraticForm,
     StackedControlLayout,
     ValidationError,
-    apply_operators,
     assemble_quadratic,
-    build_tree,
     classify,
-    cost_difference_residual,
-    decoupling_residual,
     feedback_policy,
-    fixed_pair_check,
     load_problem,
     optimal_value,
-    oracle_cost,
     oracle_minimize,
-    process_inner,
-    rollout,
-    solve_bsde,
     solve_riccati,
-    stationary_residual,
-    terminal_inner,
-    trajectory_cost,
 )
 from delq.linalg import PINV_RTOL, PSD_TOL, eig_margin, pinv, range_residual, rel_deviation, \
     scale_floor, symmetrize
-from delq.model import measurable_level, random_open_loop, tree_step
+from delq.model import measurable_level, tree_step
 
 from conftest import (
     draw_mixed,
@@ -45,6 +32,24 @@ from conftest import (
     range_deficient_problem,
     reference_tree_step,
     uniquely_solvable_instances,
+)
+from identities import (
+    OpenLoopPolicy,
+    apply_operators,
+    build_tree,
+    cost_difference_residual,
+    decoupling_residual,
+    fixed_pair_check,
+    oracle_cost,
+    process_inner,
+    random_open_loop,
+    rollout,
+    solve_bsde,
+    stack,
+    stationary_residual,
+    terminal_inner,
+    trajectory_cost,
+    unstack,
 )
 
 
@@ -138,13 +143,13 @@ def test_stack_unstack_round_trip():
     layout = StackedControlLayout.build(problem, t)
     rng = np.random.default_rng(0)
     u = random_open_loop(problem, t, rng)
-    vec = layout.stack(u)
+    vec = stack(layout, u)
     assert vec.shape == (layout.size,)
-    back = layout.unstack(vec)
+    back = unstack(layout, vec)
     for a, b in zip(back.controls, u.controls, strict=True):
         assert np.array_equal(a, b)
     with pytest.raises(ValidationError, match="length"):
-        layout.unstack(np.zeros(layout.size + 1))
+        unstack(layout, np.zeros(layout.size + 1))
 
 
 def test_layout_matches_information_atoms():
@@ -204,7 +209,7 @@ def test_quadratic_form_reproduces_simulated_cost(seed):
     for _ in range(20):
         u = random_open_loop(problem, t, rng)
         direct = trajectory_cost(problem, rollout(problem, t, x, u))
-        vec = q.layout.stack(u)
+        vec = stack(q.layout, u)
         assert abs(vec @ M @ vec + 2.0 * (q.b @ vec) + q.c - direct) \
             <= 1e-10 * max(1.0, abs(direct))
 
@@ -278,6 +283,7 @@ def test_assembly_is_bit_identical_under_the_four_product_step(seed, monkeypatch
     live = assemble_quadratic(problem, t, x)
     probe = fixed_pair_check(problem, t, x, sol, samples=3)
     monkeypatch.setattr("delq.bsde.tree_step", reference_tree_step)
+    monkeypatch.setattr("delq.model.tree_step", reference_tree_step)
     ref = assemble_quadratic(problem, t, x)
     assert np.array_equal(live.b, ref.b) and live.c == ref.c
     assert len(live.tables) == len(ref.tables)

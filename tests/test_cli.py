@@ -301,6 +301,124 @@ def test_invalid_problem_data(paths, capsys, tmp_path):
     assert "missing fields" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, value", [("N", 4.7), ("m", 2.9), ("n", True), ("d", "1")])
+def test_non_integral_dimensions_are_refused(paths, capsys, tmp_path, name, value):
+    """N = 4.7 used to run as N = 4 (exit 0), and n = true as n = 1; an
+    integral float such as 2.0 still reads as 2."""
+    data = json.loads(pathlib.Path(paths["benchmark"]).read_text())
+    integral = float(data[name])
+    data[name] = value
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    for argv in (["solve"], ["oracle", "--x=1,-0.5"], ["simulate", "--x=1,-0.5"],
+                 ["lmei", "construct", "--certificate"]):
+        assert main(argv + ["--problem", str(path)]) == EXIT_INVALID, argv
+        assert capsys.readouterr().err == \
+            f"invalid input: {name} must be an integer, got {value!r}\n"
+    data[name] = integral
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--problem", str(path)]) == EXIT_OK
+    capsys.readouterr()
+
+
+def _malformed_problem(rng, data):
+    """The JSON text of one malformed copy of a problem dict: a wrong type,
+    a ragged stack, a NaN or Infinity literal, 1e400, a missing key, a
+    non-object top level, or a non-integral or boolean dimension."""
+    data = json.loads(json.dumps(data))
+    kind = rng.integers(8)
+    stack = ["A", "B", "C", "D", "Q", "R"][rng.integers(6)]
+    k = int(rng.integers(len(data[stack])))
+    if kind == 0:
+        key = sorted(data)[rng.integers(len(data))]
+        data[key] = ["x", None, {}, [], 1.5, [[["x"]]], True][rng.integers(7)]
+    elif kind == 1:
+        ragged = [lambda: data[stack][k].pop(), lambda: data[stack][k][0].append(1.0),
+                  lambda: data[stack].pop(), lambda: data["G"].pop()]
+        ragged[rng.integers(len(ragged))]()
+    elif kind == 2:
+        data[stack][k][0][0] = [float("nan"), float("inf"), -float("inf")][rng.integers(3)]
+    elif kind == 3:
+        data[stack][k][0][0] = "HUGE"
+        return json.dumps(data).replace('"HUGE"', ["1e400", "-1e400"][rng.integers(2)])
+    elif kind == 4:
+        del data[sorted(data)[rng.integers(len(data))]]
+    elif kind == 5:
+        return json.dumps([[data], "problem", 3, None][rng.integers(4)])
+    else:
+        values = [4.7, 2.9, -0.5, 1e-3] if kind == 6 else [True, False]
+        data["nmNd"[rng.integers(4)]] = values[rng.integers(len(values))]
+    return json.dumps(data)
+
+
+def _malformed_candidate(rng, data):
+    """The JSON text of one malformed copy of a candidate dict, of the same
+    kinds as ``_malformed_problem``'s."""
+    data = json.loads(json.dumps(data))
+    kind = rng.integers(7)
+    key = sorted(data["P"])[rng.integers(len(data["P"]))]
+    if kind == 0:
+        field = ["t", "P"][rng.integers(2)]
+        data[field] = ["x", None, {}, [], 1.5, True][rng.integers(6)]
+    elif kind == 1:
+        data["P"][key][rng.integers(2)].pop()
+    elif kind == 2:
+        data["P"][key][0][0] = [float("nan"), float("inf")][rng.integers(2)]
+    elif kind == 3:
+        data["P"][key][1][1] = "HUGE"
+        return json.dumps(data).replace('"HUGE"', "1e400")
+    elif kind == 4:
+        del data[["t", "P"][rng.integers(2)]]
+    elif kind == 5:
+        return json.dumps([[data], "candidate", 3, None][rng.integers(4)])
+    else:
+        data["t"] = 4.7
+    return json.dumps(data)
+
+
+def _run_quietly(argv):
+    """main(argv) with warnings raised as errors; (exit code, stderr)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_malformed_files_exit_with_one_line(paths, tmp_path, seed):
+    """Seeded malformed problem files through solve, oracle, simulate and
+    lmei check, and malformed candidate files through lmei check
+    --candidate: every exit is a failure code, with one stderr line, no
+    traceback and no warning."""
+    rng = np.random.default_rng(seed)
+    problem = json.loads(pathlib.Path(paths["benchmark"]).read_text())
+    bench = delq.benchmark_problem()
+    candidate = json.loads(dumps(candidate_to_dict(
+        certificate_from_riccati(solve_riccati(bench, 0), bench))))
+    path = tmp_path / "input.json"
+    cases = [json.dumps({**problem, "N": 4.7})] + [_malformed_problem(rng, problem)
+                                                  for _ in range(25)]
+    for text in cases:
+        path.write_text(text)
+        for argv in (["solve"], ["oracle", "--x=1,-0.5"], ["simulate", "--x=1,-0.5"],
+                     ["lmei", "check", "--zero"]):
+            code, err = _run_quietly(argv + ["--problem", str(path)])
+            assert code in (EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE,
+                            EXIT_INCONSISTENT), (argv, text)
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+            assert "Traceback" not in err, (argv, text)
+    for _ in range(25):
+        path.write_text(_malformed_candidate(rng, candidate))
+        code, err = _run_quietly(["lmei", "check", "--problem", paths["benchmark"],
+                                  "--candidate", str(path)])
+        assert code in (EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE,
+                        EXIT_INCONSISTENT), path.read_text()
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert "Traceback" not in err
+
+
 def test_exit_codes_are_distinct():
     codes = [EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE, EXIT_INCONSISTENT]
     assert codes == [0, 1, 2, 3, 4]

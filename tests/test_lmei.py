@@ -10,16 +10,13 @@ from delq import (
     ProblemData,
     UnsolvableError,
     ValidationError,
-    auxiliary_cost,
     candidate_from_dict,
     candidate_to_dict,
     certificate_from_riccati,
     check_membership,
     construct_from_candidate,
     make_candidate,
-    rollout,
     solve_riccati,
-    trajectory_cost,
     zero_candidate,
 )
 from delq import dumps, lmei
@@ -47,7 +44,6 @@ from delq.riccati import (
     classify,
     solution_from_dict,
 )
-from delq.model import random_open_loop
 
 from conftest import (
     draw_mixed,
@@ -56,6 +52,7 @@ from conftest import (
     scalar_problem,
     uniquely_solvable_instances,
 )
+from identities import auxiliary_cost, random_open_loop, rollout, trajectory_cost
 
 
 def _max_rel_dev(got, want):

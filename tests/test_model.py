@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,35 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delq import (
-    AdaptedProcess,
     FeedbackPolicy,
-    OpenLoopPolicy,
     ProblemData,
     ResourceLimitError,
     ValidationError,
-    build_tree,
     ensure_valid,
     load_problem,
     problem_from_dict,
     problem_to_dict,
-    rollout,
     save_problem,
-    trajectory_cost,
     validate,
-    zero_policy,
 )
 from delq.model import (
     DEPTH_CAP_ENV,
-    block_mean,
     depth_cap,
     expand,
     measurable_level,
-    random_open_loop,
     tree_step,
 )
 from delq.riccati import feedback_policy, solve_riccati
 
 from conftest import draw_mixed, reference_tree_step, scalar_problem
+from identities import (
+    AdaptedProcess,
+    OpenLoopPolicy,
+    block_mean,
+    build_tree,
+    random_open_loop,
+    rollout,
+    trajectory_cost,
+    zero_policy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +202,20 @@ def test_problem_data_rejects_non_numeric():
     with pytest.raises(ValidationError):
         ProblemData(n="one", m=1, N=1, d=0, A=[[[1.0]]], B=[[[1.0]]],
                     C=[[[0.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]], G=[[1.0]])
+
+
+@pytest.mark.parametrize("value", [4.7, 2.9, -0.5, float("inf"), float("nan"), True, False,
+                                   "3", None, [3]])
+def test_problem_data_refuses_non_integral_dimensions(value):
+    """A dimension is an integer or an integral float; anything else is
+    refused, never truncated (N = 4.7 used to run as 4, n = True as 1)."""
+    data = problem_to_dict(scalar_problem())
+    for name in ("n", "m", "N", "d"):
+        with pytest.raises(ValidationError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            problem_from_dict({**data, name: value})
+    back = problem_from_dict({**data, "N": 3.0, "n": np.int64(1), "d": 2.0})
+    assert (back.n, back.N, back.d) == (1, 3, 2) and type(back.N) is int
+    assert validate(back) == []
 
 
 def test_problem_json_round_trip(tmp_path):

@@ -23,7 +23,6 @@ from delq import (
     problem_from_dict,
     problem_to_dict,
     range_residual,
-    recompute_wh,
     solution_from_dict,
     solution_to_dict,
     solve_riccati,
@@ -31,7 +30,6 @@ from delq import (
 )
 from delq import dumps, lmei
 from delq.linalg import PINV_RTOL, pinv, symmetrize
-from delq.model import random_open_loop
 from delq.riccati import RiccatiSolution, _StackedBlocks, classification_rank
 from delq.worked_example import REFERENCE_GAINS
 
@@ -44,6 +42,7 @@ from conftest import (
     tree_cost,
     uniquely_solvable_instances,
 )
+from identities import OpenLoopPolicy, random_open_loop, recompute_wh
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +577,6 @@ def test_gain_policy_beats_random_perturbations(scalar, scalar_solution):
     for _ in range(100):
         pert = random_open_loop(scalar, 0, rng, scale=0.5)
         controls = [np.array([[-0.25]]) + p for p in pert.controls]
-        from delq import OpenLoopPolicy
         cost = tree_cost(scalar, 0, [1.0], OpenLoopPolicy(t=0, d=2, controls=controls))
         assert cost >= opt - 1e-10
 

@@ -9,34 +9,25 @@ import pytest
 
 from delq import (
     FeedbackPolicy,
-    OpenLoopPolicy,
     ProblemData,
     ResourceLimitError,
     ValidationError,
-    build_tree,
     classify,
-    completion_of_squares_residual,
-    cost_decomposition_check,
     exact_cost,
     feedback_policy,
-    fixed_pair_check,
     monte_carlo_cost,
     optimal_value,
     predictor,
     problem_from_dict,
-    rollout,
-    shifted_policy,
     solve_riccati,
-    zero_policy,
 )
 from delq.linalg import scale_floor
-from delq.model import DEPTH_CAP_ENV, block_mean, measurable_level, random_open_loop
+from delq.model import DEPTH_CAP_ENV, measurable_level
 from delq.riccati import SOLVABLE_ALL_PAIRS
 from delq.simulate import (
     MC_CHUNK,
     PATH_STEP_CAP_ENV,
     _chunk_costs,
-    _enumerated_chunks,
     _noise_chunks,
     _phis,
     _chunk_operands,
@@ -45,6 +36,19 @@ from delq.simulate import (
 from delq.worked_example import benchmark_problem
 
 from conftest import draw_mixed, tree_cost, uniquely_solvable_instances
+from identities import (
+    OpenLoopPolicy,
+    block_mean,
+    build_tree,
+    completion_of_squares_residual,
+    cost_decomposition_check,
+    fixed_pair_check,
+    random_open_loop,
+    rollout,
+    shifted_policy,
+    sign_patterns,
+    zero_policy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +145,18 @@ def test_exact_cost_runs_past_the_depth_cap(monkeypatch):
 
 
 def test_exact_cost_refuses_open_loop_policies(scalar):
-    """Open-loop controls are indexed by tree atoms; the CLI maps the
+    """Only a feedback policy is evaluated; the CLI maps the
     ValidationError to exit 2."""
-    with pytest.raises(ValidationError, match="exact evaluation takes a feedback policy"):
+    with pytest.raises(ValidationError,
+                       match="evaluation takes a feedback policy, got OpenLoopPolicy"):
         exact_cost(scalar, 0, [1.0], zero_policy(scalar, 0))
 
 
 def _malformed_policy(case):
     """One malformed policy for benchmark_problem() (n = m = 2, N = 4,
-    d = 2) and the message that must name it."""
+    d = 2) and the message that must name it. The evaluation routes take
+    feedback policies only, so an open-loop one, well formed or not, is
+    refused as such."""
     problem = benchmark_problem()
     gains = feedback_policy(solve_riccati(problem, 0)).gains
     controls = random_open_loop(problem, 0, np.random.default_rng(0)).controls
@@ -158,18 +165,20 @@ def _malformed_policy(case):
         return FeedbackPolicy(t=0, d=2, gains=wide), r"gain at time 0 must have shape \(2, 2\), got \(2, 3\)"
     if case == "gain one short":
         return FeedbackPolicy(t=0, d=2, gains=gains[:-1]), "policy has no gain for time 3"
+    refused = "evaluation takes a feedback policy, got OpenLoopPolicy"
     if case == "control one short":
-        return OpenLoopPolicy(t=0, d=2, controls=controls[:-1]), "policy has no control for time 3"
+        return OpenLoopPolicy(t=0, d=2, controls=controls[:-1]), refused
     wide = [np.hstack([u, np.zeros((len(u), 1))]) for u in controls]
-    return OpenLoopPolicy(t=0, d=2, controls=wide), r"control at time 0 must have shape \(1, 2\), got \(1, 3\)"
+    return OpenLoopPolicy(t=0, d=2, controls=wide), refused
 
 
 @pytest.mark.parametrize("route", ["exact", "monte carlo"])
 @pytest.mark.parametrize("case", ["gain too wide", "gain one short", "control one short",
                                   "control too wide"])
 def test_every_route_checks_the_policy(route, case):
-    """A gain or control of the wrong shape, or a policy a step short, is an
-    input error on both evaluation routes, named before any work."""
+    """A gain of the wrong shape, a policy a step short, or an open-loop
+    policy is an input error on both evaluation routes, named before any
+    work."""
     problem = benchmark_problem()
     policy, message = _malformed_policy(case)
     with pytest.raises(ValidationError, match=message):
@@ -179,16 +188,26 @@ def test_every_route_checks_the_policy(route, case):
             monte_carlo_cost(problem, 0, [1.0, 1.0], policy, samples=64, seed=0)
 
 
+def _enumerated_mean(problem, t, x, policy):
+    """The mean of the Monte-Carlo chunk loop over all 2^(N-t) sign
+    patterns: under Rademacher noise, the exact expected cost."""
+    patterns = sign_patterns(problem.N - t)
+    costs = _chunk_costs(problem, t, np.asarray(x, dtype=float), patterns,
+                         _chunk_operands(problem, t, policy))
+    return float(np.mean(costs))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_full_enumeration_reproduces_exact_mean(seed):
+    # gains drawn at random, not the recursion's
     problem, t = draw_mixed(seed)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=problem.n)
-    u = random_open_loop(problem, t, rng)
-    exact = tree_cost(problem, t, x, u)
-    enum = monte_carlo_cost(problem, t, x, u, samples=1 << (problem.N - t),
-                            full_enumeration=True)
-    assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact))
+    policy = FeedbackPolicy(t=t, d=problem.d, gains=[
+        rng.normal(size=(problem.m, problem.n)) for _ in range(problem.N - t)])
+    exact = tree_cost(problem, t, x, policy)
+    enum = _enumerated_mean(problem, t, x, policy)
+    assert abs(enum - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 @pytest.mark.parametrize("delay", ["zero", "drawn", "whole horizon"])
@@ -204,9 +223,8 @@ def test_full_enumeration_of_feedback_policy_matches_tree(delay):
         policy = feedback_policy(solve_riccati(problem, t))
         x = np.random.default_rng(seed).normal(size=problem.n)
         exact = tree_cost(problem, t, x, policy)
-        enum = monte_carlo_cost(problem, t, x, policy, samples=1 << (problem.N - t),
-                                full_enumeration=True)
-        assert abs(enum.mean - exact) <= 1e-12 * max(1.0, abs(exact)), (seed, d)
+        enum = _enumerated_mean(problem, t, x, policy)
+        assert abs(enum - exact) <= 1e-12 * max(1.0, abs(exact)), (seed, d)
     assert starts == {False, True}
 
 
@@ -263,8 +281,7 @@ def test_chunk_predictor_matches_direct_predictor_path_by_path(t, d):
         steps = problem.N - t
         noises = np.vstack([1.0 - 2.0 * rng.integers(0, 2, size=(8, steps)),
                             rng.standard_normal((8, steps))])
-        got = _chunk_costs(problem, t, x, policy, noises,
-                           _chunk_operands(problem, t, policy))
+        got = _chunk_costs(problem, t, x, noises, _chunk_operands(problem, t, policy))
         for path, w in enumerate(noises):
             # Reference cost of the same path, with every control from the
             # direct per-path predictor.
@@ -273,29 +290,6 @@ def test_chunk_predictor_matches_direct_predictor_path_by_path(t, d):
                 return gains[k - t] @ predictor(problem, t, x, gains, k, noises=w[:s - t])
             cost = _path_cost(problem, t, x, w, control)
             assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), (n, m, path)
-
-
-@pytest.mark.parametrize("t", [0, 3])
-def test_chunk_open_loop_costs_match_direct_rollout_path_by_path(t):
-    # Open-loop controls are read from the tree atom of each path's revealed
-    # prefix, w_t..w_{s-1} with s = max(t, k-d), at d = 0, 2 and N - t.
-    for d in (0, 2, 11 - t):
-        for n, m, indefinite in _SHAPES:
-            problem = _unstable_problem(t + 7, d, n=n, m=m, indefinite=indefinite)
-            rng = np.random.default_rng(t)
-            policy = random_open_loop(problem, t, rng)
-            x = np.array([0.5, 1.0, -1.0][:n])
-            steps = problem.N - t
-            noises = 1.0 - 2.0 * rng.integers(0, 2, size=(16, steps))
-            got = _chunk_costs(problem, t, x, policy, noises,
-                               _chunk_operands(problem, t, policy))
-            for path, w in enumerate(noises):
-                def control(k):
-                    s = measurable_level(t, d, k)
-                    atom = int("".join("1" if v < 0 else "0" for v in w[:s - t]) or "0", 2)
-                    return policy.controls[k - t][atom]
-                cost = _path_cost(problem, t, x, w, control)
-                assert abs(got[path] - cost) <= 1e-12 * max(1.0, abs(cost)), (d, n, m, path)
 
 
 @pytest.mark.parametrize("d", [0, 5, 20])
@@ -320,7 +314,7 @@ def test_chunk_step_makes_a_fixed_number_of_products(d, monkeypatch):
 
             with monkeypatch.context() as patch:
                 patch.setattr(np, "matmul", counting)
-                _chunk_costs(problem, t, np.ones(n), policy, noises, operands)
+                _chunk_costs(problem, t, np.ones(n), noises, operands)
             counts[n, m, steps] = calls
     for (n, m, steps), calls in counts.items():
         assert calls == 2 * steps + (steps - d) + 1, (n, m, steps)
@@ -349,15 +343,6 @@ def test_step_operands_phi_matches_direct_products(delay):
                 direct = problem.A[j] @ direct
             err = np.max(np.abs(Phi - direct))
             assert err <= 1e-13 * np.max(np.abs(direct)), (seed, d, k)
-
-
-def test_full_enumeration_argument_validation(scalar):
-    u = zero_policy(scalar, 0)
-    with pytest.raises(ValidationError, match="samples = 2"):
-        monte_carlo_cost(scalar, 0, [1.0], u, samples=7, full_enumeration=True)
-    with pytest.raises(ValidationError, match="Rademacher"):
-        monte_carlo_cost(scalar, 0, [1.0], u, noise="gaussian", samples=8,
-                         full_enumeration=True)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +383,7 @@ def test_noise_chunks_match_one_up_front_draw(noise, steps):
 def test_enumerated_chunks_are_the_tree_leaves_in_order(steps):
     leaves = np.array([[1.0 - 2.0 * ((i >> (steps - 1 - j)) & 1) for j in range(steps)]
                        for i in range(1 << steps)])
-    chunks = list(_enumerated_chunks(steps))
-    assert all(c.shape[0] <= MC_CHUNK for c in chunks)
-    assert np.array_equal(np.vstack(chunks), leaves)
+    assert np.array_equal(sign_patterns(steps), leaves)
 
 
 def test_monte_carlo_memory_does_not_grow_with_samples():
@@ -433,7 +416,7 @@ def test_monte_carlo_matches_exact_within_error_bars():
 
 
 def test_monte_carlo_gaussian_needs_feedback(scalar, scalar_solution):
-    with pytest.raises(ValidationError, match="open-loop"):
+    with pytest.raises(ValidationError, match="evaluation takes a feedback policy"):
         monte_carlo_cost(scalar, 0, [1.0], zero_policy(scalar, 0),
                          noise="gaussian", samples=100)
     out = monte_carlo_cost(scalar, 0, [1.0], feedback_policy(scalar_solution),
