@@ -5,8 +5,9 @@ example paper. Problems are JSON files ({n,m,N,d,A,B,C,D,Q,R,G}, matrices
 as arrays of rows); reports are printed human-readable or as JSON.
 
 Exit codes: 0 success, 1 usage/parse errors, 2 validation or resource-cap
-failures, 3 unsolvable/infeasible outcomes, 4 internal-consistency failures
-(cross-check mismatch or numerical breakdown).
+failures (an allocation that fails included), 3 unsolvable/infeasible
+outcomes, 4 internal-consistency failures (cross-check mismatch or numerical
+breakdown).
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .jsontext import Records, dumps
+from .jsontext import dumps
 from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
@@ -170,13 +171,10 @@ def build_parser() -> _Parser:
     return p
 
 
-def _emit(args, human: Callable[[], str], payload: dict) -> None:
-    """Print the payload as JSON, or the text that `human()` builds: only
-    the format asked for is built."""
-    if args.format == "json":
-        print(dumps(payload))
-    else:
-        print(human())
+def _emit(args, human: Callable[[], str], payload: Callable[[], dict]) -> None:
+    """Print the JSON of `payload()`, or the text that `human()` builds:
+    only the format asked for is built."""
+    print(dumps(payload()) if args.format == "json" else human())
 
 
 def _solve_and_classify(args):
@@ -186,20 +184,27 @@ def _solve_and_classify(args):
     return problem, sol, report
 
 
-def _classification_table(report) -> list[str]:
+def _classification_table(report, t: int) -> list[str]:
+    """The grade, then one row per step k = t..N-1 of the report's columns."""
     lines = [f"classification: {report.classification}"]
     if report.note:
         lines.append(f"note: {report.note}")
     lines.append(f"{'k':>4}  {'min-eig(W_k)':>14}  {'range-residual':>14}")
-    for step in report.steps:
-        lines.append(f"{step.k:>4}  {step.w_min_eig:>14.6e}  {step.range_residual:>14.6e}")
+    columns = zip(report.w_min_eig.tolist(), report.range_residual.tolist())
+    for k, (lam, resid) in enumerate(columns, start=t):
+        lines.append(f"{k:>4}  {lam:>14.6e}  {resid:>14.6e}")
     return lines
+
+
+def _constraint_line(kind: str, k: int, i: int | None, margin: float, satisfied: bool) -> str:
+    where = f"k={k}" + (f" i={i}" if i is not None else "")
+    return f"{kind:>13} {where:<10} margin {margin:+.3e}  {'ok' if satisfied else 'VIOLATED'}"
 
 
 def cmd_solve(args) -> int:
     _, sol, report = _solve_and_classify(args)
-    _emit(args, lambda: "\n".join(_classification_table(report)),
-          solution_to_dict(sol, report))
+    _emit(args, lambda: "\n".join(_classification_table(report, sol.t)),
+          lambda: solution_to_dict(sol, report))
     return EXIT_OK
 
 
@@ -208,7 +213,7 @@ def cmd_value(args) -> int:
     k = args.t if args.k is None else args.k
     val = optimal_value(sol, k, args.x, report, args.psd_tol)
     xs = ", ".join(f"{v:g}" for v in args.x)
-    _emit(args, lambda: f"V({k}, [{xs}]) = {val:.12g}", {
+    _emit(args, lambda: f"V({k}, [{xs}]) = {val:.12g}", lambda: {
         "t": args.t, "k": k, "x": args.x, "value": val,
         "classification": report.classification,
     })
@@ -225,7 +230,7 @@ def cmd_gains(args) -> int:
             lines.append(f"K_{sol.t + j} = [{rows}]")
         return "\n".join(lines)
 
-    _emit(args, human, {
+    _emit(args, human, lambda: {
         "t": sol.t, "d": sol.d, "N": sol.N,
         "K": sol.K,
         "classification": report.classification,
@@ -247,8 +252,8 @@ def cmd_oracle(args) -> int:
             )
         _emit(args, lambda: f"oracle: Unbounded ({outcome.reason})\n"
                             f"classification: {report.classification}",
-              {"status": "Unbounded", "reason": outcome.reason,
-               "classification": report.classification})
+              lambda: {"status": "Unbounded", "reason": outcome.reason,
+                       "classification": report.classification})
         return EXIT_UNSOLVABLE
 
     payload = {"status": "Bounded", "oracle_value": outcome.value,
@@ -267,7 +272,7 @@ def cmd_oracle(args) -> int:
     else:
         lines.append(f"classification: {report.classification} "
                      "(no recursion value to compare)")
-    _emit(args, lambda: "\n".join(lines), payload)
+    _emit(args, lambda: "\n".join(lines), lambda: payload)
     return code
 
 
@@ -283,7 +288,7 @@ def cmd_simulate(args) -> int:
     _emit(args, lambda: (f"mean = {result.mean:.12g}\nstd_error = {result.std_error:.6g}\n"
                          f"samples = {result.samples}\nmode = {result.mode}\n"
                          f"noise = {result.noise}\nseed = {result.seed}"),
-          result.to_dict())
+          result.to_dict)
     return EXIT_OK
 
 
@@ -302,33 +307,22 @@ def cmd_lmei(args) -> int:
     cand = _load_candidate(args, problem)
     if args.subcommand == "check":
         rep = check_membership(cand, problem, args.t, args.psd_tol)
-
-        def human() -> str:
-            lines = []
-            for c in rep.constraints:
-                where = f"k={c.k}" + (f" i={c.i}" if c.i is not None else "")
-                lines.append(f"{c.kind:>13} {where:<10} margin {c.margin:+.3e}  "
-                             f"{'ok' if c.satisfied else 'VIOLATED'}")
-            lines.append(f"feasible: {rep.feasible}")
-            return "\n".join(lines)
-
-        _emit(args, human, {
-            "feasible": rep.feasible, "tol": rep.tol,
-            "constraints": Records(("kind", "k", "i", "margin", "satisfied"),
-                                   zip(*rep.constraints)),
-        })
+        _emit(args, lambda: "\n".join([*map(_constraint_line, *rep.constraints.columns),
+                                       f"feasible: {rep.feasible}"]),
+              lambda: {"feasible": rep.feasible, "tol": rep.tol,
+                       "constraints": rep.constraints})
         return EXIT_OK if rep.feasible else EXIT_UNSOLVABLE
     sol = construct_from_candidate(cand, problem, args.t, args.psd_tol, args.pinv_tol)
     report = classify(sol, args.psd_tol)
     _emit(args, lambda: "\n".join(["constructed solution from candidate"]
-                                  + _classification_table(report)),
-          solution_to_dict(sol, report))
+                                  + _classification_table(report, sol.t)),
+          lambda: solution_to_dict(sol, report))
     return EXIT_OK
 
 
 def cmd_example_paper(args) -> int:
     report = benchmark_report()
-    _emit(args, lambda: render_report(report), report_to_dict(report))
+    _emit(args, lambda: render_report(report), lambda: report_to_dict(report))
     return EXIT_OK if report.anchored_ok else EXIT_INCONSISTENT
 
 
@@ -359,6 +353,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValidationError, ResourceLimitError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:
+        # An allocation the input asks for, such as the recursion's P buffer.
+        print(f"invalid input: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnsolvableError as exc:
         print(f"unsolvable: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ tuples of str, int, bool, None and float), and also takes float arrays.
 ``json.dumps`` with an indent runs CPython's pure-Python encoder, one
 generator step per value; the payloads hold up to ~10^5 floats. Here the
 structure of a float array, of a ``KeyedStack`` (an object whose values are
-the matrices of one stack, such as a solution's P blocks) and of a list of
-records that share their keys (a list of dicts, or a ``Records`` of columns
-such as the ``lmei check`` constraints) is a ``%``-template built once, and
+the matrices of one stack, such as a solution's P blocks) and of a
+``Records`` (the columns of records that share their keys, such as the
+``lmei check`` constraints) is a ``%``-template built once, and
 its values are filled in by one ``%``-format: ``%s`` of a float is
 ``float.__repr__``, which is how json writes a finite float. Non-finite
 floats become ``NaN``, ``Infinity`` and ``-Infinity``, as in json. A float
@@ -120,7 +120,7 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, KeyedStack):
         return _keyed_stack(obj, level)
     if isinstance(obj, Records):
-        return _records(obj.keys, obj.columns, level) if len(obj) else "[]"
+        return _records(obj, level)
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _array_template(obj.shape, level) % _floats(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
@@ -178,21 +178,16 @@ def _keyed_stack(obj: KeyedStack, level: int) -> str:
 def _list(items, level: int) -> str:
     if not items:
         return "[]"
-    if len(items) > 1 and set(map(type, items)) == {dict}:
-        keys = set(map(tuple, items))          # 1, 1.0 and True would compare equal
-        if len(keys) == 1 and set(map(type, *keys)) == {str}:
-            keys = keys.pop()
-            return _records(keys, [[r[k] for r in items] for k in keys], level)
     return _wrap("[", "]", [_encode(v, level + 1) for v in items], level)
 
 
-def _records(keys: tuple, columns, level: int) -> str:
-    """A non-empty list of records with the same str keys in the same order,
-    given as one column of values per key: one record template, its fields
-    filled column by column."""
-    record = _wrap("{", "}", [f"{_escape(_encode_str(k))}: %s" for k in keys], level + 1)
-    texts = [_column(values, level + 2) for values in columns]
-    template = _wrap("[", "]", [record] * len(columns[0]), level)
+def _records(obj: Records, level: int) -> str:
+    """One record template, its fields filled column by column."""
+    if not len(obj):
+        return "[]"
+    record = _wrap("{", "}", [f"{_escape(_encode_str(k))}: %s" for k in obj.keys], level + 1)
+    texts = [_column(values, level + 2) for values in obj.columns]
+    template = _wrap("[", "]", [record] * len(obj), level)
     return template % tuple(chain.from_iterable(zip(*texts)))
 
 

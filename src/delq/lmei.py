@@ -41,19 +41,20 @@ linalg call (eig_margin for the inequalities, rel_deviation for the
 equalities, the stacked Schur test with both routes and the gray-band check
 for the blocks) and lays the report out by index arithmetic: its kind, k, i,
 margin and satisfied columns in report order, from which the non-finite
-margin refusal and feasibility are read. construct_from_candidate hands the
-pass's stacks to the backward kernel as they are, forms P = P~ + U as one
-buffer add, re-derives W/H from P by the same stacked call and verifies them
-in stacked calls.
+margin refusal and feasibility are read. The report keeps these columns as
+they are, one list each in a jsontext.Records, with no object per
+constraint. construct_from_candidate hands the pass's stacks to the backward
+kernel as they are, forms P = P~ + U as one buffer add, re-derives W/H from P
+by the same stacked call and verifies them in stacked calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConsistencyError, UnsolvableError, ValidationError
+from .jsontext import Records
 from .linalg import (
     PINV_RTOL,
     PSD_TOL,
@@ -290,29 +291,26 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
 # ---------------------------------------------------------------------------
 # Membership checking
 
-class ConstraintStatus(NamedTuple):
-    """One constraint with a signed margin.
+@dataclass(frozen=True)
+class LmeiReport:
+    """Every constraint of the system with a signed margin, one row each in
+    report order (see _grade), held as the columns kind, k, i, margin and
+    satisfied of `constraints`.
 
     Inequalities (kind "inequality"/"block"/"terminal_gap") report the
     relative minimum eigenvalue; equalities (kind "equality"/"terminal_zero")
-    report minus the relative residual. Satisfied means margin >= -tol.
+    report minus the relative residual. i is None for a block. Satisfied
+    means margin >= -tol; a block is decided by the Schur test.
     """
 
-    kind: str
-    k: int
-    i: int | None
-    margin: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class LmeiReport:
     feasible: bool
     tol: float
-    constraints: tuple[ConstraintStatus, ...]
+    constraints: Records
 
-    def worst(self) -> ConstraintStatus:
-        return min(self.constraints, key=lambda c: c.margin)
+    def worst(self) -> dict:
+        """The first row of least margin."""
+        _, _, _, margin, _ = self.constraints.columns
+        return self.constraints[margin.index(min(margin))]
 
 
 def _check_anchor(cand: LmeiCandidate, problem: ProblemData, t: int) -> None:
@@ -325,8 +323,11 @@ def _check_anchor(cand: LmeiCandidate, problem: ProblemData, t: int) -> None:
 def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
     """Every constraint from the slack pass, in report order: the terminal
     conditions, then per step k the inequality, the equalities (i = 1..) and
-    the block constraint. A non-finite margin (an eigenvalue of finite slack
-    can overflow) raises ConsistencyError naming the earliest such step."""
+    the block constraint. Each family is graded in one stacked call and
+    scattered into the report's kind, k, i, margin and satisfied columns,
+    which the report holds as lists. A non-finite margin (an eigenvalue of
+    finite slack can overflow) raises ConsistencyError naming the earliest
+    such step."""
     t, N, d = cand.t, cand.N, cand.d
     with np.errstate(all="ignore"):
         terminal = eig_margin(slack.terminal)[1]
@@ -366,9 +367,9 @@ def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
         j = broken[np.argmin(k[broken])]            # the first row of the earliest step
         raise ConsistencyError(
             f"numerical breakdown: non-finite {kind[j]} margin at k={k[j]}")
-    records = tuple(map(ConstraintStatus._make, zip(
-        kind.tolist(), k.tolist(), i.tolist(), margin.tolist(), satisfied.tolist())))
-    return LmeiReport(feasible=bool(satisfied.all()), tol=tol, constraints=records)
+    columns = kind.tolist(), k.tolist(), i.tolist(), margin.tolist(), satisfied.tolist()
+    return LmeiReport(feasible=bool(satisfied.all()), tol=tol,
+                      constraints=Records(("kind", "k", "i", "margin", "satisfied"), columns))
 
 
 def check_membership(cand: LmeiCandidate, problem: ProblemData, t: int,
@@ -430,7 +431,7 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         worst = report.worst()
         raise UnsolvableError(
             "candidate is infeasible: worst constraint "
-            f"{worst.kind} at k={worst.k} (margin {worst.margin:.3e})"
+            f"{worst['kind']} at k={worst['k']} (margin {worst['margin']:.3e})"
         )
 
     n, m, N, d = cand.n, problem.m, cand.N, cand.d

@@ -357,16 +357,15 @@ def solve_riccati_bar(problem: ProblemData, t: int,
 # Classification and value
 
 @dataclass(frozen=True)
-class StepEvidence:
-    k: int
-    w_min_eig: float
-    range_residual: float
-
-
-@dataclass(frozen=True)
 class SolvabilityReport:
+    """The grade of a solution and its per-step evidence, as two (N - t,)
+    columns indexed by the step j = k - t like W, H and K: w_min_eig[j] is
+    the least eigenvalue of W_k and range_residual[j] the relative residual
+    of H_k outside the range of W_k."""
+
     classification: str
-    steps: tuple[StepEvidence, ...]
+    w_min_eig: np.ndarray
+    range_residual: np.ndarray
     note: str = ""
 
     def at_least(self, classification: str) -> bool:
@@ -383,12 +382,10 @@ def classify(sol: RiccatiSolution, tol: float = PSD_TOL) -> SolvabilityReport:
     the oracle. NotConvex: some W_k has a genuinely negative eigenvalue.
     PD/PSD are read from the eig_margin of each step, as is_pd/is_psd
     decide; all steps are graded in one stacked eig_margin and one stacked
-    range_residual.
+    range_residual, whose columns the report keeps as they are.
     """
     lam, margin = eig_margin(sol.W)
     resid = range_residual(sol.H, sol.W)
-    steps = tuple(StepEvidence(k=sol.t + j, w_min_eig=lam_j, range_residual=resid_j)
-                  for j, (lam_j, resid_j) in enumerate(zip(lam.tolist(), resid.tolist())))
     all_psd = bool(np.all(margin >= -tol))
     if np.all(margin > tol):
         cls, note = UNIQUELY_SOLVABLE, ""
@@ -398,7 +395,8 @@ def classify(sol: RiccatiSolution, tol: float = PSD_TOL) -> SolvabilityReport:
         cls, note = CONVEX_CANDIDATE, "fixed-initial-pair solvability requires oracle check"
     else:
         cls, note = NOT_CONVEX, ""
-    return SolvabilityReport(classification=cls, steps=steps, note=note)
+    return SolvabilityReport(classification=cls, w_min_eig=lam, range_residual=resid,
+                             note=note)
 
 
 def optimal_value(sol: RiccatiSolution, k: int, xi,

@@ -33,7 +33,8 @@ REMOVED = ("DelayFreeSolution", "solve_delay_free", "forward_simulate", "gains",
            "cost_difference_residual", "decoupling_residual", "first_variation_inner",
            "fixed_pair_check", "oracle_cost", "process_inner", "solve_bsde",
            "stationary_residual", "terminal_inner", "auxiliary_cost",
-           "completion_of_squares_residual", "cost_decomposition_check", "shifted_policy")
+           "completion_of_squares_residual", "cost_decomposition_check", "shifted_policy",
+           "StepEvidence", "ConstraintStatus")
 
 
 def test_every_exported_name_resolves():

@@ -557,7 +557,7 @@ def test_elimination_matches_the_dense_route(tmp_path):
         kinds.add(kind)
         report = classify(solve_riccati(problem, t))
         if report.classification == "NotConvex":
-            latest = max(e.k for e in report.steps if e.w_min_eig < 0.0)
+            latest = t + int(np.flatnonzero(report.w_min_eig < 0.0)[-1])
             assert out.reason.endswith(f" at k={latest}"), name
             named += 1
         if not out.bounded:

@@ -17,7 +17,9 @@ import delq
 from delq import (
     candidate_to_dict,
     certificate_from_riccati,
+    classify,
     dumps,
+    load_problem,
     optimal_value,
     solution_from_dict,
     solve_riccati,
@@ -68,6 +70,35 @@ def test_solve_human_output(paths, capsys):
     out = capsys.readouterr().out
     assert "classification: UniquelySolvable" in out
     assert "min-eig(W_k)" in out
+
+
+@pytest.mark.parametrize("name", ["benchmark", "notconvex", "nonneg"])
+def test_solve_human_table_is_the_report_columns(paths, capsys, name):
+    """The human solve table: the grade, then one row per k = t..N-1 with
+    the report's w_min_eig and range_residual at that step."""
+    problem = load_problem(paths[name])
+    for t in (0, 1):
+        assert main(["solve", "--problem", paths[name], "--t", str(t)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        report = classify(solve_riccati(problem, t))
+        assert lines[0] == f"classification: {report.classification}"
+        header = lines.index(f"{'k':>4}  {'min-eig(W_k)':>14}  {'range-residual':>14}")
+        rows = [line.split() for line in lines[header + 1:]]
+        assert [int(k) for k, _, _ in rows] == list(range(t, problem.N))
+        assert [lam for _, lam, _ in rows] == [f"{v:.6e}" for v in report.w_min_eig]
+        assert [resid for _, _, resid in rows] == [f"{v:.6e}" for v in report.range_residual]
+
+
+def test_human_output_builds_no_json_payload(paths, capsys, monkeypatch):
+    """Human solve and lmei construct never call solution_to_dict; the JSON
+    route calls it through the name delq.cli binds."""
+    calls = []
+    monkeypatch.setattr(delq.cli, "solution_to_dict", lambda *args: calls.append(args) or {})
+    assert main(["solve", "--problem", paths["benchmark"]]) == EXIT_OK
+    assert main(["lmei", "construct", "--problem", paths["nonneg"], "--zero"]) == EXIT_OK
+    assert calls == []
+    assert main(["solve", "--problem", paths["benchmark"], "--format", "json"]) == EXIT_OK
+    assert len(calls) == 1 and capsys.readouterr().out.endswith("{}\n")
 
 
 def test_solve_json_round_trips_into_value(paths, capsys):
@@ -222,6 +253,28 @@ def test_lmei_check_candidate_file(paths, capsys, tmp_path):
     code, payload = run_json(capsys, "lmei", "check", "--problem",
                              paths["scalar"], "--candidate", str(path))
     assert code == EXIT_OK and payload["feasible"] is True
+
+
+_CONSTRAINT_LINE = re.compile(r" *(\w+) k=(\d+)(?: i=(\d+))? +margin (\S+)  (ok|VIOLATED)")
+
+
+@pytest.mark.parametrize("name, source, want", [("benchmark", "--zero", EXIT_UNSOLVABLE),
+                                                 ("nonneg", "--certificate", EXIT_OK)])
+def test_lmei_check_human_rows_are_the_json_rows(paths, capsys, name, source, want):
+    """The human lmei check table holds the JSON constraints row for row, and
+    VIOLATED stands exactly where satisfied is false."""
+    argv = ["lmei", "check", "--problem", paths[name], source]
+    assert main(argv) == want
+    lines = capsys.readouterr().out.splitlines()
+    code, payload = run_json(capsys, *argv)
+    assert code == want
+    assert lines[-1] == f"feasible: {payload['feasible']}"
+    for line, c in zip(lines[:-1], payload["constraints"], strict=True):
+        kind, k, i, margin, status = _CONSTRAINT_LINE.fullmatch(line).groups()
+        assert (kind, int(k), None if i is None else int(i)) == (c["kind"], c["k"], c["i"])
+        assert margin == f"{c['margin']:+.3e}"
+        assert (status == "VIOLATED") is not c["satisfied"]
+    assert ("VIOLATED" in "\n".join(lines)) is (want == EXIT_UNSOLVABLE)
 
 
 def test_lmei_candidate_sources_are_exclusive(paths, capsys):
@@ -417,6 +470,22 @@ def test_malformed_files_exit_with_one_line(paths, tmp_path, seed):
                         EXIT_INCONSISTENT), path.read_text()
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
+
+
+def test_an_allocation_that_fails_is_invalid_input(paths, monkeypatch):
+    """A MemoryError, as numpy raises for a P buffer it cannot allocate,
+    exits 2 with one line and no traceback (the allocation is simulated)."""
+    message = ("Unable to allocate 13.4 GiB for an array with shape (400030000, 3, 3) "
+               "and data type float64")
+
+    def unallocatable(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(delq.riccati, "_StackedBlocks", unallocatable)
+    for argv in (["value", "--x=1,-0.5"], ["solve", "--format", "json"], ["gains"]):
+        code, err = _run_quietly(argv + ["--problem", paths["benchmark"]])
+        assert code == EXIT_INVALID, argv
+        assert err == f"invalid input: out of memory: {message}\n", argv
 
 
 def test_exit_codes_are_distinct():

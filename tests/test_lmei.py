@@ -20,6 +20,7 @@ from delq import (
     zero_candidate,
 )
 from delq import dumps, lmei
+from delq.jsontext import Records
 from delq.linalg import (
     _as_matrix,
     _require_symmetric,
@@ -33,7 +34,6 @@ from delq.linalg import (
 )
 from delq.lmei import (
     _CONSTRUCT_CONSISTENCY_TOL,
-    ConstraintStatus,
     LmeiReport,
 )
 from delq.riccati import (
@@ -194,8 +194,8 @@ def test_certificate_is_feasible(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
     report = check_membership(cand, scalar, 0)
     assert report.feasible
-    assert report.worst().margin >= -report.tol
-    kinds = {c.kind for c in report.constraints}
+    assert report.worst()["margin"] >= -report.tol
+    kinds = set(report.constraints.columns[0])
     assert kinds == {"terminal_gap", "terminal_zero", "inequality",
                      "equality", "block"}
 
@@ -215,7 +215,16 @@ def test_zero_candidate_feasibility_tracks_data_sign(benchmark_problem_fixture):
                               benchmark_problem_fixture, 0)
     assert not report.feasible
     worst = report.worst()
-    assert worst.kind == "block" and worst.margin < -report.tol
+    assert worst["kind"] == "block" and worst["margin"] < -report.tol
+
+
+def test_worst_is_the_first_row_of_least_margin():
+    report = LmeiReport(feasible=False, tol=1e-9, constraints=Records(
+        ("kind", "k", "i", "margin", "satisfied"),
+        (["terminal_gap", "inequality", "block", "block"], [3, 1, 1, 2], [0, 0, None, None],
+         [0.5, -2.0, 1.0, -2.0], [True, False, True, False])))
+    assert report.worst() == {"kind": "inequality", "k": 1, "i": 0, "margin": -2.0,
+                              "satisfied": False}
 
 
 def test_inflated_terminal_entry_breaks_feasibility(scalar, scalar_solution):
@@ -224,7 +233,7 @@ def test_inflated_terminal_entry_breaks_feasibility(scalar, scalar_solution):
     entries[(0, scalar.N)] = entries[(0, scalar.N)] + np.eye(1)  # above G
     report = check_membership(make_candidate(scalar, 0, entries), scalar, 0)
     assert not report.feasible
-    assert any(c.kind == "terminal_gap" and not c.satisfied
+    assert any(c["kind"] == "terminal_gap" and not c["satisfied"]
                for c in report.constraints)
 
 
@@ -414,12 +423,14 @@ def _reference_schur_block(S, H, W, tol):
 
 
 def _reference_check_membership(cand, problem, t, tol=1e-9):
-    """check_membership as one verdict call per constraint."""
-    records = []
+    """check_membership as one verdict call per constraint, each appended to
+    the report's columns."""
+    columns = ([], [], [], [], [])
 
     def add(kind, k, i, margin, satisfied=None):
         ok = (margin >= -tol) if satisfied is None else satisfied
-        records.append(ConstraintStatus(kind=kind, k=k, i=i, margin=margin, satisfied=ok))
+        for column, value in zip(columns, (kind, k, i, margin, ok)):
+            column.append(value)
 
     N, d = cand.N, cand.d
     add("terminal_gap", N, 0, eig_margin(problem.G - cand.P_at(0, N))[1])
@@ -441,8 +452,8 @@ def _reference_check_membership(cand, problem, t, tol=1e-9):
         block_ok, margin = _reference_schur_block(upper, H, W, tol)
         add("block", k, None, margin, satisfied=block_ok)
 
-    feasible = all(c.satisfied for c in records)
-    return LmeiReport(feasible=feasible, tol=tol, constraints=tuple(records))
+    return LmeiReport(feasible=all(columns[4]), tol=tol, constraints=Records(
+        ("kind", "k", "i", "margin", "satisfied"), columns))
 
 
 def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
@@ -452,7 +463,7 @@ def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
         worst = report.worst()
         raise UnsolvableError(
             "candidate is infeasible: worst constraint "
-            f"{worst.kind} at k={worst.k} (margin {worst.margin:.3e})"
+            f"{worst['kind']} at k={worst['k']} (margin {worst['margin']:.3e})"
         )
     n, N, d = cand.n, cand.N, cand.d
     # the kernel's per-step inputs, indexed by step k - t (delta[0] is unused)
@@ -532,18 +543,24 @@ def _outcome(fn, *args):
 
 
 def test_stacked_layer_matches_per_constraint_loop():
-    """Every ConstraintStatus (kind, k, i, margin, satisfied), the report
-    order, every constructed P/W/H/K and every refusal equal the
+    """Every row (kind, k, i, margin, satisfied) of the report's columns,
+    the report order, every constructed P/W/H/K and every refusal equal the
     per-constraint loop's exactly."""
     cases = _parity_cases()
     feasible = 0
     for problem, t, cand in cases:
         got = check_membership(cand, problem, t)
         want = _reference_check_membership(cand, problem, t)
-        assert got.constraints == want.constraints
+        assert got.constraints.keys == want.constraints.keys
+        for column, ref in zip(got.constraints.columns, want.constraints.columns, strict=True):
+            assert type(column) is list and column == ref
         assert got.feasible is want.feasible
-        for c in got.constraints:
-            assert type(c.margin) is float and type(c.satisfied) is bool
+        kinds, ks, indices, margins, satisfied = got.constraints.columns
+        assert all(type(k) is int for k in ks)
+        assert all(i is None if kind == "block" else type(i) is int
+                   for kind, i in zip(kinds, indices))
+        assert all(type(margin) is float for margin in margins)
+        assert all(type(ok) is bool for ok in satisfied)
         built = _outcome(construct_from_candidate, cand, problem, t)
         ref = _outcome(_reference_construct, cand, problem, t)
         if isinstance(ref, tuple):

@@ -110,7 +110,8 @@ def test_orthogonal_change_of_state_coordinates_keeps_every_verdict(seed):
     rot_lmei = check_membership(zero_candidate(rotated, t), rotated, t)
     pairs = list(zip(lmei.constraints, rot_lmei.constraints, strict=True))
     for c, rot_c in pairs:
-        assert (rot_c.kind, rot_c.k, rot_c.i) == (c.kind, c.k, c.i)
-        assert rot_c.satisfied == c.satisfied or _near_threshold(c.margin), c
-    if not any(rot_c.margin != c.margin and _near_threshold(c.margin) for c, rot_c in pairs):
+        assert (rot_c["kind"], rot_c["k"], rot_c["i"]) == (c["kind"], c["k"], c["i"])
+        assert rot_c["satisfied"] == c["satisfied"] or _near_threshold(c["margin"]), c
+    if not any(rot_c["margin"] != c["margin"] and _near_threshold(c["margin"])
+               for c, rot_c in pairs):
         assert rot_lmei.feasible == lmei.feasible

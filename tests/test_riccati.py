@@ -165,9 +165,11 @@ def test_classify_evidence_matches_per_step_tests():
     for problem, t in instances:
         sol = solve_riccati(problem, t)
         report = classify(sol)
-        for step, Wk, Hk in zip(report.steps, sol.W, sol.H, strict=True):
-            assert step.w_min_eig == np.linalg.eigvalsh(Wk)[0]
-            assert step.range_residual == range_residual(Hk, Wk)
+        assert report.w_min_eig.shape == report.range_residual.shape == (problem.N - t,)
+        for lam, resid, Wk, Hk in zip(report.w_min_eig, report.range_residual, sol.W, sol.H,
+                                      strict=True):
+            assert lam == np.linalg.eigvalsh(Wk)[0]
+            assert resid == range_residual(Hk, Wk)
         psd = all(is_psd(Wk) for Wk in sol.W)
         if all(is_pd(Wk) for Wk in sol.W):
             expected = UNIQUELY_SOLVABLE
@@ -372,9 +374,9 @@ def test_delay_free_frozen_example():
     assert sol.W[0][0, 0] == pytest.approx(2.0)
     assert sol.H[0][0, 0] == pytest.approx(1.0)
     assert sol.P_at(0, 0)[0, 0] == pytest.approx(0.5)
-    steps = classify(sol).steps
-    assert all(step.w_min_eig >= -PSD_TOL for step in steps)  # every W_k PSD
-    assert all(step.range_residual <= PSD_TOL for step in steps)  # H_k in Ran(W_k)
+    report = classify(sol)
+    assert np.all(report.w_min_eig >= -PSD_TOL)  # every W_k PSD
+    assert np.all(report.range_residual <= PSD_TOL)  # H_k in Ran(W_k)
     assert optimal_value(sol, 0, [1.0]) == pytest.approx(0.5)
 
 
@@ -436,7 +438,7 @@ def test_classification_ladder_ordering():
 def test_classify_uniquely_solvable(benchmark_solution):
     report = classify(benchmark_solution)
     assert report.classification == UNIQUELY_SOLVABLE
-    assert all(step.w_min_eig > 0 for step in report.steps)
+    assert np.all(report.w_min_eig > 0)
     assert report.at_least(SOLVABLE_ALL_PAIRS)
 
 
@@ -455,7 +457,7 @@ def test_classify_not_convex_and_value_refusal():
     sol = solve_riccati(prob, 0)
     report = classify(sol)
     assert report.classification == NOT_CONVEX
-    assert min(step.w_min_eig for step in report.steps) < 0
+    assert report.w_min_eig.min() < 0
     with pytest.raises(UnsolvableError, match="NotConvex"):
         optimal_value(sol, 0, np.ones(prob.n), report)
 
@@ -466,8 +468,8 @@ def test_classify_convex_candidate_range_failure():
     report = classify(sol)
     assert report.classification == CONVEX_CANDIDATE
     assert "oracle" in report.note
-    assert report.steps[0].w_min_eig == pytest.approx(0.0, abs=1e-12)
-    assert report.steps[0].range_residual == pytest.approx(1.0)
+    assert report.w_min_eig[0] == pytest.approx(0.0, abs=1e-12)
+    assert report.range_residual[0] == pytest.approx(1.0)
     with pytest.raises(UnsolvableError):
         optimal_value(sol, 0, [1.0], report)
 
