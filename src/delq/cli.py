@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:
-        # An allocation the input asks for, such as the recursion's P buffer.
+        # An allocation the input asks for, such as the recursion's P array.
         print(f"invalid input: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnsolvableError as exc:

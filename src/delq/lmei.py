@@ -12,29 +12,27 @@ control problem for every initial pair, and the equivalence is constructive:
 an auxiliary problem built from the candidate's slack turns any feasible
 candidate into an exact solution of the constrained recursion (P = P~ + U).
 
-A candidate holds its matrices as the backward kernel holds a solution's:
-P~^(0..r)_k, r = min(k-t, d), is one stack per time, and the stacks of times
-N, N-1, ..., t are consecutive slices of one buffer (riccati._StackedBlocks),
-so a lookup by (i, k) returns a view. Finiteness and symmetry of all entries
-are checked in one stacked call; a message still names the first bad entry
-in input order. A finite entry whose symmetrized value overflows raises
-ConsistencyError naming the earliest step.
+A candidate holds its matrices as the backward kernel holds a piecewise
+solution's (riccati.PBlocks): P~^(i)_k is entry [k - t, i] of one
+(N - t + 1, min(N - t, d) + 1, n, n) array P, whose undefined entries
+i > k - t hold +0.0, so a lookup by (i, k) returns a view. Finiteness and
+symmetry of all entries are checked in one stacked call; a message still
+names the first bad entry in input order. A finite entry whose symmetrized
+value overflows raises ConsistencyError naming the earliest step.
 
 One slack pass per candidate computes under np.errstate every per-step
 quantity as an (N - t, ., .) stack indexed by step j = k - t. No quantity is
-a recursion: each reads only the candidate's stacks at k and k + 1, so the
+a recursion: each reads only the candidate's entries at k and k + 1, so the
 pass is a few products batched over all steps, with no loop over k. Its
-inputs are gathered from the candidate's one buffer by index arrays: the
-stack of time k begins at row start_k (_StackedBlocks.starts), so P~^(i)_k is
-row start_k + i, and the rows (i, k) of a run of steps form one index array.
-The pass forms W~_k and H~_k by one stacked call of the kernel's W/H formula
-(riccati._wh_into), after a running sum over i of P~^(i)_{k+1} (at most d + 1
-adds, one per index, each over the suffix of steps that have it); then the
-state gaps, the block upper-left entries (the ramp-up corrections
-t < k < t+d and the deep ones as two gathers), the middle-index residuals
-(one batched product per index i over the suffix of steps that have it,
-scattered into (k, i) order) and the terminal gap. Every float is the one the
-per-step formula gives. The earliest step with a non-finite quantity (k = N
+inputs are slices of P: P~^(i)_{k+1} of every step is P[1:, i], P~^(0)_k is
+P[:-1, 0], the deep top index P~^(d)_k is P[d:steps, -1] and the ramp-up one
+P~^(k-t)_k is the diagonal P[j, j]. The pass forms W~_k and H~_k by one
+stacked call of the kernel's W/H formula (riccati._wh_into), after a running
+sum over the index axis of P[1:]; then the state gaps, the block upper-left
+entries (the ramp-up corrections t < k < t+d and the deep ones), the
+middle-index residuals (one batched product per index i over the steps that
+have it, scattered into (k, i) order) and the terminal gap. Every float is
+the one the per-step formula gives. The earliest step with a non-finite quantity (k = N
 for an overflowing symmetrized terminal gap) raises ConsistencyError.
 check_membership then grades each family of constraints in one stacked
 linalg call (eig_margin for the inequalities, rel_deviation for the
@@ -44,7 +42,7 @@ margin and satisfied columns in report order, from which the non-finite
 margin refusal and feasibility are read. The report keeps these columns as
 they are, one list each in a jsontext.Records, with no object per
 constraint. construct_from_candidate hands the pass's stacks to the backward
-kernel as they are, forms P = P~ + U as one buffer add, re-derives W/H from P
+kernel as they are, forms P = P~ + U as one array add, re-derives W/H from P
 by the same stacked call and verifies them in stacked calls.
 """
 from __future__ import annotations
@@ -69,14 +67,14 @@ from .linalg import (
 from .model import ProblemData, _check_solve_args
 from .riccati import (
     SOLVABLE_ALL_PAIRS,
+    PBlocks,
     RiccatiSolution,
     SolvabilityReport,
     _backward,
     _blocks_from_dict,
     _blocks_to_dict,
-    _StackedBlocks,
+    _index_sum,
     _key_mismatch,
-    _stacked_keys,
     _wh_into,
     classify,
 )
@@ -87,13 +85,14 @@ _CONSTRUCT_CONSISTENCY_TOL = 1e-8
 @dataclass(frozen=True)
 class LmeiCandidate:
     """Symmetric matrices P~^(i)_k over the defined index ranges
-    (i = 0..min(k-t, d) for t <= k <= N), as per-time stacks in one buffer."""
+    (i = 0..min(k-t, d) for t <= k <= N), read through the PBlocks P: entry
+    [k - t, i] of the array P.array, as a piecewise solution holds them."""
 
     t: int
     N: int
     d: int
     n: int
-    P: _StackedBlocks
+    P: PBlocks
 
     def top_index(self, k: int) -> int:
         return min(k - self.t, self.d)
@@ -125,21 +124,44 @@ def _check_entries(keys: list, stack: np.ndarray) -> None:
     raise ValidationError(f"candidate entry {key} is not symmetric within tolerance")
 
 
-def _candidate(problem: ProblemData, t: int, stack: np.ndarray) -> LmeiCandidate:
-    """The candidate over the symmetrized `stack`, whose rows are in
-    _StackedBlocks' layout for (t, N, d, n). A finite entry whose
-    symmetrization overflows raises ConsistencyError naming the earliest step."""
+def _candidate(problem: ProblemData, t: int, array: np.ndarray) -> LmeiCandidate:
+    """The candidate over the symmetrized `array`, a piecewise P.array for
+    (t, N, d, n). A finite entry whose symmetrization overflows raises
+    ConsistencyError naming the earliest step."""
     n, N, d = problem.n, problem.N, problem.d
     with np.errstate(over="ignore"):
-        buffer = symmetrize(stack)
-    finite = np.isfinite(buffer).all(axis=(1, 2))
-    if not finite.all():
-        bad = [key for key, ok in zip(_stacked_keys(t, N, d), finite.tolist()) if not ok]
-        i, k = min(bad, key=lambda key: (key[1], key[0]))
+        array = symmetrize(array)
+    bad = np.argwhere(~np.isfinite(array).all(axis=(2, 3)))
+    if len(bad):
+        j, i = bad[0]
         raise ConsistencyError(
-            f"numerical breakdown: non-finite symmetrized candidate P~^({i}) at k={k}"
+            f"numerical breakdown: non-finite symmetrized candidate P~^({i}) at k={t + j}"
         )
-    return LmeiCandidate(t=t, N=N, d=d, n=n, P=_StackedBlocks(t, N, d, n, buffer))
+    return LmeiCandidate(t=t, N=N, d=d, n=n, P=PBlocks(t, N, d, n, array=array))
+
+
+def _candidate_from_pairs(problem: ProblemData, t: int, keys: list, mats) -> LmeiCandidate:
+    """make_candidate over the keys and their matrices, in input order."""
+    _check_candidate_args(problem, t)
+    n, N, d = problem.n, problem.N, problem.d
+    checked, misshapen = [], None
+    for key, M in zip(keys, mats):
+        M = np.asarray(M, dtype=float)
+        if M.shape != (n, n):
+            misshapen = f"candidate entry {key} must be {n}x{n}, got {M.shape}"
+            break
+        checked.append(M)
+    stack = np.stack(checked) if checked else np.empty((0, n, n))
+    _check_entries(keys, stack)  # the entries before a misshapen one
+    if misshapen:
+        raise ValidationError(misshapen)
+    P = PBlocks(t, N, d, n)
+    mismatch = _key_mismatch(set(P), set(keys))
+    if mismatch:
+        raise ValidationError(f"candidate index structure is wrong: {mismatch}")
+    i, k = np.array(keys, dtype=int).T
+    P.array[k - t, i] = stack
+    return _candidate(problem, t, P.array)
 
 
 def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate:
@@ -148,34 +170,15 @@ def make_candidate(problem: ProblemData, t: int, entries: dict) -> LmeiCandidate
     Entries are checked in their order: the first one with the wrong shape,
     non-finite values or an asymmetry is reported; then the index structure.
     """
-    _check_candidate_args(problem, t)
-    n, N, d = problem.n, problem.N, problem.d
-    keys, mats, misshapen = list(entries), [], None
-    for key, M in entries.items():
-        M = np.asarray(M, dtype=float)
-        if M.shape != (n, n):
-            misshapen = f"candidate entry {key} must be {n}x{n}, got {M.shape}"
-            break
-        mats.append(M)
-    stack = np.stack(mats) if mats else np.empty((0, n, n))
-    _check_entries(keys, stack)  # the entries before a misshapen one
-    if misshapen:
-        raise ValidationError(misshapen)
-    layout = _stacked_keys(t, N, d)
-    mismatch = _key_mismatch(set(layout), set(keys))
-    if mismatch:
-        raise ValidationError(f"candidate index structure is wrong: {mismatch}")
-    position = {key: j for j, key in enumerate(keys)}
-    return _candidate(problem, t, stack[[position[key] for key in layout]])
+    return _candidate_from_pairs(problem, t, list(entries), entries.values())
 
 
 def zero_candidate(problem: ProblemData, t: int) -> LmeiCandidate:
     """The all-zero candidate (feasible exactly when the data are pointwise
     nonnegative-definite)."""
     _check_candidate_args(problem, t)
-    blocks = _StackedBlocks(t, problem.N, problem.d, problem.n)
-    blocks.buffer.fill(0.0)
-    return LmeiCandidate(t=t, N=problem.N, d=problem.d, n=problem.n, P=blocks)
+    P = PBlocks(t, problem.N, problem.d, problem.n)
+    return LmeiCandidate(t=t, N=problem.N, d=problem.d, n=problem.n, P=P)
 
 
 def candidate_to_dict(cand: LmeiCandidate) -> dict:
@@ -192,10 +195,10 @@ def candidate_from_dict(problem: ProblemData, data: dict) -> LmeiCandidate:
         t = data["t"]
         if isinstance(t, bool) or not isinstance(t, int):
             raise TypeError(f"t must be an integer, got {t!r}")
-        entries = _blocks_from_dict(data["P"])
+        pairs, mats = _blocks_from_dict(data["P"])
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed candidate JSON: {exc}") from exc
-    return make_candidate(problem, t, entries)
+    return _candidate_from_pairs(problem, t, pairs, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +247,7 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
     correction: A^T P~^(k+1-t)_{k+1} A - P~^(k-t)_k in the ramp-up region
     t < k < t+d, -P~^(d)_k deep in the horizon."""
     t, N, d, n = cand.t, cand.N, cand.d, cand.n
-    steps, rows = N - t, cand.P.buffer
-    start = cand.P.starts()
-    after = start[1:]                      # the stacks of times k + 1
+    steps, P = N - t, cand.P.array
     A, C = problem.A[t:N], problem.C[t:N]
     At, Ct = np.swapaxes(A, 1, 2), np.swapaxes(C, 1, 2)
     middle = _middle_counts(steps, d)
@@ -254,24 +255,24 @@ def _slack(cand: LmeiCandidate, problem: ProblemData) -> _Slack:
     size = int(middle.sum())
     eq_err, eq_rhs = np.empty((size, n, n)), np.empty((size, n, n))
     with np.errstate(all="ignore"):
-        P0n = rows[after]
-        W, H = _wh_steps(problem, t, cand.P.next_sums(), P0n)
-        gap = symmetrize(problem.Q[t:N] + At @ (P0n + rows[after + 1]) @ A + Ct @ P0n @ C
-                         - rows[start[:-1]])
+        P0n = P[1:, 0]
+        W, H = _wh_steps(problem, t, _index_sum(P[1:]), P0n)
+        gap = symmetrize(problem.Q[t:N] + At @ (P0n + P[1:, 1]) @ A + Ct @ P0n @ C
+                         - P[:-1, 0])
         upper = np.empty_like(gap)
         upper[0] = gap[0]
         ramp = np.arange(1, min(d, steps))                    # r = k - t < d
-        symmetrize(At[ramp] @ rows[start[ramp + 1] + ramp + 1] @ A[ramp]
-                   - rows[start[ramp] + ramp], out=upper[1:len(ramp) + 1])
-        symmetrize(-rows[start[d:steps] + d], out=upper[d:])
+        symmetrize(At[ramp] @ P[ramp + 1, ramp + 1] @ A[ramp] - P[ramp, ramp],
+                   out=upper[1:len(ramp) + 1])
+        symmetrize(-P[d:steps, -1], out=upper[d:])  # where j >= d, index d is the last
         # One batched product per middle index i, over the steps that have it.
         for i in range(1, min(d, steps - 1)):
             first = i + 1
-            rhs = At[first:] @ rows[start[first + 1:] + i + 1] @ A[first:]
+            rhs = At[first:] @ P[first + 1:, i + 1] @ A[first:]
             pos = offset[first:] + i - 1
             eq_rhs[pos] = rhs
-            eq_err[pos] = rows[start[first:-1] + i] - rhs
-        terminal = problem.G - rows[0]
+            eq_err[pos] = P[first:-1, i] - rhs
+        terminal = problem.G - P[-1, 0]
         finite = (np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
                   & np.isfinite(gap).all(axis=(1, 2)) & np.isfinite(upper).all(axis=(1, 2)))
         eq_step = np.repeat(np.arange(steps), middle)
@@ -331,7 +332,7 @@ def _grade(cand: LmeiCandidate, slack: _Slack, tol: float) -> LmeiReport:
     t, N, d = cand.t, cand.N, cand.d
     with np.errstate(all="ignore"):
         terminal = eig_margin(slack.terminal)[1]
-        zero = -rel_deviation(cand.P.stacks[N][1:], 0.0)
+        zero = -rel_deviation(cand.P.array[-1, 1:], 0.0)
         inequality = eig_margin(slack.gap[1:])[1]
         equality = -rel_deviation(slack.eq_err, slack.eq_rhs)
         block_ok, block = _schur_blocks(slack.upper, slack.H, slack.W, tol)
@@ -390,22 +391,25 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
                              tol: float = PSD_TOL,
                              report: SolvabilityReport | None = None) -> LmeiCandidate:
     """The identity embedding of a solvable recursion solution as a feasible
-    candidate (the block constraints hold with Schur complement exactly 0)."""
+    candidate (the block constraints hold with Schur complement exactly 0):
+    a symmetrized copy of the piecewise solution's P.array. A solution of the
+    single-region variant, whose layout is not a candidate's, is refused."""
     if sol.d < 1:
         raise ValidationError("certificates require delay d >= 1")
+    if sol.single_region:
+        raise ValidationError(
+            "certificates take the piecewise recursion's solution, not the "
+            "single-region variant's (solve_riccati_bar)")
+    if (sol.N, sol.d, sol.n) != (problem.N, problem.d, problem.n):
+        raise ValidationError("solution dimensions do not match the problem")
     if report is None:
         report = classify(sol, tol)
     if not report.at_least(SOLVABLE_ALL_PAIRS):
         raise UnsolvableError(
             f"classification {report.classification} is too weak for a certificate"
         )
-    P = sol.P
-    if isinstance(P, _StackedBlocks) and (P.N, P.d, P.buffer.shape[-1]) == (
-            problem.N, problem.d, problem.n):
-        # the kernel's buffer is already in the candidate's layout
-        _check_candidate_args(problem, sol.t)
-        return _candidate(problem, sol.t, P.buffer)
-    return make_candidate(problem, sol.t, dict(P))
+    _check_candidate_args(problem, sol.t)
+    return _candidate(problem, sol.t, sol.P.array)
 
 
 def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
@@ -439,15 +443,13 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
                     S=slack.H, delta=slack.upper)
 
     with np.errstate(all="ignore"):
-        P = _StackedBlocks(t, N, d, n, symmetrize(cand.P.buffer + aux.P.buffer))
-        finite = np.isfinite(P.buffer).all(axis=(1, 2))
-        if not finite.all():
-            # The buffer runs from time N down to t: the last bad row is earliest.
-            k = _stacked_keys(t, N, d)[int(np.flatnonzero(~finite)[-1])][1]
-            raise ConsistencyError(f"numerical breakdown: non-finite P at k={k}")
+        P = symmetrize(cand.P.array + aux.P.array)
+        bad = np.flatnonzero(~np.isfinite(P).all(axis=(1, 2, 3)))
+        if bad.size:
+            raise ConsistencyError(f"numerical breakdown: non-finite P at k={t + bad[0]}")
         # W/H recomputed from P (the defining sums), cross-checked against the
         # auxiliary quantities, which must coincide.
-        W, H = _wh_steps(problem, t, P.next_sums(), P.buffer[P.starts()[1:]])
+        W, H = _wh_steps(problem, t, _index_sum(P[1:]), P[1:, 0])
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise ConsistencyError(
@@ -474,4 +476,5 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
         raise ConsistencyError(
             f"constructed H_{k} leaves the range of W_{k} (residual {rr[j]:.3e})"
         )
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=-Wdag @ H)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=PBlocks(t, N, d, n, array=P),
+                           W=W, H=H, K=-Wdag @ H)

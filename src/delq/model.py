@@ -56,18 +56,36 @@ def measurable_level(t: int, d: int, k: int) -> int:
     return max(t, k - d)
 
 
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    """value as a float array: the one reader of a matrix from JSON. A
+    boolean or a string at any depth raises ValueError naming `name`, where
+    a float conversion would read true as 1.0 and "0.5" as 0.5; so does an
+    integer beyond the float range."""
+    entries = np.asarray(value, dtype=object)
+    for kind in set(map(type, entries.ravel().tolist())):
+        if kind is bool or not issubclass(kind, _NUMBER):
+            raise ValueError(f"{name} holds a {kind.__name__} where a number belongs")
+    try:
+        return entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer beyond the float range") from None
+
+
 def _matseq(seq, name: str) -> np.ndarray | tuple[np.ndarray, ...]:
     """A sequence of equally shaped matrices as one (steps, rows, cols) float
     stack. Anything else (ragged, scalar or malformed) is converted matrix by
     matrix, so that validate() can name each misshapen matrix by its index."""
     try:
-        stacked = np.asarray(seq, dtype=float)
+        stacked = _float_array(seq, name)
         if stacked.ndim == 3:
             return stacked
     except (TypeError, ValueError):
         pass
     try:
-        return tuple(np.asarray(M, dtype=float) for M in seq)
+        return tuple(_float_array(M, name) for M in seq)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not a sequence of numeric matrices") from exc
 
@@ -116,7 +134,7 @@ class ProblemData:
         for name, seq in (("A", A), ("B", B), ("C", C), ("D", D), ("Q", Q), ("R", R)):
             object.__setattr__(self, name, _matseq(seq, name))
         try:
-            object.__setattr__(self, "G", np.asarray(G, dtype=float))
+            object.__setattr__(self, "G", _float_array(G, "G"))
         except (TypeError, ValueError) as exc:
             raise ValidationError("G is not a numeric matrix") from exc
 

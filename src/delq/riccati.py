@@ -21,25 +21,26 @@ indices defined at every time, an independent cross-check with its own
 loop), value evaluation, solvability classification, and JSON
 round-tripping of solutions.
 
-The kernel holds the matrices of one time as a stack: P^(0..r)_k is one
-(r+1, n, n) array, so the middle indices P^(1..r-1)_k = A^T P^(2..r)_{k+1} A
-are one batched product and the W/H weight sum_{i<=limit} P^(i)_{k+1} is one
-running sum in index order, whatever d is. The products and sums are the
-per-matrix ones, bit for bit. The stacks of all times are consecutive slices
-of one buffer, allocated once per solve.
-
-Solutions store only the defined (i, k) pairs. The kernel's solutions read
-them through a mapping over the per-time stacks that returns a view per
-lookup, rather than holding one array object per pair (about 10^5 of them at
-N = 1000, d = 100). Reading an undefined pair is an error rather than a
-silent zero, since zero-filling would mask indexing mistakes in the
-piecewise structure.
-
 Every per-step sequence is one stack indexed by the step j = k - t: the
 kernel's inputs Q, R, S and delta, and the W/H/K of every solution, which
 the passes write in place into (N - t, ., .) arrays. A caller hands the
 kernel problem.Q[t:] and problem.R[t:], or the auxiliary problem's stacks,
 as they are.
+
+P is one rectangular (N - t + 1, w, n, n) array too (PBlocks): entry [j, i]
+is P^(i)_{t+j}, with w = min(N - t, d) + 1 in the piecewise form and d + 1
+in the single-region one. Row j is the stack of time t + j, so the middle
+indices P^(1..r-1)_k = A^T P^(2..r)_{k+1} A are one batched product and the
+W/H weight sum_{i<=limit} P^(i)_{k+1} is one running sum over the row in
+index order, whatever d is. The undefined entries of the piecewise form
+(i > j) hold +0.0, which leaves every such sum the same bytes, so whole-array
+adds, symmetrization and finiteness checks need no mask. The products and
+sums are the per-matrix ones, bit for bit. Solutions read P through a
+mapping keyed (i, k) over the defined pairs only, which returns a view of
+the array per lookup rather than holding one array object per pair (about
+10^5 of them at N = 1000, d = 100). Reading an undefined pair is an error
+rather than a silent zero, since zero-filling would mask indexing mistakes in
+the piecewise structure.
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from .errors import ConsistencyError, UnsolvableError, ValidationError
 from .jsontext import KeyedStack
 from .linalg import PINV_RTOL, PSD_TOL, _is_symmetric, _pinv, eig_margin, pinv, range_residual, \
     symmetrize
-from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state
+from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state, _float_array
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
 SOLVABLE_ALL_PAIRS = "SolvableAllPairs"
@@ -75,11 +76,12 @@ class RiccatiSolution:
     """Output of the backward pass.
 
     P maps (i, k) to a symmetric n x n matrix for the defined pairs only
-    (at d = 0 that is P^(0) alone), as a dict or a read-only mapping; W/H/K
-    are (N - t, m, m), (N - t, m, n) and (N - t, m, n) stacks whose row j
-    belongs to time k = t + j. `single_region` marks the variant
-    that carries every index 0..d at every time (solve_riccati_bar); the
-    piecewise form tops out at min(k - t, d).
+    (at d = 0 that is P^(0) alone), a read-only PBlocks over the array
+    P.array whose entry [j, i] is P^(i)_{t+j}; W/H/K are (N - t, m, m),
+    (N - t, m, n) and (N - t, m, n) stacks whose row j belongs to time
+    k = t + j. `single_region` marks the variant that carries every index
+    0..d at every time (solve_riccati_bar); the piecewise form tops out at
+    min(k - t, d).
     """
 
     t: int
@@ -87,7 +89,7 @@ class RiccatiSolution:
     d: int
     n: int
     m: int
-    P: Mapping[tuple[int, int], np.ndarray]
+    P: PBlocks
     W: np.ndarray
     H: np.ndarray
     K: np.ndarray
@@ -111,10 +113,8 @@ class RiccatiSolution:
 
     def P_sum(self, k: int) -> np.ndarray:
         """Sum of all defined P^(i)_k; the value-function weight at time k."""
-        total = np.zeros((self.n, self.n))
-        for i in range(self.top_index(k) + 1):
-            total = total + self.P_at(i, k)
-        return total
+        self._check_time(k, self.N)
+        return _index_sum(self.P.array[k - self.t])
 
     def W_at(self, k: int) -> np.ndarray:
         self._check_time(k, self.N - 1)
@@ -134,10 +134,12 @@ class RiccatiSolution:
 
 
 def _index_sum(Pn: np.ndarray) -> np.ndarray:
-    """P^(0) + P^(1) + ... of the stack Pn, added in index order as a loop
-    would (reduce may sum pairwise); the trailing + 0.0 makes the sum start
-    from zero, which only turns an all -0.0 entry into 0.0."""
-    return np.add.accumulate(Pn, axis=0)[-1] + 0.0
+    """P^(0) + P^(1) + ... along the index axis -3 of Pn (one time's row of
+    P.array, or the rows of several), added in index order as a loop would
+    (reduce may sum pairwise); the trailing + 0.0 makes the sum start from
+    zero, which only turns an all -0.0 entry into 0.0, so the +0.0 padding
+    of a row leaves the sum the same bytes."""
+    return np.add.accumulate(Pn, axis=-3)[..., -1, :, :] + 0.0
 
 
 def _wh_into(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
@@ -161,20 +163,14 @@ def _wh_into(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
     np.add(BtP @ A, DtP @ C, out=H)
 
 
-def _wh_from_next(problem: ProblemData, P: Mapping, k: int, limit: int,
+def _wh_from_next(problem: ProblemData, Pn: np.ndarray, k: int,
                   R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """W_k and H_k (see _wh_into) from the blocks P^(0..limit)_{k+1} of a
-    mapping keyed (i, k)."""
-    Pn = np.stack([P[(i, k + 1)] for i in range(limit + 1)])
+    """W_k and H_k (see _wh_into) from the stack Pn of P^(0..)_{k+1}, the row
+    of P.array that belongs to time k + 1."""
     B, D = problem.B[k], problem.D[k]
     W, H = np.empty((problem.m, problem.m)), np.empty((problem.m, problem.n))
     _wh_into(problem.A[k], B, problem.C[k], D, B.T, D.T, _index_sum(Pn), Pn[0], R, W, H)
     return W, H
-
-
-def _stacked_keys(t: int, N: int, d: int) -> list[tuple[int, int]]:
-    """The (i, k) of the rows of _StackedBlocks' buffer, in order."""
-    return [(i, k) for k in range(N, t - 1, -1) for i in range(min(k - t, d) + 1)]
 
 
 def _key_mismatch(want: set, have: set) -> str:
@@ -187,65 +183,48 @@ def _key_mismatch(want: set, have: set) -> str:
     return "; ".join(parts)
 
 
-class _StackedBlocks(Mapping):
-    """Read-only mapping (i, k) -> P^(i)_k over the per-time stacks
-    P^(0..r_k)_k, r_k = min(k - t, d), of times N, N-1, ..., t: consecutive
-    slices of one (sum_k (r_k + 1), n, n) buffer, allocated here unless
-    given. Iteration follows the buffer (times N..t, then i); each lookup
-    returns a view into the buffer."""
+class PBlocks(Mapping):
+    """Read-only mapping (i, k) -> P^(i)_k over one rectangular array, whose
+    entry [j, i] is P^(i)_{t+j}: shape (N - t + 1, w, n, n) with w = d + 1 in
+    the single-region layout and w = min(N - t, d) + 1 in the piecewise one,
+    where only i <= j is defined. The array is allocated here, zero-filled,
+    unless given; the undefined entries hold +0.0 and are not keys.
+    Iteration runs over i, then k; each lookup returns a view into the array."""
 
-    __slots__ = ("buffer", "stacks", "t", "N", "d")
+    __slots__ = ("array", "t", "single_region")
 
-    def __init__(self, t: int, N: int, d: int, n: int, buffer: np.ndarray | None = None):
-        self.t, self.N, self.d = t, N, d
-        times = range(N, t - 1, -1)
-        bounds = np.cumsum([0] + [min(k - t, d) + 1 for k in times]).tolist()
-        self.buffer = np.empty((bounds[-1], n, n)) if buffer is None else buffer
-        self.stacks = {k: self.buffer[lo:hi] for k, lo, hi in zip(times, bounds, bounds[1:])}
+    def __init__(self, t: int, N: int, d: int, n: int, single_region: bool = False,
+                 array: np.ndarray | None = None):
+        width = d + 1 if single_region else min(N - t, d) + 1
+        self.t, self.single_region = t, single_region
+        self.array = np.zeros((N - t + 1, width, n, n)) if array is None else array
+
+    def _first(self, i: int) -> int:
+        """The first row j that defines P^(i)."""
+        return 0 if self.single_region else i
 
     def __getitem__(self, key: tuple[int, int]) -> np.ndarray:
         try:
             i, k = key
-            stack = self.stacks[k]
-        except (KeyError, TypeError, ValueError):
-            raise KeyError(key) from None
-        if not 0 <= i < len(stack):
-            raise KeyError(key)
-        return stack[i]
+            j = k - self.t
+            if 0 <= i < self.array.shape[1] and self._first(i) <= j < len(self.array):
+                return self.array[j, i]
+        except (TypeError, ValueError, IndexError):
+            pass
+        raise KeyError(key)
 
     def __iter__(self):
-        return ((i, k) for k, stack in self.stacks.items() for i in range(len(stack)))
+        return ((i, self.t + j) for i in range(self.array.shape[1])
+                for j in range(self._first(i), len(self.array)))
 
     def __len__(self) -> int:
-        return len(self.buffer)
+        rows, width = self.array.shape[:2]
+        return rows * width - (0 if self.single_region else width * (width - 1) // 2)
 
-    def starts(self) -> np.ndarray:
-        """The buffer row where the stack of each time begins, indexed by
-        k - t: P^(i)_k is row starts()[k - t] + i."""
-        sizes = np.minimum(np.arange(self.N - self.t, -1, -1), self.d) + 1   # times N..t
-        return (np.cumsum(sizes) - sizes)[::-1]
-
-    def next_sums(self) -> np.ndarray:
-        """sum_i P^(i)_{k+1} for k = t..N-1, one row per step k - t: a
-        running sum over i of the rows that have P^(i)_{k+1} (the steps
-        k >= t + i - 1, a suffix), so at most d + 1 adds. Each row is the
-        floats of _index_sum(self.stacks[k + 1])."""
-        t, N, d = self.t, self.N, self.d
-        n, start = self.buffer.shape[-1], self.starts()
-        Psum = np.zeros((N - t, n, n))
-        for i in range(min(N - t, d) + 1):
-            first = max(i - 1, 0)
-            Psum[first:] += self.buffer[start[first + 1:] + i]
-        return Psum
-
-    def sorted_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
-        """The keys (i, k) in sorted order, and the buffer row of each (see
-        starts; P^(i)_k is defined for k = t+i..N)."""
-        t, N, d = self.t, self.N, self.d
-        start = self.starts()
-        top = min(N - t, d)
-        keys = [(i, k) for i in range(top + 1) for k in range(t + i, N + 1)]
-        return keys, np.concatenate([start[i:] + i for i in range(top + 1)])
+    def blocks(self) -> np.ndarray:
+        """The defined P^(i)_k as one (len(self), n, n) stack, in iteration order."""
+        return np.concatenate([self.array[self._first(i):, i]
+                               for i in range(self.array.shape[1])])
 
 
 def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
@@ -261,14 +240,12 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     ConsistencyError naming the step.
     """
     n, m, N, d = problem.n, problem.m, problem.N, problem.d
-    # The stacks of times N, N-1, ..., t are consecutive slices of one buffer.
-    # With one allocation per step, interleaved with the step's temporaries,
-    # the peak memory of a process running many solves varied from one
-    # process to the next by up to 8 MB.
-    blocks = _StackedBlocks(t, N, d, n)
-    stacks = blocks.stacks
-    Pn = stacks[N]
-    Pn.fill(0.0)
+    # The stacks of all times are the rows of one array. With one allocation
+    # per step, interleaved with the step's temporaries, the peak memory of a
+    # process running many solves varied from one process to the next by up
+    # to 8 MB.
+    P = PBlocks(t, N, d, n)
+    Pn = P.array[N - t]
 
     W, H, K = np.empty((N - t, m, m)), np.empty((N - t, m, n)), np.empty((N - t, m, n))
     with np.errstate(all="ignore"):
@@ -292,8 +269,8 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
 
             nxt = Pn[0] + Pn[1] if d else Pn[0]
             state_part = Q[j] + A.T @ nxt @ A + C.T @ Pn[0] @ C
-            r = min(k - t, d)
-            Pk = stacks[k]
+            r = min(j, d)
+            Pk = P.array[j]
             if r == 0:
                 symmetrize(state_part - fold, out=Pk[0])
             else:
@@ -310,7 +287,7 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=blocks, W=W, H=H, K=K)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K)
 
 
 def solve_riccati(problem: ProblemData, t: int,
@@ -331,23 +308,22 @@ def solve_riccati_bar(problem: ProblemData, t: int,
     _check_solve_args(problem, t)
 
     n, m, N, d = problem.n, problem.m, problem.N, problem.d
-    P: dict[tuple[int, int], np.ndarray] = {(0, N): symmetrize(problem.G)}
-    for j in range(1, d + 1):
-        P[(j, N)] = np.zeros((n, n))
+    P = PBlocks(t, N, d, n, single_region=True)
+    P.array[N - t, 0] = symmetrize(problem.G)
 
     W, H, K = np.empty((N - t, m, m)), np.empty((N - t, m, n)), np.empty((N - t, m, n))
     for k in range(N - 1, t - 1, -1):
+        j = k - t
         A, C, Q = problem.A[k], problem.C[k], problem.Q[k]
-        Wk, Hk = _wh_from_next(problem, P, k, d, problem.R[k])
+        Pk, Pn = P.array[j], P.array[j + 1]
+        Wk, Hk = _wh_from_next(problem, Pn, k, problem.R[k])
         Wdag = pinv(Wk, pinv_rtol)
-        W[k - t], H[k - t], K[k - t] = Wk, Hk, -Wdag @ Hk
+        W[j], H[j], K[j] = Wk, Hk, -Wdag @ Hk
 
-        P[(0, k)] = symmetrize(
-            Q + A.T @ (P[(0, k + 1)] + P[(1, k + 1)]) @ A + C.T @ P[(0, k + 1)] @ C
-        )
+        Pk[0] = symmetrize(Q + A.T @ (Pn[0] + Pn[1]) @ A + C.T @ Pn[0] @ C)
         for i in range(1, d):
-            P[(i, k)] = symmetrize(A.T @ P[(i + 1, k + 1)] @ A)
-        P[(d, k)] = symmetrize(-(Hk.T @ Wdag @ Hk))
+            Pk[i] = symmetrize(A.T @ Pn[i + 1] @ A)
+        Pk[d] = symmetrize(-(Hk.T @ Wdag @ Hk))
 
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
                            single_region=True)
@@ -430,32 +406,28 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 # ---------------------------------------------------------------------------
 # Serialization (consumed by the CLI)
 
-def _blocks_to_dict(P: Mapping[tuple[int, int], np.ndarray]) -> KeyedStack:
-    """Matrices keyed (i, k) as a JSON object: keys "i,k" in (i, k) order,
-    the matrices as one stack (a _StackedBlocks buffer's rows, gathered by
-    one row permutation)."""
-    if isinstance(P, _StackedBlocks):
-        keys, rows = P.sorted_rows()
-        stack = P.buffer[rows]
-    else:
-        keys = sorted(P)
-        stack = np.stack([P[key] for key in keys])
-    return KeyedStack([f"{i},{k}" for i, k in keys], stack)
+def _blocks_to_dict(P: PBlocks) -> KeyedStack:
+    """The blocks of P as a JSON object: keys "i,k" in (i, k) order, the
+    matrices as one stack."""
+    return KeyedStack([f"{i},{k}" for i, k in P], P.blocks())
 
 
-def _blocks_from_dict(raw: dict) -> dict[tuple[int, int], np.ndarray]:
-    """Inverse of _blocks_to_dict; malformed input, including two keys that
-    name the same pair ("0,1" and "00,1"), raises KeyError, ValueError,
-    TypeError or AttributeError for the caller to report."""
-    blocks, names = {}, {}
+def _blocks_from_dict(raw: dict) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
+    """Inverse of _blocks_to_dict: the pairs (i, k) in input order and their
+    float matrices. Malformed input, including two keys that name the same
+    pair ("0,1" and "00,1") and a boolean or string inside a matrix, raises
+    KeyError, ValueError, TypeError or AttributeError for the caller to
+    report."""
+    pairs, mats, names = [], [], {}
     for key, M in raw.items():
         i_s, k_s = key.split(",")
         pair = (int(i_s), int(k_s))
         if pair in names:
             raise ValueError(f"keys {names[pair]!r} and {key!r} both name the pair {pair}")
         names[pair] = key
-        blocks[pair] = np.asarray(M, dtype=float)
-    return blocks
+        pairs.append(pair)
+        mats.append(_float_array(M, f"P entry {key!r}"))
+    return pairs, mats
 
 
 def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = None) -> dict:
@@ -476,25 +448,25 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
 def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
     try:
         t, d, N = int(data["t"]), int(data["d"]), int(data["N"])
-        P = _blocks_from_dict(data["P"])
-        W, H, K = (np.asarray(data[name], dtype=float) for name in "WHK")
+        pairs, mats = _blocks_from_dict(data["P"])
+        W, H, K = (_float_array(data[name], name) for name in "WHK")
         classification = str(data["classification"])
-        n = P[(0, N)].shape[0]
+        n = mats[pairs.index((0, N))].shape[0]
         if not len(W) == len(H) == len(K) == N - t:
             raise ValueError(f"W, H and K must hold N - t = {N - t} matrices each")
         m = W.shape[-1]
         if W.shape != (N - t, m, m) or not H.shape == K.shape == (N - t, m, n):
             raise ValueError(f"W must hold {m}x{m} matrices, H and K {m}x{n} ones")
         # Only the single-region variant carries P^(d) at the initial time.
-        single = d >= 1 and (d, t) in P
-        layout = [(i, k) for k in range(t, N + 1) for i in range(d + 1)] if single \
-            else _stacked_keys(t, N, d)
-        mismatch = _key_mismatch(set(layout), set(P))
+        single = d >= 1 and (d, t) in pairs
+        P = PBlocks(t, N, d, n, single_region=single)
+        mismatch = _key_mismatch(set(P), set(pairs))
         if mismatch:
             raise ValueError(f"P index structure is wrong: {mismatch}")
-        for key in layout:
-            if P[key].shape != (n, n) or not _is_symmetric(P[key]):
-                raise ValueError(f"P entry {key} is not a symmetric {n}x{n} matrix")
+        for (i, k), M in zip(pairs, mats):
+            if M.shape != (n, n) or not _is_symmetric(M):
+                raise ValueError(f"P entry {(i, k)} is not a symmetric {n}x{n} matrix")
+            P.array[k - t, i] = M
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
     sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,

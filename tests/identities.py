@@ -658,4 +658,4 @@ def auxiliary_cost(cand: LmeiCandidate, problem: ProblemData, t: int, k: int,
 
 def recompute_wh(problem: ProblemData, sol: RiccatiSolution, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-derive W_k, H_k from the stored P matrices (consistency check)."""
-    return _wh_from_next(problem, sol.P, k, sol.top_index(k + 1), problem.R[k])
+    return _wh_from_next(problem, sol.P.array[k + 1 - sol.t], k, problem.R[k])

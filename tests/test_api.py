@@ -63,6 +63,7 @@ UNREACHED_BY_THE_CLI = {
     "problem_to_dict": "the writer of problem_from_dict's schema",
     "solution_from_dict": "the reader of solution_to_dict's output",
     "candidate_to_dict": "the writer of candidate_from_dict's schema",
+    "make_candidate": "candidate_from_dict's checks, on matrices keyed (i, k)",
     # per-block references that the tests hold the stacked verdicts to
     "is_psd": "the one-matrix PSD verdict",
     "schur_block_psd": "the one-block Schur verdict",
@@ -122,8 +123,10 @@ def test_linalg_alone_turns_matrices_into_verdicts():
 def test_per_step_sequences_stay_stacks():
     """Problem data, solutions and the backward kernel's inputs share one
     format, a (steps, ., .) stack: no module re-stacks a W/H/K/Q/R sequence
-    or re-keys one into a dict by time."""
-    pattern = re.compile(r"np\.stack\([^)]*\.[WHKQR]\b|dict\(zip\(")
+    or re-keys one into a dict by time, and P is one array behind its
+    mapping, never a dict of blocks."""
+    pattern = re.compile(r"np\.stack\([^)]*\.[WHKQR]\b|dict\(zip\(|dict\[tuple\[int, int\]"
+                         r"|\bdict\([^()]*\bP\)")
     offenders = [
         f"{path.name}:{lineno}: {line.strip()}"
         for path in sorted(pathlib.Path(delq.__file__).parent.glob("*.py"))

@@ -374,12 +374,44 @@ def test_non_integral_dimensions_are_refused(paths, capsys, tmp_path, name, valu
     capsys.readouterr()
 
 
+_NOT_NUMBERS = [True, False, "0.5"]
+
+
+@pytest.mark.parametrize("value", _NOT_NUMBERS)
+def test_non_numbers_inside_matrices_are_refused(paths, capsys, tmp_path, value):
+    """A boolean or a numeric string inside a problem's matrix, or inside a
+    candidate's, exits 2 naming the field (true used to run as 1.0, and a
+    candidate with "0.5" entries to read feasible)."""
+    data = json.loads(pathlib.Path(paths["benchmark"]).read_text())
+    path = tmp_path / "input.json"
+    for name in ("A", "R", "G"):
+        bad = json.loads(json.dumps(data))
+        (bad[name] if name == "G" else bad[name][1])[0][0] = value
+        path.write_text(json.dumps(bad))
+        what = "a numeric matrix" if name == "G" else "a sequence of numeric matrices"
+        for argv in (["solve"], ["value", "--x=1,-0.5"], ["lmei", "check", "--zero"]):
+            assert main(argv + ["--problem", str(path)]) == EXIT_INVALID, argv
+            assert capsys.readouterr().err == f"invalid input: {name} is not {what}\n"
+    bench = delq.benchmark_problem()
+    candidate = json.loads(dumps(candidate_to_dict(
+        certificate_from_riccati(solve_riccati(bench, 0), bench))))
+    candidate["P"]["0,1"][1][1] = value
+    path.write_text(json.dumps(candidate))
+    assert main(["lmei", "check", "--problem", paths["benchmark"],
+                 "--candidate", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "invalid input: malformed candidate JSON: P entry '0,1' holds a "
+        f"{type(value).__name__} where a number belongs\n")
+
+
 def _malformed_problem(rng, data):
     """The JSON text of one malformed copy of a problem dict: a wrong type,
     a ragged stack, a NaN or Infinity literal, 1e400, a missing key, a
-    non-object top level, or a non-integral or boolean dimension."""
+    non-object top level, a non-integral or boolean dimension, or a boolean
+    or numeric string inside a matrix; and whether it is one of the last,
+    which must exit 2."""
     data = json.loads(json.dumps(data))
-    kind = rng.integers(8)
+    kind = rng.integers(9)
     stack = ["A", "B", "C", "D", "Q", "R"][rng.integers(6)]
     k = int(rng.integers(len(data[stack])))
     if kind == 0:
@@ -393,22 +425,26 @@ def _malformed_problem(rng, data):
         data[stack][k][0][0] = [float("nan"), float("inf"), -float("inf")][rng.integers(3)]
     elif kind == 3:
         data[stack][k][0][0] = "HUGE"
-        return json.dumps(data).replace('"HUGE"', ["1e400", "-1e400"][rng.integers(2)])
+        return json.dumps(data).replace('"HUGE"', ["1e400", "-1e400"][rng.integers(2)]), False
     elif kind == 4:
         del data[sorted(data)[rng.integers(len(data))]]
     elif kind == 5:
-        return json.dumps([[data], "problem", 3, None][rng.integers(4)])
+        return json.dumps([[data], "problem", 3, None][rng.integers(4)]), False
+    elif kind == 8:
+        matrix = data["G"] if rng.integers(7) == 6 else data[stack][k]
+        matrix[0][0] = _NOT_NUMBERS[rng.integers(3)]
+        return json.dumps(data), True
     else:
         values = [4.7, 2.9, -0.5, 1e-3] if kind == 6 else [True, False]
         data["nmNd"[rng.integers(4)]] = values[rng.integers(len(values))]
-    return json.dumps(data)
+    return json.dumps(data), False
 
 
 def _malformed_candidate(rng, data):
     """The JSON text of one malformed copy of a candidate dict, of the same
-    kinds as ``_malformed_problem``'s."""
+    kinds as ``_malformed_problem``'s, and whether it must exit 2."""
     data = json.loads(json.dumps(data))
-    kind = rng.integers(7)
+    kind = rng.integers(8)
     key = sorted(data["P"])[rng.integers(len(data["P"]))]
     if kind == 0:
         field = ["t", "P"][rng.integers(2)]
@@ -419,14 +455,17 @@ def _malformed_candidate(rng, data):
         data["P"][key][0][0] = [float("nan"), float("inf")][rng.integers(2)]
     elif kind == 3:
         data["P"][key][1][1] = "HUGE"
-        return json.dumps(data).replace('"HUGE"', "1e400")
+        return json.dumps(data).replace('"HUGE"', "1e400"), False
     elif kind == 4:
         del data[["t", "P"][rng.integers(2)]]
     elif kind == 5:
-        return json.dumps([[data], "candidate", 3, None][rng.integers(4)])
+        return json.dumps([[data], "candidate", 3, None][rng.integers(4)]), False
+    elif kind == 7:
+        data["P"][key][rng.integers(2)][rng.integers(2)] = _NOT_NUMBERS[rng.integers(3)]
+        return json.dumps(data), True
     else:
         data["t"] = 4.7
-    return json.dumps(data)
+    return json.dumps(data), False
 
 
 def _run_quietly(argv):
@@ -444,36 +483,39 @@ def test_malformed_files_exit_with_one_line(paths, tmp_path, seed):
     """Seeded malformed problem files through solve, oracle, simulate and
     lmei check, and malformed candidate files through lmei check
     --candidate: every exit is a failure code, with one stderr line, no
-    traceback and no warning."""
+    traceback and no warning; a boolean or string inside a matrix exits 2."""
     rng = np.random.default_rng(seed)
     problem = json.loads(pathlib.Path(paths["benchmark"]).read_text())
     bench = delq.benchmark_problem()
     candidate = json.loads(dumps(candidate_to_dict(
         certificate_from_riccati(solve_riccati(bench, 0), bench))))
     path = tmp_path / "input.json"
-    cases = [json.dumps({**problem, "N": 4.7})] + [_malformed_problem(rng, problem)
-                                                  for _ in range(25)]
-    for text in cases:
+    cases = [(json.dumps({**problem, "N": 4.7}), False)] + [_malformed_problem(rng, problem)
+                                                           for _ in range(25)]
+    for text, invalid in cases:
         path.write_text(text)
         for argv in (["solve"], ["oracle", "--x=1,-0.5"], ["simulate", "--x=1,-0.5"],
                      ["lmei", "check", "--zero"]):
             code, err = _run_quietly(argv + ["--problem", str(path)])
             assert code in (EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE,
                             EXIT_INCONSISTENT), (argv, text)
+            assert code == EXIT_INVALID or not invalid, (argv, text)
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
             assert "Traceback" not in err, (argv, text)
     for _ in range(25):
-        path.write_text(_malformed_candidate(rng, candidate))
+        text, invalid = _malformed_candidate(rng, candidate)
+        path.write_text(text)
         code, err = _run_quietly(["lmei", "check", "--problem", paths["benchmark"],
                                   "--candidate", str(path)])
         assert code in (EXIT_USAGE, EXIT_INVALID, EXIT_UNSOLVABLE,
-                        EXIT_INCONSISTENT), path.read_text()
+                        EXIT_INCONSISTENT), text
+        assert code == EXIT_INVALID or not invalid, text
         assert err.count("\n") == 1 and err.endswith("\n"), err
         assert "Traceback" not in err
 
 
 def test_an_allocation_that_fails_is_invalid_input(paths, monkeypatch):
-    """A MemoryError, as numpy raises for a P buffer it cannot allocate,
+    """A MemoryError, as numpy raises for a P array it cannot allocate,
     exits 2 with one line and no traceback (the allocation is simulated)."""
     message = ("Unable to allocate 13.4 GiB for an array with shape (400030000, 3, 3) "
                "and data type float64")
@@ -481,7 +523,7 @@ def test_an_allocation_that_fails_is_invalid_input(paths, monkeypatch):
     def unallocatable(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(delq.riccati, "_StackedBlocks", unallocatable)
+    monkeypatch.setattr(delq.riccati, "PBlocks", unallocatable)
     for argv in (["value", "--x=1,-0.5"], ["solve", "--format", "json"], ["gains"]):
         code, err = _run_quietly(argv + ["--problem", paths["benchmark"]])
         assert code == EXIT_INVALID, argv

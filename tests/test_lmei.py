@@ -17,6 +17,7 @@ from delq import (
     construct_from_candidate,
     make_candidate,
     solve_riccati,
+    solve_riccati_bar,
     zero_candidate,
 )
 from delq import dumps, lmei
@@ -245,15 +246,26 @@ def test_certificate_refused_without_solvability():
 
 
 def test_certificate_is_the_kernel_buffer():
-    """A certificate takes the backward kernel's buffer as it is: the same
+    """A certificate takes the backward kernel's array as it is: the same
     floats, in the same layout, as re-stacking dict(sol.P) through
     make_candidate, in a copy that does not alias the solution."""
     for _, problem, t, sol in uniquely_solvable_instances(5, start_seed=200):
         cand = certificate_from_riccati(sol, problem)
         want = make_candidate(problem, t, dict(sol.P))
-        assert np.array_equal(cand.P.buffer, want.P.buffer)
+        assert np.array_equal(cand.P.array, want.P.array)
         assert list(cand.P) == list(want.P)
-        assert not np.shares_memory(cand.P.buffer, sol.P.buffer)
+        assert not np.shares_memory(cand.P.array, sol.P.array)
+
+
+def test_certificate_refuses_the_single_region_variant():
+    """The single-region solution carries every index at every time, which
+    is not a candidate's layout: it is refused by name, not by a mismatch of
+    index structure."""
+    for _, problem, t, sol in uniquely_solvable_instances(3, start_seed=200):
+        assert problem.d >= 1
+        with pytest.raises(ValidationError, match=r"not the single-region variant's "
+                           r"\(solve_riccati_bar\)$"):
+            certificate_from_riccati(solve_riccati_bar(problem, t), problem)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +387,7 @@ def correction_matrix(cand, problem, k):
 def test_candidate_wh_and_gap_match_recursion_outputs(scalar, scalar_solution):
     cand = certificate_from_riccati(scalar_solution, scalar)
     for k in range(scalar.N):
-        Wt, Ht = _wh_from_next(scalar, cand.P, k, min(k + 1, cand.d), scalar.R[k])
+        Wt, Ht = _wh_from_next(scalar, cand.P.array[k + 1], k, scalar.R[k])
         assert Wt[0, 0] == pytest.approx(scalar_solution.W[k][0, 0], abs=1e-12)
         assert Ht[0, 0] == pytest.approx(scalar_solution.H[k][0, 0], abs=1e-12)
     # on the certificate the correction at each k >= t+1 exactly cancels the
@@ -438,7 +450,7 @@ def _reference_check_membership(cand, problem, t, tol=1e-9):
         add("terminal_zero", N, j, -rel_deviation(cand.P_at(j, N), 0.0))
 
     for k in range(t, N):
-        W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+        W, H = _wh_from_next(problem, cand.P.array[k + 1 - t], k, problem.R[k])
         if k == t:
             upper = state_gap(cand, problem, k)
         else:
@@ -468,7 +480,7 @@ def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
     n, N, d = cand.n, cand.N, cand.d
     # the kernel's per-step inputs, indexed by step k - t (delta[0] is unused)
     Q_aux = [state_gap(cand, problem, k) for k in range(t, N)]
-    W_cand, H_cand = zip(*(_wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+    W_cand, H_cand = zip(*(_wh_from_next(problem, cand.P.array[k + 1 - t], k, problem.R[k])
                            for k in range(t, N)))
     delta = [None] + [correction_matrix(cand, problem, k) for k in range(t + 1, N)]
     G_aux = symmetrize(problem.G - cand.P_at(0, N))
@@ -478,7 +490,8 @@ def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
     P = {key: symmetrize(cand.P[key] + aux.P[key]) for key in cand.P}
     W_fin, H_fin, K_fin = [], [], []
     for k in range(t, N):
-        Wk, Hk = _wh_from_next(problem, P, k, min(k + 1 - t, d), problem.R[k])
+        Pn = np.stack([P[(i, k + 1)] for i in range(min(k + 1 - t, d) + 1)])
+        Wk, Hk = _wh_from_next(problem, Pn, k, problem.R[k])
         dW = rel_deviation(Wk - aux.W[k - t], Wk)
         dH = rel_deviation(Hk - aux.H[k - t], Hk)
         if max(dW, dH) > _CONSTRUCT_CONSISTENCY_TOL:
@@ -647,7 +660,7 @@ def test_overflowing_slack_is_a_numerical_breakdown():
     entries = dict(zero_candidate(wide, 0).P)
     entries[(0, 2)] = np.array([[1e300]])  # A^T P~^(0)_2 A = 1e310
     cand = make_candidate(wide, 0, entries)
-    assert np.isfinite(cand.P.buffer).all()
+    assert np.isfinite(cand.P.array).all()
     for fn in (check_membership, construct_from_candidate):
         with pytest.raises(ConsistencyError,
                            match=r"numerical breakdown: non-finite candidate slack at k=1$"):
@@ -675,7 +688,7 @@ def _reference_breakdown(cand, problem, t):
     N, d = cand.N, cand.d
     with np.errstate(all="ignore"):
         for k in range(t, N):
-            W, H = _wh_from_next(problem, cand.P, k, min(k + 1 - t, d), problem.R[k])
+            W, H = _wh_from_next(problem, cand.P.array[k + 1 - t], k, problem.R[k])
             quantities = [W, H, state_gap(cand, problem, k)]
             if k > t:
                 quantities.append(correction_matrix(cand, problem, k))
@@ -748,7 +761,7 @@ def test_overflowing_construction_is_a_numerical_breakdown(monkeypatch):
         def backward(*args, **kwargs):
             aux = _backward(*args, **kwargs)
             for k in times:
-                aux.P.stacks[k][...] = value
+                aux.P.array[k - aux.t, :aux.top_index(k) + 1] = value
             return aux
         return backward
 

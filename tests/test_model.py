@@ -204,6 +204,25 @@ def test_problem_data_rejects_non_numeric():
                     C=[[[0.0]]], D=[[[0.0]]], Q=[[[0.0]]], R=[[[1.0]]], G=[[1.0]])
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", "1", 10 ** 400])
+def test_problem_data_refuses_non_numbers_inside_matrices(value):
+    """A boolean or a string inside a matrix is refused like a dimension
+    is, rather than read as 1.0, 0.0 or 0.5; so is an integer beyond the
+    float range. Integers and numpy numbers still read as floats."""
+    data = problem_to_dict(scalar_problem())
+    for name in ("A", "B", "C", "D", "Q", "R"):
+        bad = json.loads(json.dumps(data))
+        bad[name][1][0][0] = value
+        with pytest.raises(ValidationError, match=f"^{name} is not a sequence of numeric matrices$"):
+            problem_from_dict(bad)
+    with pytest.raises(ValidationError, match="^G is not a numeric matrix$"):
+        problem_from_dict({**data, "G": [[value]]})
+    back = problem_from_dict({**data, "A": [[[1]], [[np.int64(2)]], [[np.float32(0.5)]]],
+                              "G": np.array([[3]])})
+    assert back.A.dtype == float and back.A[:, 0, 0].tolist() == [1.0, 2.0, 0.5]
+    assert back.G.dtype == float and validate(back) == []
+
+
 @pytest.mark.parametrize("value", [4.7, 2.9, -0.5, float("inf"), float("nan"), True, False,
                                    "3", None, [3]])
 def test_problem_data_refuses_non_integral_dimensions(value):

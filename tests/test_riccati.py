@@ -30,7 +30,7 @@ from delq import (
 )
 from delq import dumps, lmei
 from delq.linalg import PINV_RTOL, pinv, symmetrize
-from delq.riccati import RiccatiSolution, _StackedBlocks, classification_rank
+from delq.riccati import PBlocks, RiccatiSolution, classification_rank
 from delq.worked_example import REFERENCE_GAINS
 
 from conftest import (
@@ -117,6 +117,45 @@ def test_solution_blocks_are_a_read_only_view_of_one_buffer():
     buffer = sol.P[(0, problem.N)].base
     assert buffer is not None
     assert all(M.base is buffer for M in sol.P.values())
+
+
+@pytest.mark.parametrize("t, N, d", [(0, 5, 0), (2, 6, 0), (0, 6, 2), (3, 9, 4), (0, 4, 4),
+                                     (1, 4, 3), (2, 5, 5), (0, 1, 1)])
+def test_p_is_one_rectangular_array(t, N, d):
+    """P^(i)_k is a view of P.array[k - t, i] for both variants, including
+    d = 0, d >= N - t and t > 0: the array is (N - t + 1, w, n, n) with
+    w = min(N - t, d) + 1 piecewise and d + 1 single-region, its undefined
+    entries are +0.0 and no keys, and len(P) counts the defined pairs."""
+    n = 2
+    problem = _long_delay_problem(N + d, n, N, d, m=2)
+    piecewise = sum(min(k - t, d) + 1 for k in range(t, N + 1))
+    for sol, single in ((solve_riccati(problem, t), False),
+                        (solve_riccati_bar(problem, t), d > 0)):
+        assert sol.single_region == single
+        width = d + 1 if single else min(N - t, d) + 1
+        array = sol.P.array
+        assert array.shape == (N - t + 1, width, n, n) and array.dtype == float
+        assert len(sol.P) == ((N - t + 1) * (d + 1) if single else piecewise)
+        assert len(list(sol.P)) == len(sol.P)
+        for j in range(N - t + 1):
+            k = t + j
+            for i in range(width):
+                if single or i <= j:
+                    M = sol.P[(i, k)]
+                    assert M.base is array and np.shares_memory(M, array[j, i])
+                    assert M.__array_interface__ == array[j, i].__array_interface__
+                    assert sol.P_at(i, k) is not None and (i, k) in sol.P
+                    continue
+                assert (i, k) not in sol.P
+                with pytest.raises(KeyError):
+                    sol.P[(i, k)]
+                with pytest.raises(ValidationError, match="not defined"):
+                    sol.P_at(i, k)
+                assert np.all(array[j, i] == 0.0) and not np.signbit(array[j, i]).any()
+        for key in [(width, N), (-1, N), (0, t - 1), (0, N + 1)]:
+            assert key not in sol.P
+        with pytest.raises(ValidationError, match="not defined"):
+            sol.P_at(width, N)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +291,8 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
                 top = A.T @ P[(r + 1, k + 1)] @ A
                 top = (top if delta is None else delta[k - t] + top) - fold
             P[(r, k)] = symmetrize(top)
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
+    # in (i, k) order, the order a solution's P iterates in
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=dict(sorted(P.items())),
                            W=tuple(W), H=tuple(H), K=tuple(K))
 
 
@@ -310,12 +350,12 @@ def test_stacked_kernel_matches_per_index_loop():
 
 
 def _in_stacked_layout(sol):
-    """sol with its per-(i, k) P copied into the kernel's stacked layout,
-    which construct_from_candidate adds to the candidate's buffer in one
+    """sol with its per-(i, k) P copied into the kernel's array layout,
+    which construct_from_candidate adds to the candidate's array in one
     call."""
-    if isinstance(sol.P, _StackedBlocks):
+    if isinstance(sol.P, PBlocks):
         return sol
-    blocks = _StackedBlocks(sol.t, sol.N, sol.d, sol.n)
+    blocks = PBlocks(sol.t, sol.N, sol.d, sol.n)
     assert set(sol.P) == set(blocks)
     for key in blocks:
         blocks[key][...] = sol.P[key]
@@ -539,6 +579,20 @@ def test_solution_from_dict_rejects_malformed():
         solution_from_dict({"t": 0, "d": 1, "N": 1, "P": {"0,1": [[1.0]]},
                             "W": [[[1.0]]], "H": [[[1.0, 2.0]]], "K": [[[1.0]]],
                             "classification": "x"})
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_solution_from_dict_refuses_non_numbers_inside_matrices(benchmark_solution, value):
+    data = json.loads(dumps(solution_to_dict(benchmark_solution)))
+    for name in ("W", "H", "K"):
+        bad = json.loads(json.dumps(data))
+        bad[name][2][0][1] = value
+        with pytest.raises(ValidationError, match=rf"^malformed solution JSON: {name} holds a "
+                           rf"{type(value).__name__} where a number belongs$"):
+            solution_from_dict(bad)
+    data["P"]["1,3"][0][0] = value
+    with pytest.raises(ValidationError, match=r"^malformed solution JSON: P entry '1,3' holds a "):
+        solution_from_dict(data)
 
 
 @pytest.mark.parametrize("defect, message", [
