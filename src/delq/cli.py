@@ -26,7 +26,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .jsontext import dumps
+from .jsontext import chunks
 from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
@@ -172,14 +172,23 @@ def build_parser() -> _Parser:
 
 
 def _emit(args, human: Callable[[], str], payload: Callable[[], dict]) -> None:
-    """Print the JSON of `payload()`, or the text that `human()` builds:
-    only the format asked for is built."""
-    print(dumps(payload()) if args.format == "json" else human())
+    """Print the JSON of `payload()`, written piece by piece as
+    jsontext.chunks yields it, or the text that `human()` builds: only the
+    format asked for is built."""
+    if args.format != "json":
+        print(human())
+        return
+    write = sys.stdout.write
+    for piece in chunks(payload()):
+        write(piece)
+    write("\n")
 
 
-def _solve_and_classify(args):
+def _solve_and_classify(args, blocks: bool = False):
+    """The problem, its solution and its grade. Only the commands that print
+    P's blocks ask for them; the others hold a two-row ring of P."""
     problem = load_problem(args.problem)
-    sol = solve_riccati(problem, args.t, args.pinv_tol)
+    sol = solve_riccati(problem, args.t, args.pinv_tol, blocks=blocks)
     report = classify(sol, args.psd_tol)
     return problem, sol, report
 
@@ -202,7 +211,7 @@ def _constraint_line(kind: str, k: int, i: int | None, margin: float, satisfied:
 
 
 def cmd_solve(args) -> int:
-    _, sol, report = _solve_and_classify(args)
+    _, sol, report = _solve_and_classify(args, blocks=True)
     _emit(args, lambda: "\n".join(_classification_table(report, sol.t)),
           lambda: solution_to_dict(sol, report))
     return EXIT_OK
@@ -278,7 +287,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
-    policy = feedback_policy(solve_riccati(problem, args.t, args.pinv_tol))
+    policy = feedback_policy(solve_riccati(problem, args.t, args.pinv_tol, blocks=False))
     if args.samples is None:
         result = exact_cost(problem, args.t, args.x, policy, noise=args.noise)
     else:
@@ -355,7 +364,8 @@ def main(argv=None) -> int:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except MemoryError as exc:
-        # An allocation the input asks for, such as the recursion's P array.
+        # Any other allocation the input asks for (the recursion's P array
+        # raises ResourceLimitError naming its size).
         print(f"invalid input: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except UnsolvableError as exc:

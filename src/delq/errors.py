@@ -19,7 +19,8 @@ class ResourceLimitError(DelqError, ValueError):
     """A configured work cap would be exceeded: the tree-depth cap
     (``DELQ_DEPTH_CAP``), which bounds every route that enumerates the
     scenario tree, the oracle included, or the Monte-Carlo path-step cap
-    (``DELQ_PATH_STEP_CAP``) on samples x (N - t)."""
+    (``DELQ_PATH_STEP_CAP``) on samples x (N - t); or the recursion's P
+    array cannot be allocated."""
 
 
 class UnsolvableError(DelqError, RuntimeError):

@@ -393,13 +393,15 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
     """The identity embedding of a solvable recursion solution as a feasible
     candidate (the block constraints hold with Schur complement exactly 0):
     a symmetrized copy of the piecewise solution's P.array. A solution of the
-    single-region variant, whose layout is not a candidate's, is refused."""
+    single-region variant, whose layout is not a candidate's, and one
+    computed without blocks are refused."""
     if sol.d < 1:
         raise ValidationError("certificates require delay d >= 1")
     if sol.single_region:
         raise ValidationError(
             "certificates take the piecewise recursion's solution, not the "
             "single-region variant's (solve_riccati_bar)")
+    blocks = sol.require_blocks("a certificate")
     if (sol.N, sol.d, sol.n) != (problem.N, problem.d, problem.n):
         raise ValidationError("solution dimensions do not match the problem")
     if report is None:
@@ -409,7 +411,7 @@ def certificate_from_riccati(sol: RiccatiSolution, problem: ProblemData,
             f"classification {report.classification} is too weak for a certificate"
         )
     _check_candidate_args(problem, sol.t)
-    return _candidate(problem, sol.t, sol.P.array)
+    return _candidate(problem, sol.t, blocks.array)
 
 
 def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
@@ -449,7 +451,8 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
             raise ConsistencyError(f"numerical breakdown: non-finite P at k={t + bad[0]}")
         # W/H recomputed from P (the defining sums), cross-checked against the
         # auxiliary quantities, which must coincide.
-        W, H = _wh_steps(problem, t, _index_sum(P[1:]), P[1:, 0])
+        Psum = _index_sum(P)
+        W, H = _wh_steps(problem, t, Psum[1:], P[1:, 0])
         finite = np.isfinite(W).all(axis=(1, 2)) & np.isfinite(H).all(axis=(1, 2))
     if not finite.all():
         raise ConsistencyError(
@@ -477,4 +480,4 @@ def construct_from_candidate(cand: LmeiCandidate, problem: ProblemData, t: int,
             f"constructed H_{k} leaves the range of W_{k} (residual {rr[j]:.3e})"
         )
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=PBlocks(t, N, d, n, array=P),
-                           W=W, H=H, K=-Wdag @ H)
+                           Psum=Psum, W=W, H=H, K=-Wdag @ H)

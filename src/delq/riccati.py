@@ -41,6 +41,17 @@ the array per lookup rather than holding one array object per pair (about
 10^5 of them at N = 1000, d = 100). Reading an undefined pair is an error
 rather than a silent zero, since zero-filling would mask indexing mistakes in
 the piecewise structure.
+
+Only the commands that print or embed P's blocks (solve, lmei ...
+--certificate) need that array: the step of time k reads the row of k + 1
+alone. So solve_riccati(..., blocks=False) writes the row of time t + j into
+row j % 2 of a (2, w, n, n) ring of the same layout instead, re-zeroing the
+entries of the ramp-up rows (j < w - 1) that the row of t + j + 2 left
+behind, and returns a solution with P = None. The arithmetic is the same,
+so W, H, K and the value weights are the same bytes; memory is O(d n^2)
+instead of O(N d n^2). Every solution keeps the value weight sum_i P^(i)_k
+of every time as one (N - t + 1, n, n) stack Psum, which the kernel forms
+anyway for W/H; P_sum(k) reads it, so the value at any k needs no blocks.
 """
 from __future__ import annotations
 
@@ -49,11 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, UnsolvableError, ValidationError
+from .errors import ConsistencyError, ResourceLimitError, UnsolvableError, ValidationError
 from .jsontext import KeyedStack
 from .linalg import PINV_RTOL, PSD_TOL, _is_symmetric, _pinv, eig_margin, pinv, range_residual, \
     symmetrize
-from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state, _float_array
+from .model import FeedbackPolicy, ProblemData, _check_solve_args, _check_state, _float_array, \
+    _integer
 
 UNIQUELY_SOLVABLE = "UniquelySolvable"
 SOLVABLE_ALL_PAIRS = "SolvableAllPairs"
@@ -77,11 +89,14 @@ class RiccatiSolution:
 
     P maps (i, k) to a symmetric n x n matrix for the defined pairs only
     (at d = 0 that is P^(0) alone), a read-only PBlocks over the array
-    P.array whose entry [j, i] is P^(i)_{t+j}; W/H/K are (N - t, m, m),
-    (N - t, m, n) and (N - t, m, n) stacks whose row j belongs to time
-    k = t + j. `single_region` marks the variant that carries every index
-    0..d at every time (solve_riccati_bar); the piecewise form tops out at
-    min(k - t, d).
+    P.array whose entry [j, i] is P^(i)_{t+j}; it is None for a solution
+    computed without blocks (solve_riccati(..., blocks=False)), whose P_at
+    and serialization refuse. Psum is the (N - t + 1, n, n) stack of the
+    value weights: Psum[j] is the sum of the defined P^(i)_{t+j}, in index
+    order. W/H/K are (N - t, m, m), (N - t, m, n) and (N - t, m, n) stacks
+    whose row j belongs to time k = t + j. `single_region` marks the variant
+    that carries every index 0..d at every time (solve_riccati_bar); the
+    piecewise form tops out at min(k - t, d).
     """
 
     t: int
@@ -89,7 +104,8 @@ class RiccatiSolution:
     d: int
     n: int
     m: int
-    P: PBlocks
+    P: PBlocks | None
+    Psum: np.ndarray
     W: np.ndarray
     H: np.ndarray
     K: np.ndarray
@@ -101,9 +117,16 @@ class RiccatiSolution:
             return self.d
         return min(k - self.t, self.d)
 
+    def require_blocks(self, what: str) -> PBlocks:
+        """P, or a ValidationError saying that `what` needs the blocks."""
+        if self.P is None:
+            raise ValidationError(
+                f"{what} needs the P blocks: solve with solve_riccati(..., blocks=True)")
+        return self.P
+
     def P_at(self, i: int, k: int) -> np.ndarray:
         try:
-            return self.P[(i, k)]
+            return self.require_blocks(f"P^({i})_{k}")[(i, k)]
         except KeyError:
             pass
         raise ValidationError(
@@ -114,7 +137,7 @@ class RiccatiSolution:
     def P_sum(self, k: int) -> np.ndarray:
         """Sum of all defined P^(i)_k; the value-function weight at time k."""
         self._check_time(k, self.N)
-        return _index_sum(self.P.array[k - self.t])
+        return self.Psum[k - self.t]
 
     def W_at(self, k: int) -> np.ndarray:
         self._check_time(k, self.N - 1)
@@ -133,13 +156,13 @@ class RiccatiSolution:
             raise ValidationError(f"time {k} outside solution range [{self.t}, {last}]")
 
 
-def _index_sum(Pn: np.ndarray) -> np.ndarray:
+def _index_sum(Pn: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """P^(0) + P^(1) + ... along the index axis -3 of Pn (one time's row of
     P.array, or the rows of several), added in index order as a loop would
     (reduce may sum pairwise); the trailing + 0.0 makes the sum start from
     zero, which only turns an all -0.0 entry into 0.0, so the +0.0 padding
-    of a row leaves the sum the same bytes."""
-    return np.add.accumulate(Pn, axis=-3)[..., -1, :, :] + 0.0
+    of a row leaves the sum the same bytes. Written into `out` if given."""
+    return np.add(np.add.accumulate(Pn, axis=-3)[..., -1, :, :], 0.0, out=out)
 
 
 def _wh_into(A: np.ndarray, B: np.ndarray, C: np.ndarray, D: np.ndarray,
@@ -183,13 +206,26 @@ def _key_mismatch(want: set, have: set) -> str:
     return "; ".join(parts)
 
 
+def _p_rows(rows: int, width: int, n: int) -> np.ndarray:
+    """A zero-filled (rows, width, n, n) array of P rows. An allocation that
+    fails raises ResourceLimitError naming the block count and bytes."""
+    try:
+        return np.zeros((rows, width, n, n))
+    except (MemoryError, ValueError):
+        blocks = rows * width
+        raise ResourceLimitError(
+            f"cannot allocate the P array: {blocks} blocks of {n}x{n} "
+            f"({blocks * n * n * 8} bytes)") from None
+
+
 class PBlocks(Mapping):
     """Read-only mapping (i, k) -> P^(i)_k over one rectangular array, whose
     entry [j, i] is P^(i)_{t+j}: shape (N - t + 1, w, n, n) with w = d + 1 in
     the single-region layout and w = min(N - t, d) + 1 in the piecewise one,
     where only i <= j is defined. The array is allocated here, zero-filled,
     unless given; the undefined entries hold +0.0 and are not keys.
-    Iteration runs over i, then k; each lookup returns a view into the array."""
+    Iteration runs over i, then k; each lookup returns a view into the array.
+    columns() returns the array's column slices in that order."""
 
     __slots__ = ("array", "t", "single_region")
 
@@ -197,7 +233,7 @@ class PBlocks(Mapping):
                  array: np.ndarray | None = None):
         width = d + 1 if single_region else min(N - t, d) + 1
         self.t, self.single_region = t, single_region
-        self.array = np.zeros((N - t + 1, width, n, n)) if array is None else array
+        self.array = _p_rows(N - t + 1, width, n) if array is None else array
 
     def _first(self, i: int) -> int:
         """The first row j that defines P^(i)."""
@@ -221,14 +257,14 @@ class PBlocks(Mapping):
         rows, width = self.array.shape[:2]
         return rows * width - (0 if self.single_region else width * (width - 1) // 2)
 
-    def blocks(self) -> np.ndarray:
-        """The defined P^(i)_k as one (len(self), n, n) stack, in iteration order."""
-        return np.concatenate([self.array[self._first(i):, i]
-                               for i in range(self.array.shape[1])])
+    def columns(self) -> list[np.ndarray]:
+        """The defined P^(i)_k as views, one (rows, n, n) slice per index i:
+        together the blocks in iteration order."""
+        return [self.array[self._first(i):, i] for i in range(self.array.shape[1])]
 
 
 def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
-              pinv_rtol: float, S=None, delta=None) -> RiccatiSolution:
+              pinv_rtol: float, S=None, delta=None, blocks: bool = True) -> RiccatiSolution:
     """The piecewise backward pass (see module docstring) with per-step state
     weight Q[j], control weight R[j] and terminal weight G, where step
     j = k - t (so Q and R hold N - t matrices, like W, H and K).
@@ -237,17 +273,22 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
     correction delta[j] added to the top index for k > t (delta[0] is not
     read). The terminal weight is symmetrized here. A non-finite symmetrized
     terminal weight, non-finite W/H (or a non-finite P^(0)_t) raise
-    ConsistencyError naming the step.
+    ConsistencyError naming the step. With blocks=False the rows go to a
+    two-row ring and the solution's P is None (see module docstring).
     """
     n, m, N, d = problem.n, problem.m, problem.N, problem.d
-    # The stacks of all times are the rows of one array. With one allocation
+    width = min(N - t, d) + 1
+    # The stacks of all times are the rows of one array (with one allocation
     # per step, interleaved with the step's temporaries, the peak memory of a
     # process running many solves varied from one process to the next by up
-    # to 8 MB.
-    P = PBlocks(t, N, d, n)
-    Pn = P.array[N - t]
+    # to 8 MB), or of the two-row ring: in either, rows[j % len(rows)] is the
+    # row of time t + j.
+    P = PBlocks(t, N, d, n) if blocks else None
+    rows = P.array if blocks else _p_rows(2, width, n)
+    Pn = rows[(N - t) % len(rows)]
 
     W, H, K = np.empty((N - t, m, m)), np.empty((N - t, m, n)), np.empty((N - t, m, n))
+    Psum = np.empty((N - t + 1, n, n))
     with np.errstate(all="ignore"):
         Pn[0] = symmetrize(G)
         if not np.isfinite(Pn[0]).all():
@@ -258,7 +299,8 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
             j = k - t
             A, B, C, D = problem.A[k], problem.B[k], problem.C[k], problem.D[k]
             Wk, Hk = W[j], H[j]
-            _wh_into(A, B, C, D, B.T, D.T, _index_sum(Pn), Pn[0], R[j], Wk, Hk)
+            _wh_into(A, B, C, D, B.T, D.T, _index_sum(Pn, out=Psum[j + 1]), Pn[0], R[j],
+                     Wk, Hk)
             if S is not None:
                 Hk += S[j]
             if not (np.isfinite(Wk).all() and np.isfinite(Hk).all()):
@@ -270,7 +312,9 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
             nxt = Pn[0] + Pn[1] if d else Pn[0]
             state_part = Q[j] + A.T @ nxt @ A + C.T @ Pn[0] @ C
             r = min(j, d)
-            Pk = P.array[j]
+            Pk = rows[j % len(rows)]
+            if r + 1 < width:
+                Pk[r + 1:] = 0.0    # in a ring, the row of t + j + 2 left these
             if r == 0:
                 symmetrize(state_part - fold, out=Pk[0])
             else:
@@ -286,15 +330,19 @@ def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
             Pn = Pk
     if not np.isfinite(Pn[0]).all():
         raise ConsistencyError(f"numerical breakdown: non-finite P^(0) at k={t}")
+    _index_sum(Pn, out=Psum[0])
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, Psum=Psum, W=W, H=H, K=K)
 
 
-def solve_riccati(problem: ProblemData, t: int,
-                  pinv_rtol: float = PINV_RTOL) -> RiccatiSolution:
-    """Backward pass of the piecewise-coupled recursion (see module docstring)."""
+def solve_riccati(problem: ProblemData, t: int, pinv_rtol: float = PINV_RTOL,
+                  blocks: bool = True) -> RiccatiSolution:
+    """Backward pass of the piecewise-coupled recursion (see module
+    docstring). With blocks=False only a two-row ring of P is held, and the
+    solution's P is None: W, H, K and P_sum are the same bytes."""
     _check_solve_args(problem, t)
-    return _backward(problem, t, problem.Q[t:], problem.R[t:], problem.G, pinv_rtol)
+    return _backward(problem, t, problem.Q[t:], problem.R[t:], problem.G, pinv_rtol,
+                     blocks=blocks)
 
 
 def solve_riccati_bar(problem: ProblemData, t: int,
@@ -325,8 +373,8 @@ def solve_riccati_bar(problem: ProblemData, t: int,
             Pk[i] = symmetrize(A.T @ Pn[i + 1] @ A)
         Pk[d] = symmetrize(-(Hk.T @ Wdag @ Hk))
 
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
-                           single_region=True)
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, Psum=_index_sum(P.array),
+                           W=W, H=H, K=K, single_region=True)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +456,8 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 
 def _blocks_to_dict(P: PBlocks) -> KeyedStack:
     """The blocks of P as a JSON object: keys "i,k" in (i, k) order, the
-    matrices as one stack."""
-    return KeyedStack([f"{i},{k}" for i, k in P], P.blocks())
+    matrices as P's column slices, not a copy."""
+    return KeyedStack([f"{i},{k}" for i, k in P], *P.columns())
 
 
 def _blocks_from_dict(raw: dict) -> tuple[list[tuple[int, int]], list[np.ndarray]]:
@@ -431,13 +479,14 @@ def _blocks_from_dict(raw: dict) -> tuple[list[tuple[int, int]], list[np.ndarray
 
 
 def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = None) -> dict:
+    P = _blocks_to_dict(sol.require_blocks("solution_to_dict"))
     if report is None:
         report = classify(sol)
     return {
         "t": sol.t,
         "d": sol.d,
         "N": sol.N,
-        "P": _blocks_to_dict(sol.P),
+        "P": P,
         "W": sol.W,
         "H": sol.H,
         "K": sol.K,
@@ -447,7 +496,7 @@ def solution_to_dict(sol: RiccatiSolution, report: SolvabilityReport | None = No
 
 def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
     try:
-        t, d, N = int(data["t"]), int(data["d"]), int(data["N"])
+        t, d, N = (_integer(name, data[name]) for name in "tdN")
         pairs, mats = _blocks_from_dict(data["P"])
         W, H, K = (_float_array(data[name], name) for name in "WHK")
         classification = str(data["classification"])
@@ -469,6 +518,8 @@ def solution_from_dict(data: dict) -> tuple[RiccatiSolution, str]:
             P.array[k - t, i] = M
     except (KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
         raise ValidationError(f"malformed solution JSON: {exc}") from exc
-    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, W=W, H=H, K=K,
+    with np.errstate(over="ignore", invalid="ignore"):   # optimal_value refuses the inf
+        Psum = _index_sum(P.array)
+    sol = RiccatiSolution(t=t, N=N, d=d, n=n, m=m, P=P, Psum=Psum, W=W, H=H, K=K,
                           single_region=single)
     return sol, classification

@@ -516,18 +516,38 @@ def test_malformed_files_exit_with_one_line(paths, tmp_path, seed):
 
 def test_an_allocation_that_fails_is_invalid_input(paths, monkeypatch):
     """A MemoryError, as numpy raises for a P array it cannot allocate,
-    exits 2 with one line and no traceback (the allocation is simulated)."""
+    exits 2 with one line and no traceback (the allocation is simulated;
+    solve allocates every row of P, value and gains a two-row ring)."""
     message = ("Unable to allocate 13.4 GiB for an array with shape (400030000, 3, 3) "
                "and data type float64")
 
     def unallocatable(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(delq.riccati, "PBlocks", unallocatable)
+    monkeypatch.setattr(delq.riccati, "_p_rows", unallocatable)
     for argv in (["value", "--x=1,-0.5"], ["solve", "--format", "json"], ["gains"]):
         code, err = _run_quietly(argv + ["--problem", paths["benchmark"]])
         assert code == EXIT_INVALID, argv
         assert err == f"invalid input: out of memory: {message}\n", argv
+
+
+def test_an_unallocatable_p_array_is_invalid_input(paths, monkeypatch):
+    """The commands that keep P's blocks exit 2 with one line naming the
+    block count, n and bytes when the array cannot be allocated (simulated:
+    every 4-d allocation fails)."""
+    zeros = np.zeros
+
+    def unallocatable(shape, *args, **kwargs):
+        if len(shape) == 4:
+            raise MemoryError("Unable to allocate")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", unallocatable)
+    for argv in (["solve"], ["lmei", "construct", "--certificate"]):
+        code, err = _run_quietly(argv + ["--problem", paths["benchmark"]])
+        assert code == EXIT_INVALID, argv
+        assert re.fullmatch(r"invalid input: cannot allocate the P array: \d+ blocks of 2x2 "
+                            r"\(\d+ bytes\)\n", err), err
 
 
 def test_exit_codes_are_distinct():

@@ -509,7 +509,9 @@ def _reference_construct(cand, problem, t, tol=1e-9, pinv_rtol=1e-12):
         W_fin.append(Wk)
         H_fin.append(Hk)
         K_fin.append(-pinv(Wk, pinv_rtol) @ Hk)
-    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P,
+    sums = [sum((P[(i, k)] for i in range(min(k - t, d) + 1)), np.zeros((n, n)))
+            for k in range(t, N + 1)]
+    return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=P, Psum=np.array(sums),
                            W=tuple(W_fin), H=tuple(H_fin), K=tuple(K_fin))
 
 
@@ -583,7 +585,7 @@ def test_stacked_layer_matches_per_constraint_loop():
         assert list(built.P) == list(ref.P)
         for key in ref.P:
             assert np.array_equal(built.P[key], ref.P[key]), key
-        for name in "WHK":
+        for name in ("Psum", "W", "H", "K"):
             pairs = zip(getattr(built, name), getattr(ref, name), strict=True)
             assert all(np.array_equal(a, b) for a, b in pairs), name
     # the cases cover what they claim
@@ -787,7 +789,7 @@ def test_construct_names_the_first_disagreeing_step_like_the_loop(monkeypatch):
         for j in (5, 2):
             W[j] = W[j] * (1.0 + 1e-6)
         return RiccatiSolution(t=aux.t, N=aux.N, d=aux.d, n=aux.n, m=aux.m, P=aux.P,
-                               W=tuple(W), H=aux.H, K=aux.K)
+                               Psum=aux.Psum, W=tuple(W), H=aux.H, K=aux.K)
 
     monkeypatch.setattr(lmei, "_backward", skewed)
     got = _outcome(construct_from_candidate, cand, problem, 1)

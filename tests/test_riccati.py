@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from delq import (
     ConsistencyError,
     PSD_TOL,
     NOT_CONVEX,
+    ResourceLimitError,
     SOLVABLE_ALL_PAIRS,
     UNIQUELY_SOLVABLE,
     ProblemData,
@@ -30,7 +33,7 @@ from delq import (
 )
 from delq import dumps, lmei
 from delq.linalg import PINV_RTOL, pinv, symmetrize
-from delq.riccati import PBlocks, RiccatiSolution, classification_rank
+from delq.riccati import PBlocks, RiccatiSolution, _backward, _index_sum, classification_rank
 from delq.worked_example import REFERENCE_GAINS
 
 from conftest import (
@@ -262,12 +265,14 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
     for j in range(1, min(N - t, d) + 1):
         P[(j, N)] = np.zeros((n, n))
     W, H, K = [None] * (N - t), [None] * (N - t), [None] * (N - t)
+    sums = [None] * (N - t + 1)
     with np.errstate(all="ignore"):
         for k in range(N - 1, t - 1, -1):
             A, B, C, D = problem.A[k], problem.B[k], problem.C[k], problem.D[k]
             Psum = np.zeros((n, n))
             for i in range(min(k + 1 - t, d) + 1):
                 Psum = Psum + P[(i, k + 1)]
+            sums[k + 1 - t] = Psum
             P0 = P[(0, k + 1)]
             Wk = symmetrize(R[k - t] + B.T @ Psum @ B + D.T @ P0 @ D)
             Hk = B.T @ Psum @ A + D.T @ P0 @ C
@@ -291,9 +296,10 @@ def _reference_backward(problem, t, Q, R, G, pinv_rtol, S=None, delta=None):
                 top = A.T @ P[(r + 1, k + 1)] @ A
                 top = (top if delta is None else delta[k - t] + top) - fold
             P[(r, k)] = symmetrize(top)
+    sums[0] = np.zeros((n, n)) + P[(0, t)]
     # in (i, k) order, the order a solution's P iterates in
     return RiccatiSolution(t=t, N=N, d=d, n=n, m=problem.m, P=dict(sorted(P.items())),
-                           W=tuple(W), H=tuple(H), K=tuple(K))
+                           Psum=np.array(sums), W=tuple(W), H=tuple(H), K=tuple(K))
 
 
 def _with_delay(problem, d):
@@ -306,7 +312,7 @@ def _assert_identical(got, want):
     assert list(got.P) == list(want.P)
     for key in want.P:
         assert np.array_equal(got.P[key], want.P[key]), key
-    for name in "WHK":
+    for name in ("Psum", "W", "H", "K"):
         pairs = zip(getattr(got, name), getattr(want, name), strict=True)
         assert all(np.array_equal(a, b) for a, b in pairs), name
 
@@ -398,6 +404,135 @@ def test_stacked_kernel_matches_per_index_loop_on_construct(monkeypatch):
                                            monkeypatch)
         _assert_identical(aux, ref_aux)
         _assert_identical(sol, ref_sol)
+
+
+# ---------------------------------------------------------------------------
+# Two-row ring (blocks=False) against the whole P array
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (UnsolvableError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_ring_matches_blocks(ring, full):
+    """W, H, K, the value weights, both classify columns and the value at
+    every k: the same bytes with and without the blocks."""
+    assert ring.P is None and isinstance(full.P, PBlocks)
+    for name in ("Psum", "W", "H", "K"):
+        assert _same_bytes(getattr(ring, name), getattr(full, name)), name
+    assert _same_bytes(full.Psum, _index_sum(full.P.array))
+    got, want = classify(ring), classify(full)
+    assert (got.classification, got.note) == (want.classification, want.note)
+    assert _same_bytes(got.w_min_eig, want.w_min_eig)
+    assert _same_bytes(got.range_residual, want.range_residual)
+    x = np.linspace(-1.0, 1.0, full.n)
+    for k in range(full.t, full.N):
+        assert _outcome(optimal_value, ring, k, x, got) == \
+            _outcome(optimal_value, full, k, x, want), k
+    return want.at_least(SOLVABLE_ALL_PAIRS)
+
+
+def test_ring_and_blocks_agree():
+    """solve_riccati(blocks=False) holds P in a two-row ring and is
+    bit-identical to the whole array at t > 0, d in {0, 1, N - t - 1,
+    N - t, N} and n in {1, 3}; the ramp-up rows are re-zeroed, or the
+    entries of the row two steps later would enter the W/H sums."""
+    N, solvable = 12, 0
+    for n in (1, 3):
+        for t in (0, 4):
+            for d in sorted({0, 1, N - t - 1, N - t, N}):
+                problem = _long_delay_problem(10 * n + d + t, n, N, d, m=2)
+                solvable += _assert_ring_matches_blocks(
+                    solve_riccati(problem, t, blocks=False), solve_riccati(problem, t))
+    assert solvable > 0
+
+
+def test_ring_and_blocks_agree_on_construct():
+    """The cross-weight and top-correction path of construct_from_candidate's
+    auxiliary recursion, with zero and certificate candidates."""
+    cases = [(nonneg_problem(seed), 0) for seed in range(4)]
+    cases += [(problem, t) for _, problem, t, _ in uniquely_solvable_instances(4, start_seed=40)]
+    cases.append((_long_delay_problem(5, 3, 20, 12), 2))
+    for problem, t in cases:
+        if problem.d == 0:
+            continue
+        sol = solve_riccati(problem, t)
+        cand = (lmei.certificate_from_riccati(sol, problem)
+                if classify(sol).at_least(SOLVABLE_ALL_PAIRS) else lmei.zero_candidate(problem, t))
+        slack = lmei._slack(cand, problem)
+        args = (problem, t, slack.gap, slack.W, slack.terminal, PINV_RTOL)
+        extra = {"S": slack.H, "delta": slack.upper}
+        _assert_ring_matches_blocks(_backward(*args, **extra, blocks=False),
+                                    _backward(*args, **extra))
+
+
+def test_a_solution_without_blocks_refuses_them(benchmark_problem_fixture, scalar):
+    """P is None; reading a block, serializing or certifying names
+    blocks=True, while P_sum still reads every time."""
+    for problem in (benchmark_problem_fixture, scalar):
+        sol = solve_riccati(problem, 0, blocks=False)
+        assert sol.P is None
+        for call in (lambda: sol.P_at(0, sol.N), lambda: solution_to_dict(sol),
+                     lambda: lmei.certificate_from_riccati(sol, problem)):
+            with pytest.raises(ValidationError, match=r"blocks=True"):
+                call()
+        full = solve_riccati(problem, 0)
+        for k in range(sol.t, sol.N + 1):
+            assert _same_bytes(sol.P_sum(k), full.P_sum(k))
+
+
+def _stable_problem(seed, n, m, N, d):
+    """A long horizon whose recursion stays bounded: contractive A, small
+    noise, identity weights."""
+    rng = np.random.default_rng(seed)
+    return ProblemData(
+        n=n, m=m, N=N, d=d,
+        A=[0.9 * np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(N)],
+        B=rng.normal(scale=0.5, size=(N, n, m)), C=rng.normal(scale=0.15, size=(N, n, n)),
+        D=rng.normal(scale=0.15, size=(N, n, m)), Q=[np.eye(n)] * N, R=[np.eye(m)] * N,
+        G=np.eye(n))
+
+
+def test_a_ring_solve_peaks_at_a_quarter_of_the_blocks():
+    """In process, solve_riccati(blocks=False) and classify at N = 400,
+    d = 100 peak at most a quarter of the blocks=True route (tracemalloc)."""
+    problem = _stable_problem(400, 4, 2, 400, 100)
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            classify(solve_riccati(problem, 0, blocks=blocks))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ring, full = peak(False), peak(True)
+    assert full > 401 * 101 * 16 * 8      # the whole array is traced
+    assert ring <= full / 4, (ring, full)
+
+
+def test_an_unallocatable_p_array_names_its_blocks(monkeypatch):
+    """A P array numpy cannot allocate raises ResourceLimitError naming the
+    block count, n and bytes: one too large to address (numpy refuses it
+    before allocating), and a simulated MemoryError."""
+    blocks = (10**10 + 1) ** 2
+    with pytest.raises(ResourceLimitError, match=rf"cannot allocate the P array: {blocks} "
+                                                 rf"blocks of 3x3 \({blocks * 72} bytes\)"):
+        PBlocks(0, 10**10, 10**10, 3)
+
+    def unallocatable(shape, *args, **kwargs):
+        raise MemoryError("Unable to allocate 28.8 GiB")
+
+    monkeypatch.setattr(np, "zeros", unallocatable)
+    with pytest.raises(ResourceLimitError, match=r"400040001 blocks of 3x3 \(28802880072 bytes\)"):
+        PBlocks(0, 20000, 20000, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +691,34 @@ def test_undefined_index_message_names_the_defined_range():
         solve_riccati(problem, 2).P_at(2, 3)
     with pytest.raises(ValidationError, match=r"at time 3: 0\.\.3\)"):
         solve_riccati_bar(problem, 2).P_at(4, 3)
+
+
+@pytest.mark.parametrize("name, value", [("N", 4.7), ("t", False), ("d", "1"), ("N", True),
+                                         ("t", None), ("d", float("inf"))])
+def test_solution_from_dict_reads_integers_strictly(benchmark_solution, name, value):
+    """t, d and N are read as ProblemData reads them: "N": 4.7 once loaded as
+    N = 4 and "t": false as t = 0; an integral float still loads."""
+    data = json.loads(dumps(solution_to_dict(benchmark_solution)))
+    with pytest.raises(ValidationError, match=rf"malformed solution JSON: {name} must be an "
+                                              rf"integer, got {value!r}"):
+        solution_from_dict({**data, name: value})
+    back, _ = solution_from_dict({**data, name: float(data[name])})
+    assert (back.t, back.d, back.N) == (benchmark_solution.t, benchmark_solution.d,
+                                        benchmark_solution.N)
+
+
+def test_a_loaded_solution_whose_value_weight_overflows_is_a_breakdown(benchmark_solution):
+    """Finite blocks whose sum overflows load without a warning; the value
+    is then refused as a numerical breakdown, as before the sums were
+    formed on loading."""
+    data = json.loads(dumps(solution_to_dict(benchmark_solution)))
+    for i in (0, 1):
+        data["P"][f"{i},1"] = [[1e308, 0.0], [0.0, 1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back, _ = solution_from_dict(data)
+        with pytest.raises(ConsistencyError, match="non-finite value at k=1"):
+            optimal_value(back, 1, [1.0, 0.0])
 
 
 def test_solution_from_dict_rejects_malformed():
