@@ -26,7 +26,7 @@ from .errors import (
     UnsolvableError,
     ValidationError,
 )
-from .jsontext import chunks
+from .jsontext import dumps
 from .linalg import PINV_RTOL, PSD_TOL, scale_floor
 from .lmei import (
     candidate_from_dict,
@@ -172,16 +172,9 @@ def build_parser() -> _Parser:
 
 
 def _emit(args, human: Callable[[], str], payload: Callable[[], dict]) -> None:
-    """Print the JSON of `payload()`, written piece by piece as
-    jsontext.chunks yields it, or the text that `human()` builds: only the
-    format asked for is built."""
-    if args.format != "json":
-        print(human())
-        return
-    write = sys.stdout.write
-    for piece in chunks(payload()):
-        write(piece)
-    write("\n")
+    """Print the JSON of `payload()`, or the text that `human()` builds:
+    only the format asked for is built."""
+    print(dumps(payload()) if args.format == "json" else human())
 
 
 def _solve_and_classify(args, blocks: bool = False):

@@ -5,24 +5,18 @@ tuples of str, int, bool, None and float), and also takes float arrays.
 ``json.dumps`` with an indent runs CPython's pure-Python encoder, one
 generator step per value; the payloads hold up to ~10^5 floats. Here the
 structure of a float array, of a ``KeyedStack`` (an object whose values are
-the matrices of one or more stacks, such as the column slices of a
-solution's P array) and of a ``Records`` (the columns of records that share
-their keys, such as the ``lmei check`` constraints) is a ``%``-template built
-once, and its values are filled in by one ``%``-format: ``%s`` of a float is
+the matrices of one stack, such as a solution's P blocks) and of a
+``Records`` (the columns of records that share their keys, such as the
+``lmei check`` constraints) is a ``%``-template built once, and
+its values are filled in by one ``%``-format: ``%s`` of a float is
 ``float.__repr__``, which is how json writes a finite float. Non-finite
 floats become ``NaN``, ``Infinity`` and ``-Infinity``, as in json. A float
 array is emitted as ``json.dumps(a.tolist(), indent=2)`` would emit it.
-
-``chunks(obj)`` yields the same text in pieces, and ``dumps`` is their
-join: a ``KeyedStack`` takes one template and one ``%``-format per
-``CHUNK_BLOCKS`` of its values, so a writer that sends each piece on holds
-the text, floats and template of one chunk at a time instead of the whole
-object's three or four times over.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -30,36 +24,25 @@ from json.encoder import encode_basestring_ascii as _encode_str
 import numpy as np
 
 _INDENT = "  "
-#: Values of a KeyedStack formatted per piece of ``chunks``.
-CHUNK_BLOCKS = 256
 _SINGLETONS = {None: "null", True: "true", False: "false"}
 
 
 class KeyedStack(Mapping):
-    """Read-only mapping names[j] -> the j-th matrix of the stacks laid end
-    to end: a JSON object with str keys whose values are equally shaped
-    float arrays, held as one or more (rows, ...) stacks (such as the column
-    slices of a solution's P array, which need no copy into one), which
-    ``dumps`` emits with one template per piece."""
+    """Read-only mapping names[j] -> stack[j]: a JSON object with str keys
+    whose values are equally shaped float arrays, held as one
+    (len(names), ...) stack, which ``dumps`` emits with one template."""
 
-    __slots__ = ("names", "stacks", "_index")
+    __slots__ = ("names", "stack", "_index")
 
-    def __init__(self, names: list[str], *stacks: np.ndarray):
-        rows = sum(map(len, stacks))
-        if len(names) != rows:
-            raise ValueError(f"{len(names)} keys for a stack of {rows}")
-        if len({stack.shape[1:] for stack in stacks}) > 1:
-            raise ValueError("the stacks must hold equally shaped arrays")
-        self.names, self.stacks, self._index = names, stacks, None
+    def __init__(self, names: list[str], stack: np.ndarray):
+        if len(names) != len(stack):
+            raise ValueError(f"{len(names)} keys for a stack of {len(stack)}")
+        self.names, self.stack, self._index = names, stack, None
 
     def __getitem__(self, key: str) -> np.ndarray:
         if self._index is None:
             self._index = {name: j for j, name in enumerate(self.names)}
-        j = self._index[key]
-        for stack in self.stacks:
-            if j < len(stack):
-                return stack[j]
-            j -= len(stack)
+        return self.stack[self._index[key]]
 
     def __iter__(self):
         return iter(self.names)
@@ -93,16 +76,8 @@ class Records(Sequence):
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, for float ndarrays, ``KeyedStack`` and
     ``Records`` too (a float ndarray as its ``tolist()``, a ``KeyedStack`` as
-    the dict it maps, ``Records`` as its list of dicts): the join of
-    ``chunks(obj)``."""
-    return "".join(_chunks(obj, 0))
-
-
-def chunks(obj) -> Iterator[str]:
-    """The text of ``dumps(obj)`` in pieces, to be written as they come: a
-    ``KeyedStack`` is formatted ``CHUNK_BLOCKS`` of its values at a time, so
-    no piece holds more of them, and its stacks are read in place."""
-    return _chunks(obj, 0)
+    the dict it maps, ``Records`` as its list of dicts)."""
+    return _encode(obj, 0)
 
 
 def _float(x: float) -> str:
@@ -138,27 +113,17 @@ def _encode(obj, level: int) -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float(obj)
-    if isinstance(obj, (list, tuple, dict, KeyedStack)):
-        return "".join(_chunks(obj, level))
+    if isinstance(obj, (list, tuple)):
+        return _list(obj, level)
+    if isinstance(obj, dict):
+        return _object(obj, level)
+    if isinstance(obj, KeyedStack):
+        return _keyed_stack(obj, level)
     if isinstance(obj, Records):
         return _records(obj, level)
     if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
         return _array_template(obj.shape, level) % _floats(obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _chunks(obj, level: int) -> Iterator[str]:
-    """The pieces of one value's text: a container's opening and the key of
-    each item apart from the item's own pieces, a ``KeyedStack`` by chunks,
-    any other value whole."""
-    if isinstance(obj, dict):
-        yield from _container("{", "}", [(f"{_key(k)}: ", v) for k, v in obj.items()], level)
-    elif isinstance(obj, (list, tuple)):
-        yield from _container("[", "]", [("", v) for v in obj], level)
-    elif isinstance(obj, KeyedStack):
-        yield from _keyed_stack(obj, level)
-    else:
-        yield _encode(obj, level)
 
 
 def _floats(a: np.ndarray) -> tuple:
@@ -192,40 +157,28 @@ def _array_template(shape: tuple[int, ...], level: int) -> str:
     return _wrap("[", "]", [_array_template(shape[1:], level + 1)] * shape[0], level)
 
 
-def _container(open_: str, close: str, items: list, level: int) -> Iterator[str]:
-    """json's layout of a container whose items are (key prefix, value)
-    pairs."""
-    if not items:
-        yield open_ + close
-        return
-    inner = "\n" + _INDENT * (level + 1)
-    separator = open_ + inner
-    for prefix, value in items:
-        yield separator + prefix
-        yield from _chunks(value, level + 1)
-        separator = "," + inner
-    yield f"\n{_INDENT * level}{close}"
+def _object(obj: dict, level: int) -> str:
+    if not obj:
+        return "{}"
+    return _wrap("{", "}", [f"{_key(k)}: {_encode(v, level + 1)}" for k, v in obj.items()],
+                 level)
 
 
-def _keyed_stack(obj: KeyedStack, level: int) -> Iterator[str]:
-    """The object's text, CHUNK_BLOCKS values per %-template."""
+def _keyed_stack(obj: KeyedStack, level: int) -> str:
     if not obj.names:
-        yield "{}"
-        return
-    value = _array_template(obj.stacks[0].shape[1:], level + 1)
-    inner = "\n" + _INDENT * (level + 1)
-    separator, start = "{" + inner, 0
-    for stack in obj.stacks:
-        for first in range(0, len(stack), CHUNK_BLOCKS):
-            part = stack[first:first + CHUNK_BLOCKS]
-            names = obj.names[start:start + len(part)]
-            start += len(part)
-            if "%" in "".join(names):
-                names = map(_escape, names)
-            entries = [f"{k}: {value}" for k in map(_encode_str, names)]
-            yield (separator + ("," + inner).join(entries)) % _floats(part)
-            separator = "," + inner
-    yield f"\n{_INDENT * level}}}"
+        return "{}"
+    value = _array_template(obj.stack.shape[1:], level + 1)
+    names = obj.names
+    if "%" in "".join(names):
+        names = map(_escape, names)
+    template = _wrap("{", "}", [f"{k}: {value}" for k in map(_encode_str, names)], level)
+    return template % _floats(obj.stack)
+
+
+def _list(items, level: int) -> str:
+    if not items:
+        return "[]"
+    return _wrap("[", "]", [_encode(v, level + 1) for v in items], level)
 
 
 def _records(obj: Records, level: int) -> str:

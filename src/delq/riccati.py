@@ -93,7 +93,7 @@ class RiccatiSolution:
     computed without blocks (solve_riccati(..., blocks=False)), whose P_at
     and serialization refuse. Psum is the (N - t + 1, n, n) stack of the
     value weights: Psum[j] is the sum of the defined P^(i)_{t+j}, in index
-    order. W/H/K are (N - t, m, m), (N - t, m, n) and (N - t, m, n) stacks
+    order, made read-only here, since P_sum(k) returns a view of it. W/H/K are (N - t, m, m), (N - t, m, n) and (N - t, m, n) stacks
     whose row j belongs to time k = t + j. `single_region` marks the variant
     that carries every index 0..d at every time (solve_riccati_bar); the
     piecewise form tops out at min(k - t, d).
@@ -110,6 +110,9 @@ class RiccatiSolution:
     H: np.ndarray
     K: np.ndarray
     single_region: bool = False
+
+    def __post_init__(self):
+        self.Psum.flags.writeable = False
 
     def top_index(self, k: int) -> int:
         self._check_time(k, self.N)
@@ -135,7 +138,8 @@ class RiccatiSolution:
         )
 
     def P_sum(self, k: int) -> np.ndarray:
-        """Sum of all defined P^(i)_k; the value-function weight at time k."""
+        """Sum of all defined P^(i)_k; the value-function weight at time k, a
+        read-only view of Psum."""
         self._check_time(k, self.N)
         return self.Psum[k - self.t]
 
@@ -224,8 +228,7 @@ class PBlocks(Mapping):
     the single-region layout and w = min(N - t, d) + 1 in the piecewise one,
     where only i <= j is defined. The array is allocated here, zero-filled,
     unless given; the undefined entries hold +0.0 and are not keys.
-    Iteration runs over i, then k; each lookup returns a view into the array.
-    columns() returns the array's column slices in that order."""
+    Iteration runs over i, then k; each lookup returns a view into the array."""
 
     __slots__ = ("array", "t", "single_region")
 
@@ -257,10 +260,10 @@ class PBlocks(Mapping):
         rows, width = self.array.shape[:2]
         return rows * width - (0 if self.single_region else width * (width - 1) // 2)
 
-    def columns(self) -> list[np.ndarray]:
-        """The defined P^(i)_k as views, one (rows, n, n) slice per index i:
-        together the blocks in iteration order."""
-        return [self.array[self._first(i):, i] for i in range(self.array.shape[1])]
+    def blocks(self) -> np.ndarray:
+        """The defined P^(i)_k as one (len(self), n, n) stack, in iteration order."""
+        return np.concatenate([self.array[self._first(i):, i]
+                               for i in range(self.array.shape[1])])
 
 
 def _backward(problem: ProblemData, t: int, Q, R, G: np.ndarray,
@@ -456,8 +459,8 @@ def feedback_policy(sol: RiccatiSolution) -> FeedbackPolicy:
 
 def _blocks_to_dict(P: PBlocks) -> KeyedStack:
     """The blocks of P as a JSON object: keys "i,k" in (i, k) order, the
-    matrices as P's column slices, not a copy."""
-    return KeyedStack([f"{i},{k}" for i, k in P], *P.columns())
+    matrices as one stack."""
+    return KeyedStack([f"{i},{k}" for i, k in P], P.blocks())
 
 
 def _blocks_from_dict(raw: dict) -> tuple[list[tuple[int, int]], list[np.ndarray]]:

@@ -64,7 +64,6 @@ UNREACHED_BY_THE_CLI = {
     "solution_from_dict": "the reader of solution_to_dict's output",
     "candidate_to_dict": "the writer of candidate_from_dict's schema",
     "make_candidate": "candidate_from_dict's checks, on matrices keyed (i, k)",
-    "dumps": "the whole text of jsontext.chunks, which the CLI writes piece by piece",
     # per-block references that the tests hold the stacked verdicts to
     "is_psd": "the one-matrix PSD verdict",
     "schur_block_psd": "the one-block Schur verdict",

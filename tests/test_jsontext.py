@@ -1,11 +1,8 @@
 """dumps is json.dumps(obj, indent=2), byte for byte; the stdlib encoder is
 the oracle."""
-import contextlib
-import io
 import json
 import pathlib
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import delq
-from delq import cli
-from delq.jsontext import CHUNK_BLOCKS, KeyedStack, Records, chunks, dumps
+from delq.jsontext import KeyedStack, Records, dumps
 
 SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16,
                   1e-7, 0.1, 1.7976931348623157e308]
@@ -122,62 +118,6 @@ def test_keyed_stack_is_a_read_only_mapping():
         obj["2,1"]
     with pytest.raises(ValueError, match="3 keys for a stack of 2"):
         KeyedStack(["a", "b", "c"], stack)
-
-
-def _keyed_payload(count: int, seed: int = 0):
-    """A payload around a KeyedStack of `count` 2x2 values split over three
-    stacks, with "%" in some names and non-finite floats; and its dict."""
-    rng = np.random.default_rng(seed)
-    values = rng.normal(size=(count, 2, 2))
-    values[::7, 0, 1] = np.nan
-    values[1::5, 1, 0] = np.inf
-    values[2::5, 1, 1] = -np.inf
-    names = [f"{j}%s" if j % 5 == 0 else f"{j},%{j}" if j % 5 == 1 else f"{j},{j}"
-             for j in range(count)]
-    cut = [count // 3, count // 2]
-    stack = KeyedStack(names, *np.split(values, cut))
-    want = {name: M.tolist() for name, M in zip(names, values)}
-    return ({"t": 0, "P": stack, "K": values[:1], "tail": [stack]},
-            {"t": 0, "P": want, "K": values[:1].tolist(), "tail": [want]})
-
-
-@pytest.mark.parametrize("count", [0, 1, CHUNK_BLOCKS - 1, CHUNK_BLOCKS, CHUNK_BLOCKS + 1,
-                                   2 * CHUNK_BLOCKS + 3])
-def test_chunks_at_the_chunk_edges(count):
-    """The pieces, joined, are json.dumps(payload, indent=2) at 0, 1,
-    chunk - 1, chunk and chunk + 1 keys; a piece holds at most CHUNK_BLOCKS
-    values of a KeyedStack."""
-    obj, want = _keyed_payload(count, count)
-    pieces = list(chunks(obj))
-    assert "".join(pieces) == dumps(obj) == oracle(want)
-    value = re.compile(r'^ +"[^"\n]*": \[$', re.M)
-    assert max(len(value.findall(piece)) for piece in pieces) <= CHUNK_BLOCKS
-    assert sum(len(value.findall(piece)) for piece in pieces) == 2 * count
-
-
-def test_json_output_is_written_piece_by_piece(monkeypatch):
-    """--format json writes the pieces through sys.stdout.write, then one
-    newline: what print(json.dumps(payload, indent=2)) prints."""
-    obj, want = _keyed_payload(2 * CHUNK_BLOCKS + 3)
-    writes = []
-    out = io.StringIO()
-    monkeypatch.setattr(out, "write", lambda text: writes.append(text) or len(text))
-    with contextlib.redirect_stdout(out):
-        cli._emit(SimpleNamespace(format="json"), lambda: "unused", lambda: obj)
-    assert "".join(writes) == oracle(want) + "\n"
-    assert len(writes) > 6 and max(map(len, writes)) < len(oracle(want)) // 2
-
-
-def test_keyed_stack_over_several_stacks_is_one_mapping():
-    stacks = [np.arange(8.0).reshape(2, 2, 2), np.empty((0, 2, 2)), np.arange(4.0).reshape(1, 2, 2)]
-    obj = KeyedStack(["a", "b", "c"], *stacks)
-    assert list(obj) == ["a", "b", "c"] and len(obj) == 3
-    assert np.array_equal(obj["b"], stacks[0][1]) and np.array_equal(obj["c"], stacks[2][0])
-    assert dumps(obj) == oracle({k: obj[k].tolist() for k in obj})
-    with pytest.raises(ValueError, match="2 keys for a stack of 3"):
-        KeyedStack(["a", "b"], *stacks)
-    with pytest.raises(ValueError, match="equally shaped"):
-        KeyedStack(["a", "b"], np.zeros((1, 2, 2)), np.zeros((1, 3)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -488,6 +488,22 @@ def test_a_solution_without_blocks_refuses_them(benchmark_problem_fixture, scala
             assert _same_bytes(sol.P_sum(k), full.P_sum(k))
 
 
+def test_the_value_weights_are_read_only(benchmark_problem_fixture):
+    """P_sum(k) is a view of the solution's Psum stack, so no route that
+    builds a solution leaves that stack writable."""
+    problem = benchmark_problem_fixture
+    sol = solve_riccati(problem, 0)
+    loaded, _ = solution_from_dict(json.loads(dumps(solution_to_dict(sol))))
+    for each in (sol, solve_riccati(problem, 0, blocks=False), solve_riccati_bar(problem, 0),
+                 lmei.construct_from_candidate(lmei.certificate_from_riccati(sol, problem),
+                                               problem, 0),
+                 loaded):
+        V = each.P_sum(each.N)
+        with pytest.raises(ValueError, match="read-only"):
+            V += 1.0
+    assert _same_bytes(sol.P_sum(sol.N), loaded.P_sum(sol.N))
+
+
 def _stable_problem(seed, n, m, N, d):
     """A long horizon whose recursion stays bounded: contractive A, small
     noise, identity weights."""
